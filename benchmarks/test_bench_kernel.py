@@ -368,8 +368,6 @@ def test_bench_kernel_writes_json(capsys):
     if vectorized_available():
         from random import Random
 
-        import numpy as _np
-
         from repro.core.mt19937 import seed_states
         from repro.core.vectorized import derive_ball_seeds
         from repro.ids import sparse_ids as _sparse_ids
@@ -394,14 +392,6 @@ def test_bench_kernel_writes_json(capsys):
             3, lambda: derive_ball_seeds(trial_seeds, labels)
         )
         assert [int(s) for s in batched] == scalar_seeds
-        os.environ["REPRO_SHA256_LANES"] = "1"
-        try:
-            lanes_sha_s, lanes = _best_of(
-                3, lambda: derive_ball_seeds(trial_seeds, labels)
-            )
-        finally:
-            del os.environ["REPRO_SHA256_LANES"]
-        assert _np.array_equal(lanes, batched)
         scalar_mt_s, _ = _best_of(
             2, lambda: [Random(seed) for seed in scalar_seeds]
         )
@@ -413,7 +403,6 @@ def test_bench_kernel_writes_json(capsys):
                 "streams": streams,
                 "sha_scalar_per_ball_s": round(scalar_sha_s, 6),
                 "sha_batched_openssl_s": round(batched_sha_s, 6),
-                "sha_batched_lanes_s": round(lanes_sha_s, 6),
                 "mt_seed_scalar_c_s": round(scalar_mt_s, 6),
                 "mt_seed_vectorized_s": round(vector_mt_s, 6),
                 "sha_batch_speedup": round(scalar_sha_s / batched_sha_s, 2),
@@ -492,8 +481,7 @@ def test_bench_kernel_writes_json(capsys):
             print(
                 f"rng-share {cell['streams']} streams: "
                 f"sha scalar {cell['sha_scalar_per_ball_s']:.3f}s  "
-                f"batched {cell['sha_batched_openssl_s']:.3f}s  "
-                f"lanes {cell['sha_batched_lanes_s']:.3f}s | "
+                f"batched {cell['sha_batched_openssl_s']:.3f}s | "
                 f"mt seed C {cell['mt_seed_scalar_c_s']:.3f}s  "
                 f"vectorized {cell['mt_seed_vectorized_s']:.3f}s"
             )

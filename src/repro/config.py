@@ -1,8 +1,7 @@
 """The process-environment seam: typed readers for every ``REPRO_*`` knob.
 
 Determinism contract: environment variables must never influence
-*results* — only wall-clock strategy (thread fanout, stacking floors,
-SHA backend choice).  Every knob therefore lives here: one function per
+*results* — only wall-clock strategy (thread fanout, stacking floors).  Every knob therefore lives here: one function per
 variable, read per call (never cached, so the CLI and tests can set the
 environment at any point), with validation and a documented default.
 
@@ -24,11 +23,6 @@ Knobs
     Minimum stream count below which a *crash* cell stays on the
     per-trial columnar path (the stacked crash engine's fixed per-round
     costs only amortize across enough streams).  0 = always stack.
-``REPRO_SHA256_LANES``
-    SHA-256 backend for batched seed derivation: ``on`` forces the
-    NumPy lane compiler, ``off`` pins hashlib's scalar path, ``auto``
-    (default) currently resolves to scalar (OpenSSL wins on measured
-    hardware — see the ``rng_share`` microbench in BENCH_kernel.json).
 """
 
 from __future__ import annotations
@@ -42,9 +36,6 @@ DEFAULT_MAX_STREAMS = 1 << 17
 
 #: Measured crossover floor for stacking crash cells (streams).
 DEFAULT_CRASH_MIN_STREAMS = 1 << 10
-
-#: The three recognized SHA-256 lane modes (after normalization).
-SHA256_LANE_MODES = ("auto", "on", "off")
 
 
 def _read(name: str) -> str:
@@ -109,19 +100,3 @@ def crash_min_streams() -> int:
         minimum=0,
     )
 
-
-def sha256_lanes() -> str:
-    """Resolved ``REPRO_SHA256_LANES`` mode: ``"auto"``/``"on"``/``"off"``.
-
-    ``1``/``on``/``force`` normalize to ``"on"``; ``0``/``off``/unset
-    keep their historical meaning; anything unrecognized is ``"auto"``
-    (which resolves to the scalar path) so a typo can only cost speed,
-    never correctness — both backends are bit-identical by the
-    word-exactness suite.
-    """
-    raw = _read("REPRO_SHA256_LANES").lower()
-    if raw in ("1", "on", "force"):
-        return "on"
-    if raw in ("0", "off"):
-        return "off"
-    return "auto"

@@ -1,48 +1,43 @@
 """Columnar Balls-into-Leaves: the whole population as flat arrays.
 
 The lock-step engine materializes one :class:`BallProcess` per ball and
-moves a dict inbox per delivery signature per round.  In a failure-free
-run every broadcast is a position announcement over one shared view, so
-none of that machinery is observable: the run is a deterministic function
-of (ids, seed, policy, halt_on_name).  This module executes exactly that
-function as array passes:
+moves a dict inbox per delivery signature per round.  Almost none of that
+machinery is observable: what a ball sees is a function of which
+broadcasts reached it, and receivers with the same delivery history share
+one local view.  :class:`ColumnarCrashEngine` executes exactly that
+function as list passes:
 
-* per-ball state — node index, decided name, naming/halting rounds,
-  halted flag — lives in parallel lists indexed by *label rank* (balls
+* per-ball state — decided name, naming/halting/crash rounds, halted and
+  crashed flags — lives in parallel lists indexed by *label rank* (balls
   are numbered in sorted-label order, so ``<R`` tie-breaks and Section 6
   label ranks are plain integer comparisons);
-* the one shared tree is two integer arrays over
-  :class:`~repro.tree.arrays.TopologyArrays` node indices: subtree ball
-  counts and subtree leaf-occupancy counts;
+* receivers sharing one inbox history share one *equivalence class*
+  (:class:`_ClassView`, the flat-array twin of
+  :class:`repro.core.views.SharedViewStore`): per-ball node indices over
+  :class:`~repro.tree.arrays.TopologyArrays`, lifecycle status bytes
+  (the announced-termination lifecycle of :mod:`repro.core.lifecycle`),
+  and subtree ball / leaf-occupancy counts.  Partial deliveries split
+  classes; classes re-merge when their states coincide;
 * a round is one pass to choose candidate paths (consuming each ball's
   private RNG stream exactly as :mod:`repro.core.policies` does, with
-  the left/right probabilities memoized per node per round — the view is
-  frozen while everyone composes, so thousands of balls crossing the
-  same node share one division) and one pass to move balls in ``<R``
-  order (bucketed by depth — a counting sort — instead of a comparison
-  sort) under the capacity rule of
+  the left/right probabilities memoized per class node per round — the
+  view is frozen while everyone composes, so many balls crossing the
+  same node share one division) and one pass per delivery group to move
+  balls in ``<R`` order (bucketed by depth — a counting sort — instead
+  of a comparison sort) under the capacity rule of
   :func:`repro.core.movement.apply_path_round`.
+
+A failure-free run is the degenerate case: every survivor hears every
+broadcast, so the run stays one class, and a round with no partial
+delivery updates each class in place without building delivery
+signatures or merge keys.
 
 Bit-for-bit equivalence with the reference engine — same round counts,
 same names, same per-round metrics — is asserted by the differential
 suite in ``tests/sim/test_kernel_equivalence.py``; any behavioural change
 here must keep that suite green.
 
-Two engines share the layout:
-
-* :class:`ColumnarBallsEngine` — the failure-free fast path: one shared
-  view, no inboxes, no adversary bookkeeping.
-* :class:`ColumnarCrashEngine` — the crash-capable extension: partial
-  deliveries split receivers into *equivalence classes* (the flat-array
-  twin of :class:`repro.core.views.SharedViewStore`), each class holding
-  its own position/status/count columns; the announced-termination
-  lifecycle of :mod:`repro.core.lifecycle` runs as a per-ball status
-  byte, and crash masks are applied per round exactly as the lock-step
-  simulator does.  Failure-free it degenerates to one class, but the
-  per-round payload materialization for the adversary keeps the
-  dedicated failure-free engine worthwhile.
-
-Runs the fast path cannot model (traces, phase statistics, invariant
+Runs the fast path cannot model (full traces, phase statistics, invariant
 checking, uncertified adversary types) are rejected up front by
 :func:`columnar_rejections` / the kernel and fall back to the reference
 kernel.
@@ -58,6 +53,7 @@ from repro.adversary.base import (
     FaultPlan,
     clamp_fault_plan,
 )
+from repro.adversary.none import NoFailures
 from repro.errors import ConfigurationError, SimulationError
 from repro.ids import require_distinct
 from repro.sim.rng import derive_seed
@@ -80,15 +76,14 @@ BallId = Hashable
 #: stays on the reference engine).
 SUPPORTED_POLICIES = ("random", "hybrid", "rank", "leftmost")
 
-_STAGE_INIT = 0
-_STAGE_PATH = 1
-_STAGE_POSITION = 2
-
 #: Sentinels in the per-node probability memo: the rare both-children-full
 #: fallback of ``random_capacity_path`` picks a side *without* consuming a
 #: random draw, so it cannot be encoded as a comparison threshold.
 _FORCE_LEFT = 2.0
 _FORCE_RIGHT = -1.0
+
+#: The plan of a round nobody faults (shared; never mutated).
+_NO_FAULTS = FaultPlan()
 
 
 def columnar_rejections(config: BallsIntoLeavesConfig) -> List[str]:
@@ -121,390 +116,6 @@ def columnar_rejections(config: BallsIntoLeavesConfig) -> List[str]:
         reasons.append("one-round phases (sync_positions=False) are an ablation")
     return reasons
 
-
-class ColumnarBallsEngine:
-    """One failure-free Balls-into-Leaves run over flat arrays.
-
-    Drive with :meth:`step` once per round; the engine sequences the
-    init / path / position stages internally, exactly mirroring
-    :class:`~repro.core.balls_into_leaves.BallProcess`.  After
-    ``running_count`` drops to zero the per-ball arrays hold the run's
-    outcome.
-    """
-
-    def __init__(
-        self,
-        ids: Sequence[BallId],
-        *,
-        seed: int = 0,
-        policy: str = "random",
-        halt_on_name: bool = False,
-    ) -> None:
-        require_distinct(ids)
-        if not ids:
-            raise ConfigurationError("renaming needs at least one participant")
-        if policy not in SUPPORTED_POLICIES:
-            raise ConfigurationError(
-                f"policy {policy!r} is not columnar-modeled; "
-                f"choose from {SUPPORTED_POLICIES}"
-            )
-        self.labels: List[BallId] = sorted(ids)
-        n = len(self.labels)
-        self.n = n
-        self._seed = seed
-        self._policy = policy
-        self._halt_on_name = halt_on_name
-        self._arr = cached_topology(n).arrays()
-        self._height = self._arr.topology.height
-        node_count = len(self._arr.nodes)
-        # Shared-view state: subtree ball counts, and (for the free-leaf
-        # policies only — the random walk never asks) leaf-occupancy
-        # counts.
-        self._count = [0] * node_count
-        self._track_leaf_occ = policy in ("rank", "leftmost")
-        self._leaf_occ = [0] * node_count if self._track_leaf_occ else None
-        self._n_at_leaf = 0
-        # Per-round memo of the left-child probability at each inner node
-        # (see _random_paths); the stamp makes invalidation O(1) per round.
-        self._thr = [0.0] * node_count
-        self._thr_stamp = [0] * node_count
-        self._tick = 0
-        # Per-ball state, indexed by label rank.
-        self.pos: List[int] = [self._arr.root] * n
-        self.halted: List[bool] = [False] * n
-        self.decision: List[Optional[int]] = [None] * n
-        self.round_named: List[Optional[int]] = [None] * n
-        self.round_halted: List[Optional[int]] = [None] * n
-        self._rngs: List[Optional[_MTRandom]] = [None] * n
-        self.running_count = n
-        self.phase = 0
-        self._stage = _STAGE_INIT
-
-    # ------------------------------------------------------------------ driving
-    def step(self, round_no: int) -> None:
-        """Execute one round (the caller owns the lock-step loop)."""
-        if self._stage == _STAGE_INIT:
-            self._init_round()
-        elif self._stage == _STAGE_PATH:
-            self._path_round(round_no)
-        else:
-            self._position_round(round_no)
-
-    def positions(self) -> List[int]:
-        """Every ball's current tree node, by label rank (trace capture)."""
-        return list(self.pos)
-
-    # -------------------------------------------------------- state interchange
-    def export_state(self) -> Dict[str, Any]:
-        """The protocol state as engine-independent plain lists.
-
-        The same shape ``VectorizedCellEngine.export_trial_state`` emits
-        (``-1`` sentinels for undecided/unnamed), so the splitting
-        estimator can checkpoint on one engine and resume on the other.
-        """
-        return {
-            "pos": list(self.pos),
-            "halted": list(self.halted),
-            "decision": [-1 if d is None else d for d in self.decision],
-            "round_named": [-1 if r is None else r for r in self.round_named],
-            "round_halted": [-1 if r is None else r for r in self.round_halted],
-            "count": list(self._count),
-            "leaf_occ": None if self._leaf_occ is None else list(self._leaf_occ),
-            "n_at_leaf": self._n_at_leaf,
-            "running": self.running_count,
-        }
-
-    def restore_state(self, state: Dict[str, Any], round_no: int) -> None:
-        """Load an exported state as of completed round ``round_no`` ≥ 1.
-
-        Per-ball RNG streams restart fresh from this engine's seed (pass
-        the clone's derived seed at construction) — valid because the
-        protocol is Markov given the exported state.
-        """
-        if round_no < 1:
-            raise ConfigurationError(
-                "restore_state resumes after a completed round (round_no >= 1)"
-            )
-        n = self.n
-        self.pos = [int(p) for p in state["pos"]]
-        self.halted = [bool(h) for h in state["halted"]]
-        self.decision = [None if d < 0 else int(d) for d in state["decision"]]
-        self.round_named = [
-            None if r < 0 else int(r) for r in state["round_named"]
-        ]
-        self.round_halted = [
-            None if r < 0 else int(r) for r in state["round_halted"]
-        ]
-        self._count = [int(c) for c in state["count"]]
-        if self._track_leaf_occ:
-            self._leaf_occ = [int(c) for c in state["leaf_occ"]]
-        self._n_at_leaf = int(state["n_at_leaf"])
-        self.running_count = int(state["running"])
-        self._rngs = [None] * n
-        # Round parity fixes the stage: after an odd round (init or
-        # position) the next round is a path round, after an even one a
-        # position round; phases count completed path/position pairs.
-        if round_no % 2 == 1:
-            self.phase = (round_no + 1) // 2
-            self._stage = _STAGE_PATH
-        else:
-            self.phase = round_no // 2
-            self._stage = _STAGE_POSITION
-
-    # ------------------------------------------------------------------- rounds
-    def _init_round(self) -> None:
-        """Line 1: every ball announces its label; all start at the root."""
-        root = self._arr.root
-        self._count[root] = self.n
-        if self._arr.span[root] == 1:  # n == 1: the root already is a leaf
-            if self._track_leaf_occ:
-                self._leaf_occ[root] = self.n
-            self._n_at_leaf = self.n
-        self.phase = 1
-        self._stage = _STAGE_PATH
-
-    def _path_round(self, round_no: int) -> None:
-        """Phase round 1: exchange candidate paths, move in ``<R`` order."""
-        paths = self._choose_paths()
-        arr = self._arr
-        span = arr.span
-        parent = arr.parent
-        depth = arr.depth
-        leaf_rank = arr.leaf_rank
-        count = self._count
-        leaf_occ = self._leaf_occ
-        pos = self.pos
-        halted = self.halted
-        round_named = self.round_named
-        decision = self.decision
-        # Algorithm 1 lines 12-21, in the <R order of Definition 1: deeper
-        # balls first, ties by label — and label order is index order, so
-        # depth buckets filled in index order realize the whole order.
-        # Halted balls are silent leaf-holders (the halt-on-name retention
-        # rule) and balls whose path never leaves their node are no-ops:
-        # neither moves nor changes any capacity, so both drop out here.
-        buckets: List[List[int]] = [[] for _ in range(self._height + 1)]
-        for j in range(self.n):
-            if halted[j]:
-                continue
-            if len(paths[j]) == 1:
-                # Already at a leaf (or wedged by a full subtree): no
-                # movement, but a leaf reached before this round's
-                # broadcast still fixes the name now (the n=1 root-leaf
-                # case arrives here).
-                node = pos[j]
-                if round_named[j] is None and span[node] == 1:
-                    round_named[j] = round_no
-                    decision[j] = leaf_rank[node]
-                continue
-            buckets[depth[pos[j]]].append(j)
-        for bucket in reversed(buckets):
-            for j in bucket:
-                path = paths[j]
-                node = path[0]
-                k = 1
-                length = len(path)
-                while k < length:
-                    nxt = path[k]
-                    if span[nxt] - count[nxt] > 0:
-                        node = nxt
-                        k += 1
-                    else:
-                        break
-                if k > 1:
-                    # The ball only ever descends, so re-placing it adds
-                    # one ball to exactly the subtrees strictly below its
-                    # old node.
-                    for i in range(1, k):
-                        count[path[i]] += 1
-                    pos[j] = node
-                    if span[node] == 1:
-                        self._n_at_leaf += 1
-                        round_named[j] = round_no
-                        decision[j] = leaf_rank[node]
-                        if leaf_occ is not None:
-                            walk = node
-                            while walk != -1:
-                                leaf_occ[walk] += 1
-                                walk = parent[walk]
-        self._stage = _STAGE_POSITION
-
-    def _position_round(self, round_no: int) -> None:
-        """Phase round 2: re-synchronize positions, terminate (lines 22-29).
-
-        Failure-free, every announced position matches the shared view, so
-        the tree is untouched; only the termination rule runs.
-        """
-        all_at_leaves = self._n_at_leaf == self.n
-        if self._halt_on_name or all_at_leaves:
-            span = self._arr.span
-            leaf_rank = self._arr.leaf_rank
-            for j in range(self.n):
-                if self.halted[j]:
-                    continue
-                if all_at_leaves or span[self.pos[j]] == 1:
-                    self.round_halted[j] = round_no
-                    self.decision[j] = leaf_rank[self.pos[j]]
-                    self.halted[j] = True
-                    self.running_count -= 1
-        if self.running_count:
-            self.phase += 1
-            self._stage = _STAGE_PATH
-
-    # ------------------------------------------------------------- path choice
-    def _choose_paths(self) -> List[Optional[List[int]]]:
-        """Each running ball's candidate path against the pre-round view.
-
-        All choices read the same snapshot (the lock-step engine composes
-        every broadcast before any delivery), so the pass order is free;
-        per-ball RNG streams keep randomized choices independent of it.
-        """
-        policy = self._policy
-        if policy == "random" or (policy == "hybrid" and self.phase > 1):
-            return self._random_paths()
-        if policy == "hybrid":
-            # Section 6, phase 1: ball bi aims at the leaf indexed by its
-            # label rank (everyone is at the root, so the rank clamp of
-            # the reference policy never binds failure-free).
-            arr = self._arr
-            paths: List[Optional[List[int]]] = []
-            for j in range(self.n):
-                if self.halted[j]:
-                    paths.append(None)
-                    continue
-                lo, hi = arr.nodes[self.pos[j]]
-                paths.append(arr.path_to_rank(self.pos[j], min(lo + j, hi - 1)))
-            return paths
-        if policy == "rank":
-            return self._rank_paths()
-        if policy == "leftmost":
-            return [
-                None
-                if self.halted[j]
-                else self._arr.path_to_kth_free_leaf(self.pos[j], 0, self._leaf_occ)
-                for j in range(self.n)
-            ]
-        raise ConfigurationError(f"policy {policy!r} is not columnar-modeled")
-
-    def _random_paths(self) -> List[Optional[List[int]]]:
-        """Algorithm 1 lines 5-10 for every running ball.
-
-        Consumes ``rng.random()`` exactly where
-        :func:`repro.tree.paths.random_capacity_path` does, so the
-        per-ball streams stay bit-identical to the reference engine's.
-        The view is frozen for the whole pass, so the left-child
-        probability of each inner node is computed once per round
-        (stamp-memoized) no matter how many balls cross it.
-        """
-        arr = self._arr
-        left = arr.left
-        right = arr.right
-        span = arr.span
-        count = self._count
-        thr = self._thr
-        stamp = self._thr_stamp
-        self._tick += 1
-        tick = self._tick
-        pos = self.pos
-        halted = self.halted
-        rngs = self._rngs
-        labels = self.labels
-        seed = self._seed
-        paths: List[Optional[List[int]]] = [None] * self.n
-        for j in range(self.n):
-            if halted[j]:
-                continue
-            node = pos[j]
-            path = [node]
-            if left[node] != -1:
-                rng = rngs[j]
-                if rng is None:
-                    rng = _MTRandom(derive_seed(seed, "ball", labels[j]))
-                    rngs[j] = rng
-                rng_random = rng.random
-                append = path.append
-                while True:
-                    lft = left[node]
-                    if lft == -1:
-                        break
-                    if stamp[node] != tick:
-                        stamp[node] = tick
-                        rgt = right[node]
-                        cap_left = span[lft] - count[lft]
-                        if cap_left < 0:
-                            cap_left = 0
-                        cap_right = span[rgt] - count[rgt]
-                        if cap_right < 0:
-                            cap_right = 0
-                        total = cap_left + cap_right
-                        if total <= 0:
-                            # Both (apparently) full: larger raw residual
-                            # wins, ties left, *no* draw is consumed.
-                            thr[node] = (
-                                _FORCE_LEFT
-                                if span[lft] - count[lft]
-                                >= span[rgt] - count[rgt]
-                                else _FORCE_RIGHT
-                            )
-                        else:
-                            thr[node] = cap_left / total
-                    threshold = thr[node]
-                    if threshold == _FORCE_LEFT:
-                        node = lft
-                    elif threshold == _FORCE_RIGHT:
-                        node = right[node]
-                    elif rng_random() < threshold:
-                        node = lft
-                    else:
-                        node = right[node]
-                    append(node)
-            paths[j] = path
-        return paths
-
-    def _rank_paths(self) -> List[Optional[List[int]]]:
-        """Deterministic rank paths: k-th free leaf by rank at the node."""
-        arr = self._arr
-        span = arr.span
-        leaf_occ = self._leaf_occ
-        # Balls at each node in label order (ball index *is* label rank),
-        # flattened to one rank-at-node per ball so the pass stays O(n).
-        at_node: Dict[int, List[int]] = {}
-        for j in range(self.n):
-            at_node.setdefault(self.pos[j], []).append(j)
-        rank_at_node: List[int] = [0] * self.n
-        for group in at_node.values():
-            for rank, j in enumerate(group):
-                rank_at_node[j] = rank
-        paths: List[Optional[List[int]]] = []
-        for j in range(self.n):
-            if self.halted[j]:
-                paths.append(None)
-                continue
-            start = self.pos[j]
-            if span[start] == 1:
-                paths.append([start])
-                continue
-            free = span[start] - leaf_occ[start]
-            if free <= 0:
-                paths.append([start])
-                continue
-            paths.append(
-                self._arr.path_to_kth_free_leaf(
-                    start, min(rank_at_node[j], free - 1), self._leaf_occ
-                )
-            )
-        return paths
-
-    # ---------------------------------------------------------------- reporting
-    def last_round_named(self) -> Optional[int]:
-        """Latest round at which any ball fixed its name."""
-        rounds = [r for r in self.round_named if r is not None]
-        return max(rounds) if rounds else None
-
-
-# --------------------------------------------------------------------------
-# Crash-capable engine: equivalence classes of receivers over flat arrays.
-# --------------------------------------------------------------------------
 
 _ACTIVE = int(BallStatus.ACTIVE)
 _ANNOUNCED = int(BallStatus.ANNOUNCED)
@@ -559,6 +170,7 @@ class _ClassView:
         "present",
         "memo_tick",
         "thr",
+        "thr_stamp",
         "rank_all",
         "rank_here",
     )
@@ -578,10 +190,13 @@ class _ClassView:
         self.leaf_occ = leaf_occ
         self.n_at_leaf = n_at_leaf
         self.present = present
-        # Per-round compose caches (invalidated by the engine tick):
-        # left-probability memo, present-prefix ranks, at-node ranks.
+        # Per-round compose caches, keyed by the engine tick: the
+        # left-probability memo (valid where thr_stamp[node] == tick),
+        # present-prefix ranks and at-node ranks (valid while
+        # memo_tick == tick).
+        self.thr: Optional[List[float]] = None
+        self.thr_stamp: List[int] = []
         self.memo_tick = -1
-        self.thr: Optional[Dict[int, float]] = None
         self.rank_all: Optional[List[int]] = None
         self.rank_here: Optional[Dict[int, int]] = None
 
@@ -643,7 +258,8 @@ class ColumnarCrashEngine:
         self._seed = seed
         self._policy = policy
         self._halt_on_name = halt_on_name
-        self._adversary = adversary
+        # NoFailures plans nothing: the engine skips the adversary protocol.
+        self._adversary = None if type(adversary) is NoFailures else adversary
         self._budget = crash_budget
         self._arr = cached_topology(n).arrays()
         self._height = self._arr.topology.height
@@ -662,13 +278,19 @@ class ColumnarCrashEngine:
         self.last_omitters: List[int] = []
         self._rngs: List[Optional[_MTRandom]] = [None] * n
         self._class_of: List[Optional[_ClassView]] = [None] * n
+        #: The running balls in input order and their distinct classes
+        #: (maintained per step).
+        self._running: List[int] = list(self._input_order)
+        self._live: List[_ClassView] = []
         self._crashed_count = 0
         self.running_count = n
         # Fault-plan state beyond crashes (omission is the only extra
         # family this engine applies; delay/corruption are rejected at
         # kernel selection and guarded against defensively below).
         self._fault_budget = (
-            adversary.fault_budget() if adversary is not None else FaultBudget()
+            self._adversary.fault_budget()
+            if self._adversary is not None
+            else FaultBudget()
         )
         self._omissions_used = 0
         #: First round each sender index was silenced by omission.
@@ -687,10 +309,7 @@ class ColumnarCrashEngine:
         labels = self.labels
         halted = self.halted
         crashed = self.crashed
-        running = [
-            j for j in self._input_order if not crashed[j] and not halted[j]
-        ]
-        running_set = set(running)
+        running = self._running
         self.last_sent = len(running)
         self._tick += 1
 
@@ -705,9 +324,11 @@ class ColumnarCrashEngine:
         else:
             kind = "pos"
             paths = None
-            announced = [None] * self.n
-            for j in running:
-                announced[j] = self._class_of[j].pos[j]
+            # Without an adversary only delivery reads the announcements,
+            # and a settled round (below) needs none.
+            announced = (
+                None if self._adversary is None else self._announcements(running)
+            )
 
         fault = self._plan_faults(round_no, running, kind, paths, announced)
         plan = fault.crashes
@@ -722,6 +343,7 @@ class ColumnarCrashEngine:
         self.last_alive = self.n - self._crashed_count
 
         # Victims that composed this round (halted victims sent nothing).
+        running_set = set(running) if plan or fault.omissions else set()
         partial: List[Tuple[int, frozenset]] = [
             (self._index_of[victim], kept)
             for victim, kept in plan.items()
@@ -732,9 +354,10 @@ class ColumnarCrashEngine:
         # crashed: they stay receivers, keep composing, and (clamp
         # guarantees the sender is never dropped to itself) always keep
         # their own ball in their own class view.  The purge test below
-        # (``i in victim_idx and i not in sig``) then reproduces the
-        # reference semantics bit-for-bit: masked receivers see silence
-        # and treat the sender exactly like a crash.
+        # (``i in unheard``, a victim missing from the group's delivery
+        # signature) then reproduces the reference semantics bit-for-bit:
+        # masked receivers see silence and treat the sender exactly like
+        # a crash.
         if fault.omissions:
             alive_pids = [
                 labels[j] for j in self._input_order if not crashed[j]
@@ -749,7 +372,7 @@ class ColumnarCrashEngine:
         victim_idx: Set[int] = {vi for vi, _kept in partial}
         base_count = self.last_sent - len(partial)
 
-        receivers = [
+        receivers = running if not plan else [
             j for j in self._input_order if not crashed[j] and not halted[j]
         ]
         self.last_omissions = 0
@@ -765,6 +388,156 @@ class ColumnarCrashEngine:
                     self.last_omissions += drops
                     self.silenced_round.setdefault(j, round_no)
                     self.last_omitters.append(j)
+        class_of = self._class_of
+        apply: Any = (
+            self._apply_path_round if kind == "path" else self._apply_position_round
+        )
+        payload: Any = paths if kind == "path" else announced
+        if not partial:
+            # Fast path: no broadcast was cut short, so every receiver's
+            # delivery group is its own pre-class.  Each live class (one,
+            # failure-free) advances in place — no delivery signatures,
+            # no clones, and merge keys only when several classes live.
+            # In-place is safe for the stale classes positions() reads:
+            # a crashed ball's last class died in its (partial) crash
+            # round, and a halted ball stays put in a live class as an
+            # announced terminator.
+            self.last_delivered = len(receivers) * base_count
+            if kind == "init":
+                post = self._initialize_class(running, victim_idx)
+                for j in receivers:
+                    class_of[j] = post
+                self._live = [post]
+            elif (
+                kind == "pos"
+                and not self._halt_on_name
+                and len(self._live) == 1
+                and self._live[0].present == len(receivers)
+            ):
+                # Settled: the one view holds exactly the receivers (a
+                # running ball is always present in its own view), each
+                # at the position it announces — nothing moves, nothing
+                # is purged, and no lifecycle byte changes.
+                pass
+            else:
+                # The receivers are last round's survivors, so their
+                # classes are exactly the live list kept below.
+                if kind == "pos" and payload is None:
+                    payload = self._announcements(running)
+                for cv in self._live:
+                    apply(cv, payload, victim_idx)
+                if len(self._live) > 1:
+                    self._merge_live(receivers)
+        else:
+            self._deliver_partial(
+                kind, receivers, partial, base_count, running,
+                victim_idx, apply, payload,
+            )
+
+        # Per-ball bookkeeping against the ball's own (post) view.  A
+        # ball's own entry only moves in path rounds (its position
+        # announcement always reaches itself), so path rounds name and
+        # position rounds halt.  Not for the hello round: a ball only
+        # notes its leaf after a path or position exchange
+        # (BallProcess._note_leaf), so the n == 1 root-leaf is named in
+        # round 2, not round 1.
+        if kind == "path":
+            span = self._arr.span
+            leaf_rank = self._arr.leaf_rank
+            round_named = self.round_named
+            for j in receivers:
+                if round_named[j] is None:
+                    p = class_of[j].pos[j]
+                    if span[p] == 1:
+                        round_named[j] = round_no
+                        self.decision[j] = leaf_rank[p]
+        elif kind == "pos":
+            receivers = self._halt(round_no, receivers)
+        # Next round's senders (the balls still running), and their
+        # classes in self._live: exactly next round's receivers and live
+        # classes unless a running ball crashes.
+        self._running = receivers
+        self.last_running = self.running_count
+
+    def _halt(self, round_no: int, receivers: List[int]) -> List[int]:
+        """The termination rule of a position round; returns the balls
+        still running and keeps :attr:`_live` to their classes."""
+        halt_on_name = self._halt_on_name
+        if not halt_on_name and all(
+            cv.n_at_leaf != cv.present for cv in self._live
+        ):
+            return receivers
+        span = self._arr.span
+        leaf_rank = self._arr.leaf_rank
+        class_of = self._class_of
+        survivors: List[int] = []
+        live: List[_ClassView] = []
+        seen: Set[int] = set()
+        last: Optional[_ClassView] = None
+        for j in receivers:
+            cv = class_of[j]
+            p = cv.pos[j]
+            # All present balls at leaves includes j, so both halting
+            # rules only ever fire at a leaf.
+            if span[p] == 1 and (halt_on_name or cv.n_at_leaf == cv.present):
+                self.round_halted[j] = round_no
+                self.decision[j] = leaf_rank[p]
+                self.halted[j] = True
+                self.running_count -= 1
+                continue
+            survivors.append(j)
+            if cv is not last and cv is not None:
+                last = cv
+                # repro: lint-ok[D104] identity dedup; live keeps deterministic j order
+                if id(cv) not in seen:
+                    # repro: lint-ok[D104] identity dedup; live keeps deterministic j order
+                    seen.add(id(cv))
+                    live.append(cv)
+        self._live = live
+        return survivors
+
+    def _merge_live(self, receivers: Sequence[int]) -> None:
+        """Re-merge live classes whose states coincide after a round."""
+        merge_index: Dict[Tuple[Tuple[int, ...], bytes], _ClassView] = {}
+        canonical = {
+            # repro: lint-ok[D104] identity-keyed remap table, read only by lookup
+            id(cv): merge_index.setdefault(cv.merge_key(), cv)
+            for cv in self._live
+        }
+        if len(merge_index) == len(self._live):
+            return
+        self._live = list(merge_index.values())
+        class_of = self._class_of
+        for j in receivers:
+            # repro: lint-ok[D104] lookup in the identity-keyed remap table
+            class_of[j] = canonical[id(class_of[j])]
+
+    def _announcements(self, running: Sequence[int]) -> List[Optional[int]]:
+        """Each running ball's position in its own view (None = silent)."""
+        announced: List[Optional[int]] = [None] * self.n
+        class_of = self._class_of
+        for j in running:
+            announced[j] = class_of[j].pos[j]
+        return announced
+
+    def _deliver_partial(
+        self,
+        kind: str,
+        receivers: Sequence[int],
+        partial: Sequence[Tuple[int, frozenset]],
+        base_count: int,
+        running: Sequence[int],
+        victim_idx: Set[int],
+        apply: Any,
+        payload: Any,
+    ) -> None:
+        """Deliver a round some broadcasts reached only partially.
+
+        Receivers are grouped by (pre-class, delivery signature); each
+        group advances one clone of its pre-class, and clones whose
+        states coincide merge, like the shared store's memo.
+        """
+        labels = self.labels
         # Distinct delivery camps: victims usually share receiver sets
         # (split-mode adversaries build two), so a receiver's signature
         # is a function of its camp-membership pattern, computed with
@@ -778,27 +551,21 @@ class ColumnarCrashEngine:
                 camp_index[kept] = bucket
                 camps.append((kept, bucket))
             bucket.append(vi)
-        empty_sig: frozenset = frozenset()
         sig_cache: Dict[Tuple[bool, ...], Tuple[frozenset, int]] = {}
-        # Group receivers by (pre-class, delivery signature); every group
-        # member shares one tree update, like the shared store's memo.
         groups: Dict[Tuple[int, frozenset], Tuple[Optional[_ClassView], frozenset, List[int]]] = {}
         delivered = 0
         for j in receivers:
-            if camps:
-                pid = labels[j]
-                pattern = tuple(pid in kept for kept, _vis in camps)
-                cached = sig_cache.get(pattern)
-                if cached is None:
-                    members: List[int] = []
-                    for flag, (_kept, vis) in zip(pattern, camps):
-                        if flag:
-                            members.extend(vis)
-                    cached = (frozenset(members), len(members))
-                    sig_cache[pattern] = cached
-                sig, sig_len = cached
-            else:
-                sig, sig_len = empty_sig, 0
+            pid = labels[j]
+            pattern = tuple(pid in kept for kept, _vis in camps)
+            cached = sig_cache.get(pattern)
+            if cached is None:
+                members: List[int] = []
+                for flag, (_kept, vis) in zip(pattern, camps):
+                    if flag:
+                        members.extend(vis)
+                cached = (frozenset(members), len(members))
+                sig_cache[pattern] = cached
+            sig, sig_len = cached
             delivered += base_count + sig_len
             pre = self._class_of[j]
             # repro: lint-ok[D104] within-round grouping key; group order comes from the j loop, not the id
@@ -813,45 +580,14 @@ class ColumnarCrashEngine:
         merge_index: Dict[Tuple[Tuple[int, ...], bytes], _ClassView] = {}
         for pre, sig, members in groups.values():
             if kind == "init":
-                post = self._initialize_class(running_set, victim_idx, sig)
-            elif kind == "path":
-                post = self._apply_path_round(
-                    pre, paths, victim_idx, sig, round_no
-                )
+                post = self._initialize_class(running, victim_idx - sig)
             else:
-                post = self._apply_position_round(
-                    pre, announced, victim_idx, sig
-                )
+                post = pre.clone()
+                apply(post, payload, victim_idx - sig)
             canonical = merge_index.setdefault(post.merge_key(), post)
             for j in members:
                 self._class_of[j] = canonical
-
-        if kind == "init":
-            self.last_running = self.running_count
-            return
-
-        # Per-ball bookkeeping against the ball's own (post) view.  Not
-        # for the hello round: a ball only notes its leaf after a path
-        # or position exchange (BallProcess._note_leaf), so the n == 1
-        # root-leaf is named in round 2, not round 1.
-        arr = self._arr
-        span = arr.span
-        leaf_rank = arr.leaf_rank
-        for j in receivers:
-            cv = self._class_of[j]
-            p = cv.pos[j]
-            if self.round_named[j] is None and span[p] == 1:
-                self.round_named[j] = round_no
-                self.decision[j] = leaf_rank[p]
-            if kind == "pos":
-                if cv.n_at_leaf == cv.present or (
-                    self._halt_on_name and span[p] == 1
-                ):
-                    self.round_halted[j] = round_no
-                    self.decision[j] = leaf_rank[p]
-                    halted[j] = True
-                    self.running_count -= 1
-        self.last_running = self.running_count
+        self._live = list(merge_index.values())
 
     def positions(self) -> List[int]:
         """Every ball's current tree node, by label rank (trace capture).
@@ -865,6 +601,78 @@ class ColumnarCrashEngine:
             for j, cv in enumerate(self._class_of)
         ]
 
+    # -------------------------------------------------------- state interchange
+    def export_state(self) -> Dict[str, Any]:
+        """The protocol state as engine-independent plain lists.
+
+        The shape ``VectorizedCrashEngine.export_trial_state`` emits
+        (``-1`` sentinels for undecided/unnamed), so the splitting
+        estimator can checkpoint on one engine and resume on the other.
+        It describes one shared view, so only a run whose running balls
+        share a single class, with no crash, can export.
+        """
+        if len(self._live) != 1 or self._crashed_count:
+            raise ConfigurationError(
+                f"the run holds {len(self._live)} live view class(es) and "
+                f"{self._crashed_count} crash(es); a checkpoint captures "
+                "one shared, crash-free view"
+            )
+        cv = self._live[0]
+        return {
+            "pos": list(cv.pos),
+            "halted": list(self.halted),
+            "decision": [-1 if d is None else d for d in self.decision],
+            "round_named": [-1 if r is None else r for r in self.round_named],
+            "round_halted": [-1 if r is None else r for r in self.round_halted],
+            "count": list(cv.count),
+            "leaf_occ": None if cv.leaf_occ is None else list(cv.leaf_occ),
+            "n_at_leaf": cv.n_at_leaf,
+            "running": self.running_count,
+        }
+
+    def restore_state(self, state: Dict[str, Any], round_no: int) -> None:
+        """Load an exported state as of completed round ``round_no`` ≥ 1.
+
+        Per-ball RNG streams restart fresh from this engine's seed (pass
+        the clone's derived seed at construction) — valid because the
+        protocol is Markov given the exported state.  Every ball shares
+        the one restored class; a halted ball is an announced terminator
+        under halt-on-name (failure-free, the two coincide).
+        """
+        if round_no < 1:
+            raise ConfigurationError(
+                "restore_state resumes after a completed round (round_no >= 1)"
+            )
+        self.halted = [bool(h) for h in state["halted"]]
+        self.decision = [None if d < 0 else int(d) for d in state["decision"]]
+        self.round_named = [
+            None if r < 0 else int(r) for r in state["round_named"]
+        ]
+        self.round_halted = [
+            None if r < 0 else int(r) for r in state["round_halted"]
+        ]
+        pos = [int(p) for p in state["pos"]]
+        lifecycle = self._halt_on_name
+        cv = _ClassView(
+            pos,
+            bytearray(
+                _ANNOUNCED if lifecycle and h else _ACTIVE for h in self.halted
+            ),
+            [int(c) for c in state["count"]],
+            (
+                [int(c) for c in state["leaf_occ"]]
+                if self._track_leaf_occ
+                else None
+            ),
+            int(state["n_at_leaf"]),
+            sum(1 for p in pos if p >= 0),
+        )
+        self._class_of = [cv for _ in range(self.n)]
+        self._live = [cv]
+        self._running = [j for j in self._input_order if not self.halted[j]]
+        self.running_count = int(state["running"])
+        self._rngs = [None] * self.n
+
     # -------------------------------------------------------------- adversary
     def _plan_faults(
         self,
@@ -875,7 +683,7 @@ class ColumnarCrashEngine:
         announced: Optional[List[Optional[int]]],
     ) -> FaultPlan:
         if self._adversary is None:
-            return FaultPlan()
+            return _NO_FAULTS
         remaining = self._budget - self._crashed_count
         if remaining <= 0 and tuple(self._adversary.fault_families()) == (
             "crash",
@@ -945,7 +753,7 @@ class ColumnarCrashEngine:
 
     # --------------------------------------------------------------- the rounds
     def _initialize_class(
-        self, running_set: Set[int], victim_idx: Set[int], sig: frozenset
+        self, running: Sequence[int], unheard: Set[int]
     ) -> "_ClassView":
         """Line 1: the heard-from senders at the root."""
         arr = self._arr
@@ -953,8 +761,8 @@ class ColumnarCrashEngine:
         root = arr.root
         pos = [-1] * self.n
         members = 0
-        for i in running_set:
-            if i in victim_idx and i not in sig:
+        for i in running:
+            if i in unheard:
                 continue
             pos[i] = root
             members += 1
@@ -974,13 +782,11 @@ class ColumnarCrashEngine:
 
     def _apply_path_round(
         self,
-        pre: "_ClassView",
+        cv: "_ClassView",
         paths: Optional[List[Optional[List[int]]]],
-        victim_idx: Set[int],
-        sig: frozenset,
-        round_no: int,
-    ) -> "_ClassView":
-        """Lines 12-21 on a copy of ``pre``, in the ``<R`` order.
+        unheard: Set[int],
+    ) -> None:
+        """Lines 12-21 on ``cv`` in place, in the ``<R`` order.
 
         Mirrors :func:`repro.core.movement.apply_path_round`: silent
         balls are purged (or retained while ``ANNOUNCED``) interleaved
@@ -988,7 +794,6 @@ class ColumnarCrashEngine:
         from *this view's* recorded position with the same defensive
         ghost handling as ``_descend``.
         """
-        cv = pre.clone()
         arr = self._arr
         span = arr.span
         depth = arr.depth
@@ -1007,7 +812,7 @@ class ColumnarCrashEngine:
             if p < 0:
                 continue
             path = paths[i]
-            if path is not None and (i not in victim_idx or i in sig):
+            if path is not None and i not in unheard:
                 if len(path) > 1:
                     buckets[depth[p]].append(i)
             else:
@@ -1018,7 +823,7 @@ class ColumnarCrashEngine:
             for i in bucket:
                 path = paths[i]
                 p = pos[i]
-                if path is None or (i in victim_idx and i not in sig):
+                if path is None or i in unheard:
                     # Silent: crashed (ACTIVE silence).  Remove.
                     pos[i] = -1
                     status[i] = _ACTIVE
@@ -1064,17 +869,14 @@ class ColumnarCrashEngine:
                             while walk != -1:
                                 leaf_occ[walk] += 1
                                 walk = parent[walk]
-        return cv
 
     def _apply_position_round(
         self,
-        pre: "_ClassView",
+        cv: "_ClassView",
         announced: Optional[List[Optional[int]]],
-        victim_idx: Set[int],
-        sig: frozenset,
-    ) -> "_ClassView":
-        """Lines 22-28 on a copy of ``pre`` (order-independent)."""
-        cv = pre.clone()
+        unheard: Set[int],
+    ) -> None:
+        """Lines 22-28 on ``cv`` in place (order-independent)."""
         arr = self._arr
         span = arr.span
         parent = arr.parent
@@ -1088,7 +890,7 @@ class ColumnarCrashEngine:
             if p < 0:
                 continue
             new = announced[i]
-            if new is not None and (i not in victim_idx or i in sig):
+            if new is not None and i not in unheard:
                 if new != p:
                     walk = p
                     while walk != -1:
@@ -1133,7 +935,6 @@ class ColumnarCrashEngine:
                         while walk != -1:
                             leaf_occ[walk] -= 1
                             walk = parent[walk]
-        return cv
 
     # ------------------------------------------------------------- path choice
     def _choose_paths(
@@ -1144,8 +945,7 @@ class ColumnarCrashEngine:
         policy = self._policy
         paths: List[Optional[List[int]]] = [None] * self.n
         if policy == "random" or (policy == "hybrid" and phase > 1):
-            for j in running:
-                paths[j] = self._random_path(j)
+            self._random_paths(running, paths)
             return paths
         if policy == "hybrid":
             # Section 6, phase 1: aim at the leaf indexed by the ball's
@@ -1184,71 +984,93 @@ class ColumnarCrashEngine:
             return paths
         raise ConfigurationError(f"policy {policy!r} is not columnar-modeled")
 
-    def _random_path(self, j: int) -> List[int]:
-        """Algorithm 1 lines 5-10 for ball ``j`` in its own class view.
+    def _random_paths(
+        self, running: Sequence[int], paths: List[Optional[List[int]]]
+    ) -> None:
+        """Algorithm 1 lines 5-10 for every running ball, in its own view.
 
-        Same RNG discipline as the failure-free engine; the per-node
-        probability memo is scoped to (class, round) since capacities
-        differ between classes.
+        Consumes ``rng.random()`` exactly where
+        :func:`repro.tree.paths.random_capacity_path` does, so the
+        per-ball streams stay bit-identical to the reference engine's.
+        The left-child probability of each node is memoized per (class,
+        round): the view is frozen while everyone composes, so balls
+        sharing a class share one division per node.
         """
         arr = self._arr
         left = arr.left
         right = arr.right
         span = arr.span
-        cv = self._class_of[j]
-        count = cv.count
-        if cv.memo_tick != self._tick:
-            cv.memo_tick = self._tick
-            cv.thr = {}
-            cv.rank_all = None
-            cv.rank_here = None
-        thr = cv.thr
-        node = cv.pos[j]
-        path = [node]
-        if left[node] == -1:
-            return path
-        rng = self._rngs[j]
-        if rng is None:
-            rng = _MTRandom(derive_seed(self._seed, "ball", self.labels[j]))
-            self._rngs[j] = rng
-        rng_random = rng.random
-        append = path.append
-        while True:
-            lft = left[node]
-            if lft == -1:
-                break
-            threshold = thr.get(node)
-            if threshold is None:
-                rgt = right[node]
-                raw_left = span[lft] - count[lft]
-                raw_right = span[rgt] - count[rgt]
-                cap_left = raw_left if raw_left > 0 else 0
-                cap_right = raw_right if raw_right > 0 else 0
-                total = cap_left + cap_right
-                if total <= 0:
-                    threshold = (
-                        _FORCE_LEFT if raw_left >= raw_right else _FORCE_RIGHT
-                    )
+        tick = self._tick
+        rngs = self._rngs
+        labels = self.labels
+        seed = self._seed
+        class_of = self._class_of
+        last: Optional[_ClassView] = None
+        node_count = len(arr.nodes)
+        pos: List[int] = []
+        thr: List[float] = []
+        stamp: List[int] = []
+        count: List[int] = []
+        for j in running:
+            cv = class_of[j]
+            if cv is not last:
+                last = cv
+                memo = cv.thr
+                if memo is None:
+                    memo = cv.thr = [0.0] * node_count
+                    cv.thr_stamp = [0] * node_count
+                pos = cv.pos
+                thr = memo
+                stamp = cv.thr_stamp
+                count = cv.count
+            node = pos[j]
+            path = [node]
+            paths[j] = path
+            if left[node] == -1:
+                continue
+            rng = rngs[j]
+            if rng is None:
+                rng = _MTRandom(derive_seed(seed, "ball", labels[j]))
+                rngs[j] = rng
+            rng_random = rng.random
+            append = path.append
+            while True:
+                lft = left[node]
+                if lft == -1:
+                    break
+                if stamp[node] != tick:
+                    stamp[node] = tick
+                    rgt = right[node]
+                    raw_left = span[lft] - count[lft]
+                    raw_right = span[rgt] - count[rgt]
+                    cap_left = raw_left if raw_left > 0 else 0
+                    cap_right = raw_right if raw_right > 0 else 0
+                    total = cap_left + cap_right
+                    if total <= 0:
+                        # Both (apparently) full: larger raw residual
+                        # wins, ties left, *no* draw is consumed.
+                        threshold = (
+                            _FORCE_LEFT if raw_left >= raw_right else _FORCE_RIGHT
+                        )
+                    else:
+                        threshold = cap_left / total
+                    thr[node] = threshold
+                threshold = thr[node]
+                if threshold == _FORCE_LEFT:
+                    node = lft
+                elif threshold == _FORCE_RIGHT:
+                    node = right[node]
+                elif rng_random() < threshold:
+                    node = lft
                 else:
-                    threshold = cap_left / total
-                thr[node] = threshold
-            if threshold == _FORCE_LEFT:
-                node = lft
-            elif threshold == _FORCE_RIGHT:
-                node = right[node]
-            elif rng_random() < threshold:
-                node = lft
-            else:
-                node = right[node]
-            append(node)
-        return path
+                    node = right[node]
+                append(node)
 
     def _rank_among_all(self, cv: "_ClassView", j: int) -> int:
         """Label rank of ``j`` among the balls present in ``cv``."""
         if cv.memo_tick != self._tick or cv.rank_all is None:
             if cv.memo_tick != self._tick:
                 cv.memo_tick = self._tick
-                cv.thr = None
                 cv.rank_here = None
             ranks = [0] * self.n
             seen = 0
@@ -1265,7 +1087,6 @@ class ColumnarCrashEngine:
         if cv.memo_tick != self._tick or cv.rank_here is None:
             if cv.memo_tick != self._tick:
                 cv.memo_tick = self._tick
-                cv.thr = None
                 cv.rank_all = None
             rank_here: Dict[int, int] = {}
             seen_at: Dict[int, int] = {}

@@ -5,15 +5,20 @@ object machinery but still advances *one trial at a time* with
 Python-level loops over balls.  A scenario-matrix cell re-runs those
 loops once per seed — for the paper's experiment shape (many independent
 trials of one ``(algorithm, n, adversary)`` cell) the interpreter cost
-dominates.  This module stacks an entire cell of ``T`` failure-free
-trials into ``(T * n,)`` NumPy columns over the shared array-indexed
-topology and advances *all trials one lock-step round per ufunc pass*.
+dominates.  :class:`VectorizedCrashEngine` stacks an entire cell of ``T``
+trials: the live receiver classes of every trial are rows of
+``(C, n)`` / ``(C, node_count)`` matrices over the shared array-indexed
+topology, and *all trials advance one lock-step round per batch of
+ufunc passes*.  A failure-free trial is the degenerate case of one class
+row; rounds in which no broadcast is cut short skip the delivery-group
+machinery entirely.
 
 Exactness is the design constraint, not a best effort: every trial's
 :class:`~repro.sim.simulator.SimulationResult` is bit-for-bit the
 columnar/reference kernels' (asserted by
-``tests/sim/test_vectorized_equivalence.py``).  Three ideas make the
-stacking exact:
+``tests/sim/test_vectorized_equivalence.py`` and
+``tests/sim/test_stacked_crash.py``).  Three ideas make the stacking
+exact:
 
 * **RNG** — per-ball Mersenne-Twister streams are reproduced by
   :class:`repro.core.mt19937.MTStreamBank` (vectorized CPython-MT), so a
@@ -30,10 +35,12 @@ stacking exact:
   frozen pre-round counts; recomputing them per ball vectorized yields
   the identical IEEE-754 doubles the scalar memo produced.
 
-Supported grid: failure-free runs of the BiL-family policies on the
-shared view store, matching :func:`vectorized_rejections`.  Everything
-else (crashes, faithful views, traces, ...) stays on the columnar or
-reference engines via kernel fallback.
+Supported grid: the BiL-family policies on the shared view store, with
+no adversary or a certified crash adversary per trial, matching
+:func:`vectorized_rejections` and the kernel's certification gate.
+Everything else (omission and other fault families, faithful views,
+full traces, ...) stays on the columnar or reference engines via kernel
+fallback.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from collections.abc import Mapping
 
 from repro.adversary.base import AdversaryContext, clamp_plan
 from repro.adversary.none import NoFailures
-from repro.errors import ConfigurationError, RoundLimitExceeded
+from repro.errors import ConfigurationError
 from repro.ids import require_distinct
 from repro.tree.topology import cached_topology
 from repro.core.columnar import (
@@ -58,7 +65,6 @@ from repro.core.columnar import (
 from repro.core.config import BallsIntoLeavesConfig
 from repro.core.messages import hello_message, path_message, position_message
 from repro.core.mt19937 import HAVE_NUMPY, MTStreamBank
-from repro.core import sha256
 
 if HAVE_NUMPY:
     import numpy as np
@@ -110,47 +116,14 @@ def derive_ball_seeds(
     stream tests): the SHA-256 material of a ball stream is
     ``repr((int(seed), repr("ball"), repr(label)))``, whose per-trial
     head and per-ball tail are each built once instead of ``T * n``
-    times.  Every such message fits one padded SHA-256 block, so the
-    whole cell hashes as a single :mod:`repro.core.sha256` lane pass —
-    the block matrix is assembled head-row by head-row without ever
-    materializing the ``T * n`` message strings.  Returns a ``(T * n,)``
-    uint64 array, trial-major.
+    times.  Returns a ``(T * n,)`` uint64 array, trial-major.
     """
     tails = [(repr(repr(label)) + ")").encode("utf-8") for label in labels]
     heads = [
         ("(%r, \"'ball'\", " % int(seed)).encode("utf-8")
         for seed in trial_seeds
     ]
-    n = len(tails)
-    lanes = len(heads) * n
-    if tails and sha256.use_lanes(lanes):
-        max_tail = max(len(tail) for tail in tails)
-        max_head = max(len(head) for head in heads)
-        if max_head + max_tail <= sha256.MAX_SINGLE_BLOCK:
-            # Tail matrix (terminator folded in) built once per cell;
-            # each trial stamps its head and shifts the tails in place.
-            width = max_tail + 1
-            tail_mat = np.zeros((n, width), dtype=np.uint8)
-            tail_len = np.empty(n, dtype=np.uint16)
-            for i, tail in enumerate(tails):
-                tail_mat[i, : len(tail)] = np.frombuffer(tail, dtype=np.uint8)
-                tail_mat[i, len(tail)] = 0x80
-                tail_len[i] = len(tail)
-            blocks = np.zeros((lanes, 64), dtype=np.uint8)
-            for t, head in enumerate(heads):
-                hl = len(head)
-                rows = blocks[t * n : (t + 1) * n]
-                rows[:, :hl] = np.frombuffer(head, dtype=np.uint8)
-                rows[:, hl : hl + width] = tail_mat
-                bits = (tail_len + hl) * np.uint16(8)
-                rows[:, 62] = (bits >> np.uint16(8)).astype(np.uint8)
-                rows[:, 63] = (bits & np.uint16(0xFF)).astype(np.uint8)
-            state = sha256.compress_blocks(blocks)
-            return (state[:, 0].astype(np.uint64) << np.uint64(32)) | (
-                state[:, 1].astype(np.uint64)
-            )
-    # OpenSSL path: priming one context per trial head and C-copying it
-    # per ball skips re-hashing the head 102k times; the 64-bit
+    # Priming one context per trial head and C-copying it per ball skips re-hashing the head 102k times; the 64-bit
     # truncation happens once, as a stride over the joined digests.
     sha = hashlib.sha256
     digests: List[bytes] = []
@@ -225,476 +198,6 @@ def vectorized_topology(n: int) -> "_VecTopology":
     return _VecTopology(n)
 
 
-class VectorizedCellEngine:
-    """``T`` stacked failure-free runs of one cell, lock-step by rounds.
-
-    Drive with :meth:`run`; afterwards the per-ball outcome arrays
-    (``decision``, ``round_named``, ``round_halted``) and the per-trial
-    ``rounds`` / message counters hold every trial's result, in the
-    exact values the scalar engines produce trial by trial.
-
-    Balls are indexed trial-major: stream/ball ``s`` is trial ``s // n``,
-    label rank ``s % n``; tree state is a ``(T * node_count,)`` flat
-    column indexed by ``t * node_count + node``.
-    """
-
-    def __init__(
-        self,
-        ids: Sequence[BallId],
-        trial_seeds: Sequence[int],
-        *,
-        policy: str = "random",
-        halt_on_name: bool = False,
-        max_rounds: int = 10_000,
-    ) -> None:
-        if not HAVE_NUMPY:
-            raise ConfigurationError(
-                "the vectorized engine requires numpy (pip install .[fast])"
-            )
-        require_distinct(ids)
-        if not ids:
-            raise ConfigurationError("renaming needs at least one participant")
-        if policy not in SUPPORTED_POLICIES:
-            raise ConfigurationError(
-                f"policy {policy!r} is not columnar-modeled; "
-                f"choose from {SUPPORTED_POLICIES}"
-            )
-        if not trial_seeds:
-            raise ConfigurationError("a stacked cell needs at least one trial")
-        self.labels: List[BallId] = sorted(ids)
-        self.n = n = len(self.labels)
-        self.trials = T = len(trial_seeds)
-        self._policy = policy
-        self._halt_on_name = halt_on_name
-        self._max_rounds = max_rounds
-        self._topo = topo = vectorized_topology(n)
-        M = topo.node_count
-        S = T * n
-        self._S = S
-        # Stream bank built on first draw, like the scalar engines' lazy
-        # per-ball RNGs: deterministic policies never pay for seeding.
-        self._trial_seeds = list(trial_seeds)
-        self._bank: Optional[MTStreamBank] = None
-        # Ball columns (trial-major).
-        self._trial = np.repeat(np.arange(T, dtype=np.int64), n)
-        self._jcol = np.tile(np.arange(n, dtype=np.int32), T)
-        self._tbase = self._trial * M
-        self.pos = np.full(S, topo.root, dtype=np.int32)
-        self.halted = np.zeros(S, dtype=bool)
-        self.decision = np.full(S, -1, dtype=np.int32)
-        self.round_named = np.full(S, -1, dtype=np.int32)
-        self.round_halted = np.full(S, -1, dtype=np.int32)
-        # Shared-view columns.
-        self._count = np.zeros(T * M, dtype=np.int32)
-        self._span_tiled = np.tile(topo.span, T)
-        self._track_leaf_occ = policy in ("rank", "leftmost")
-        self._leaf_occ = (
-            np.zeros(T * M, dtype=np.int32) if self._track_leaf_occ else None
-        )
-        self._n_at_leaf = np.zeros(T, dtype=np.int32)
-        self.running = np.full(T, n, dtype=np.int32)
-        # Per-round candidate paths, rows indexed by absolute node depth.
-        self._path = np.zeros((S, topo.height + 1), dtype=np.int32)
-        self._end_depth = np.zeros(S, dtype=np.int32)
-        # Per-trial metrics trail: (senders, running_after) per round, for
-        # trials active that round.
-        self.rounds = np.zeros(T, dtype=np.int32)
-        self.round_senders: List["np.ndarray"] = []
-        self.round_running_after: List["np.ndarray"] = []
-        # Persistent round cursor: run() resumes here, so the engine can
-        # be driven in segments (the importance-splitting estimator stops
-        # at each level, clones survivors, and resumes the clones).
-        self._round = 0
-
-    # ------------------------------------------------------------------ driving
-    def run(
-        self,
-        stop_after: Optional[int] = None,
-        observer: Optional[Callable[..., None]] = None,
-    ) -> None:
-        """All trials to completion, mirroring the kernel driving loop.
-
-        ``stop_after`` pauses the stack once that round number has been
-        completed (trials stay resumable); ``observer(engine, round_no,
-        active)`` is called after every completed round — the hook the
-        stacked invariant monitor attaches to.
-        """
-        round_no = self._round
-        while True:
-            active = self.running > 0
-            if not active.any():
-                break
-            if stop_after is not None and round_no >= stop_after:
-                break
-            if round_no >= self._max_rounds:
-                raise RoundLimitExceeded(
-                    self._max_rounds, int(self.running[active][0])
-                )
-            round_no += 1
-            self._round = round_no
-            senders = np.where(active, self.running, 0)
-            if round_no == 1:
-                self._init_round()
-            elif round_no % 2 == 0:
-                self._path_round(round_no, active)
-            else:
-                self._position_round(round_no, active)
-            self.rounds[active] = round_no
-            self.round_senders.append(senders)
-            self.round_running_after.append(np.where(active, self.running, 0))
-            if observer is not None:
-                observer(self, round_no, active)
-
-    # -------------------------------------------------------- state interchange
-    def export_trial_state(self, t: int) -> Dict[str, Any]:
-        """Trial ``t``'s protocol state in the engine-independent form
-        shared with ``ColumnarBallsEngine.export_state`` (plain lists,
-        ``-1`` sentinels for undecided/unnamed)."""
-        n = self.n
-        M = self._topo.node_count
-        balls = slice(t * n, (t + 1) * n)
-        nodes = slice(t * M, (t + 1) * M)
-        return {
-            "pos": self.pos[balls].tolist(),
-            "halted": self.halted[balls].tolist(),
-            "decision": self.decision[balls].tolist(),
-            "round_named": self.round_named[balls].tolist(),
-            "round_halted": self.round_halted[balls].tolist(),
-            "count": self._count[nodes].tolist(),
-            "leaf_occ": (
-                self._leaf_occ[nodes].tolist() if self._track_leaf_occ else None
-            ),
-            "n_at_leaf": int(self._n_at_leaf[t]),
-            "running": int(self.running[t]),
-        }
-
-    def inject_trial_states(
-        self, states: Sequence[Dict[str, Any]], round_no: int
-    ) -> None:
-        """Load one exported state per trial, as of completed ``round_no``.
-
-        The engine must be freshly constructed with one trial seed per
-        state (the clones' derived seeds); the next :meth:`run` resumes
-        at round ``round_no + 1`` with fresh per-ball streams — valid
-        because the protocol is Markov given the exported state.
-        """
-        if len(states) != self.trials:
-            raise ConfigurationError(
-                f"{len(states)} state(s) for {self.trials} stacked trial(s)"
-            )
-        n = self.n
-        M = self._topo.node_count
-        for t, state in enumerate(states):
-            balls = slice(t * n, (t + 1) * n)
-            nodes = slice(t * M, (t + 1) * M)
-            self.pos[balls] = state["pos"]
-            self.halted[balls] = state["halted"]
-            self.decision[balls] = state["decision"]
-            self.round_named[balls] = state["round_named"]
-            self.round_halted[balls] = state["round_halted"]
-            self._count[nodes] = state["count"]
-            if self._track_leaf_occ:
-                self._leaf_occ[nodes] = state["leaf_occ"]
-            self._n_at_leaf[t] = state["n_at_leaf"]
-            self.running[t] = state["running"]
-        self.rounds[:] = round_no
-        self._round = round_no
-
-    # ------------------------------------------------------------------- rounds
-    def _init_round(self) -> None:
-        """Line 1: every ball announces its label; all start at the root."""
-        topo = self._topo
-        root_idx = np.arange(self.trials, dtype=np.int64) * topo.node_count + topo.root
-        self._count[root_idx] = self.n
-        if topo.span[topo.root] == 1:  # n == 1: the root already is a leaf
-            if self._leaf_occ is not None:
-                self._leaf_occ[root_idx] = self.n
-            self._n_at_leaf[:] = self.n
-
-    def _path_round(self, round_no: int, active: "np.ndarray") -> None:
-        """Phase round 1: exchange candidate paths, move under ``<R``."""
-        topo = self._topo
-        ball_active = np.repeat(active, self.n) & ~self.halted
-        # A leaf reached before this round's broadcast fixes the name now
-        # (the columnar length-1 branch; in practice the n == 1 root-leaf).
-        at_leaf = topo.is_leaf[self.pos]
-        naming = ball_active & at_leaf & (self.round_named < 0)
-        if naming.any():
-            idx = np.flatnonzero(naming)
-            self.round_named[idx] = round_no
-            self.decision[idx] = topo.leaf_rank[self.pos[idx]]
-        movers = self._choose_paths(round_no, ball_active, at_leaf)
-        if movers.size:
-            self._move(round_no, movers)
-
-    def _position_round(self, round_no: int, active: "np.ndarray") -> None:
-        """Phase round 2: re-synchronize positions, terminate."""
-        topo = self._topo
-        all_at_leaves = self._n_at_leaf == self.n
-        ball_active = np.repeat(active, self.n) & ~self.halted
-        halting = ball_active & np.repeat(all_at_leaves, self.n)
-        if self._halt_on_name:
-            halting |= ball_active & topo.is_leaf[self.pos]
-        if halting.any():
-            idx = np.flatnonzero(halting)
-            self.round_halted[idx] = round_no
-            self.decision[idx] = topo.leaf_rank[self.pos[idx]]
-            self.halted[idx] = True
-            self.running -= np.bincount(
-                self._trial[idx], minlength=self.trials
-            ).astype(np.int32)
-
-    # ------------------------------------------------------------- path choice
-    def _choose_paths(
-        self, round_no: int, ball_active: "np.ndarray", at_leaf: "np.ndarray"
-    ) -> "np.ndarray":
-        """Fill the path rows of every mover; returns mover indices.
-
-        All choices read the same frozen pre-round view, exactly like the
-        scalar engines (broadcasts compose before any delivery).
-        """
-        policy = self._policy
-        phase = round_no // 2
-        candidates = np.flatnonzero(ball_active & ~at_leaf)
-        if candidates.size == 0:
-            return candidates
-        self._path[candidates, self._topo.depth[self.pos[candidates]]] = self.pos[
-            candidates
-        ]
-        if policy == "random" or (policy == "hybrid" and phase > 1):
-            self._walk_random(candidates)
-            return candidates
-        if policy == "hybrid":
-            # Section 6, phase 1: ball bi aims at the leaf indexed by its
-            # label rank (clamped inside its subtree, as in the scalar
-            # policy; failure-free everyone is still at the root).
-            topo = self._topo
-            start = self.pos[candidates]
-            target = np.minimum(
-                topo.lo[start] + self._jcol[candidates], topo.hi[start] - 1
-            )
-            self._walk_to_rank(candidates, target)
-            return candidates
-        if policy == "rank":
-            return self._rank_paths(candidates)
-        if policy == "leftmost":
-            return self._leftmost_paths(candidates)
-        raise ConfigurationError(f"policy {policy!r} is not columnar-modeled")
-
-    def _walk_random(self, idx: "np.ndarray") -> None:
-        """Algorithm 1 lines 5-10 for every walker, one level per pass.
-
-        Each ball consumes its private stream exactly where the scalar
-        walk does: one draw per non-forced inner node, none when both
-        children appear full (the larger raw residual wins, ties left).
-        """
-        topo = self._topo
-        span = topo.span
-        count = self._count
-        cur = self.pos[idx]
-        dcur = topo.depth[cur]
-        while idx.size:
-            left = topo.left[cur]
-            right = topo.right[cur]
-            base = self._tbase[idx]
-            raw_l = span[left] - count[base + left]
-            raw_r = span[right] - count[base + right]
-            cap_l = np.maximum(raw_l, 0)
-            total = cap_l + np.maximum(raw_r, 0)
-            forced = total <= 0
-            go_left = np.empty(idx.size, dtype=bool)
-            if forced.any():
-                go_left[forced] = raw_l[forced] >= raw_r[forced]
-            free = ~forced
-            if free.any():
-                bank = self._bank
-                if bank is None:
-                    # Block = tree height: a full root-to-leaf walk (the
-                    # first round's exact consumption) per extension.
-                    bank = self._bank = MTStreamBank(
-                        derive_ball_seeds(self._trial_seeds, self.labels),
-                        block=max(4, self._topo.height),
-                    )
-                draws = bank.draws(idx[free])
-                go_left[free] = draws < cap_l[free] / total[free]
-            cur = np.where(go_left, left, right)
-            dcur = dcur + 1
-            self._path[idx, dcur] = cur
-            done = topo.is_leaf[cur]
-            if done.any():
-                self._end_depth[idx[done]] = dcur[done]
-                keep = ~done
-                idx = idx[keep]
-                cur = cur[keep]
-                dcur = dcur[keep]
-
-    def _walk_to_rank(self, idx: "np.ndarray", target: "np.ndarray") -> None:
-        """Deterministic descent toward a leaf rank (``path_to_rank``)."""
-        topo = self._topo
-        cur = self.pos[idx]
-        dcur = topo.depth[cur]
-        while idx.size:
-            cur = np.where(target < topo.mid[cur], topo.left[cur], topo.right[cur])
-            dcur = dcur + 1
-            self._path[idx, dcur] = cur
-            done = topo.is_leaf[cur]
-            if done.any():
-                self._end_depth[idx[done]] = dcur[done]
-                keep = ~done
-                idx, cur, dcur, target = (
-                    idx[keep], cur[keep], dcur[keep], target[keep],
-                )
-
-    def _walk_to_kth_free(self, idx: "np.ndarray", k: "np.ndarray") -> None:
-        """``path_to_kth_free_leaf`` descent (callers ensure free > 0)."""
-        topo = self._topo
-        span = topo.span
-        occ = self._leaf_occ
-        cur = self.pos[idx]
-        dcur = topo.depth[cur]
-        remaining = k
-        while idx.size:
-            left = topo.left[cur]
-            free_left = np.maximum(span[left] - occ[self._tbase[idx] + left], 0)
-            go_left = remaining < free_left
-            cur = np.where(go_left, left, topo.right[cur])
-            remaining = np.where(go_left, remaining, remaining - free_left)
-            dcur = dcur + 1
-            self._path[idx, dcur] = cur
-            done = topo.is_leaf[cur]
-            if done.any():
-                self._end_depth[idx[done]] = dcur[done]
-                keep = ~done
-                idx, cur, dcur, remaining = (
-                    idx[keep], cur[keep], dcur[keep], remaining[keep],
-                )
-
-    def _rank_paths(self, candidates: "np.ndarray") -> "np.ndarray":
-        """Rank-descent: the k-th free leaf by label rank at the node."""
-        topo = self._topo
-        start = self.pos[candidates]
-        free = topo.span[start] - self._leaf_occ[self._tbase[candidates] + start]
-        go = free > 0  # full subtree (or leaf): the ball stays put
-        walkers = candidates[go]
-        if walkers.size:
-            rank = self._rank_at_node(candidates)[go]
-            self._walk_to_kth_free(
-                walkers, np.minimum(rank, free[go] - 1)
-            )
-        return walkers
-
-    def _leftmost_paths(self, candidates: "np.ndarray") -> "np.ndarray":
-        """Leftmost-free descent, with the full-subtree leftmost fallback."""
-        topo = self._topo
-        start = self.pos[candidates]
-        free = topo.span[start] - self._leaf_occ[self._tbase[candidates] + start]
-        go = free > 0
-        walkers = candidates[go]
-        if walkers.size:
-            self._walk_to_kth_free(walkers, np.zeros(walkers.size, dtype=np.int32))
-        fallback = candidates[~go]
-        if fallback.size:
-            # No free leaf below: aim at the subtree's leftmost leaf and
-            # let the movement rule park the ball.
-            self._walk_to_rank(fallback, topo.lo[self.pos[fallback]])
-        return candidates
-
-    def _rank_at_node(self, candidates: "np.ndarray") -> "np.ndarray":
-        """Label rank of each candidate among candidates at its node."""
-        return _grouped_ranks(self._tbase[candidates] + self.pos[candidates])
-
-    # -------------------------------------------------------------- movement
-    def _move(self, round_no: int, movers: "np.ndarray") -> None:
-        """Lines 12-21 for all trials at once, level by level.
-
-        ``<R`` says deeper balls move first, ties by label.  Since balls
-        only enter subtrees, node ``v`` admits the round's arrivals in
-        ``<R`` order up to its round-start free capacity — so each tree
-        level is one grouped-quota pass, and only over-subscribed nodes
-        need an explicit within-group ranking.
-        """
-        topo = self._topo
-        M = topo.node_count
-        start_depth = topo.depth[self.pos[movers]]
-        end_depth = self._end_depth[movers]
-        # Movers in <R order (trial-major so groups stay contiguous in
-        # meaning): stable sort by shallow-last start depth keeps label
-        # order inside each depth bucket.
-        height = topo.height
-        key = self._trial[movers] * np.int64(height + 1) + (height - start_depth)
-        order = np.argsort(key, kind="stable")
-        P = movers[order]
-        p_start = start_depth[order]
-        p_end = end_depth[order]
-        advancing = np.ones(P.size, dtype=bool)
-        quota = self._span_tiled - self._count  # frozen round-start capacity
-        count = self._count
-        trial = self._trial
-        path = self._path
-        for level in range(1, height + 1):
-            eligible = advancing & (p_start < level) & (level <= p_end)
-            sel_pos = np.flatnonzero(eligible)
-            if sel_pos.size == 0:
-                continue
-            sel = P[sel_pos]
-            child = path[sel, level]
-            gid = self._tbase[sel] + child
-            arrivals = np.bincount(gid, minlength=count.size)
-            crowded = arrivals[gid] > quota[gid]
-            admitted = np.ones(sel.size, dtype=bool)
-            if crowded.any():
-                # Rank the contested arrivals: sel is already in <R
-                # order, so within-node arrival rank is the grouped rank
-                # and the first quota[node] arrivals win.
-                cpos = np.flatnonzero(crowded)
-                cgid = gid[cpos]
-                admitted[cpos] = _grouped_ranks(cgid) < quota[cgid]
-                advancing[sel_pos[~admitted]] = False
-            moved = sel[admitted]
-            if moved.size == 0:
-                continue
-            moved_gid = gid[admitted]
-            if admitted.all():
-                # No over-subscription: the arrivals histogram *is* the
-                # per-node entry count.
-                np.add(count, arrivals, out=count, casting="unsafe")
-            else:
-                np.add(
-                    count,
-                    np.bincount(moved_gid, minlength=count.size),
-                    out=count,
-                    casting="unsafe",
-                )
-            moved_child = child[admitted]
-            self.pos[moved] = moved_child
-            leaf_hit = topo.is_leaf[moved_child]
-            if leaf_hit.any():
-                landed = moved[leaf_hit]
-                leaves = moved_child[leaf_hit]
-                self._n_at_leaf += np.bincount(
-                    trial[landed], minlength=self.trials
-                ).astype(np.int32)
-                self.round_named[landed] = round_no
-                self.decision[landed] = topo.leaf_rank[leaves]
-                if self._leaf_occ is not None:
-                    base = self._tbase[landed]
-                    walk = leaves
-                    while walk.size:
-                        np.add.at(self._leaf_occ, base + walk, 1)
-                        walk = topo.parent[walk]
-                        keep = walk != -1
-                        if not keep.all():
-                            walk = walk[keep]
-                            base = base[keep]
-
-    # ---------------------------------------------------------------- results
-    def last_round_named(self, t: int) -> Optional[int]:
-        """Latest round at which any ball of trial ``t`` fixed its name."""
-        named = self.round_named[t * self.n : (t + 1) * self.n]
-        top = int(named.max()) if named.size else -1
-        return top if top >= 0 else None
-
-
 # --------------------------------------------------------------------------
 # Crash-capable stacked engine: every live view class of every trial is one
 # matrix row; all trials advance one lock-step round per batch of passes.
@@ -739,7 +242,8 @@ class _LazyOutbox(Mapping):
 
 
 class VectorizedCrashEngine:
-    """``T`` stacked trials of one cell under certified crash adversaries.
+    """``T`` stacked trials of one cell, failure-free or under certified
+    crash adversaries.
 
     :class:`~repro.core.columnar.ColumnarCrashEngine` advances one trial
     at a time, cloning and re-merging per-receiver view classes as Python
@@ -759,7 +263,9 @@ class VectorizedCrashEngine:
     Unlike the scalar engines, a trial that exhausts ``max_rounds`` does
     not raise mid-stack: it is flagged in :attr:`overrun` (with the
     running count the columnar engine would have reported) and the other
-    trials keep going.  The sim layer re-raises or captures per trial.
+    trials keep going; likewise a trial an observer stops (the stacked
+    monitor's stall abort) is flagged in :attr:`stopped`.  The sim layer
+    re-raises or captures per trial.
     """
 
     def __init__(
@@ -846,6 +352,8 @@ class VectorizedCrashEngine:
         self.rounds = np.zeros(T, dtype=np.int32)
         self.overrun = np.zeros(T, dtype=bool)
         self.running_at_limit = np.zeros(T, dtype=np.int32)
+        #: Trials an observer stopped early; they take no further rounds.
+        self.stopped = np.zeros(T, dtype=bool)
         # Candidate paths, rows indexed by absolute node depth.
         self._path = np.zeros((S, topo.height + 1), dtype=np.int32)
         self._start_depth = np.zeros(S, dtype=np.int32)
@@ -862,17 +370,29 @@ class VectorizedCrashEngine:
         self._round = 0
 
     # ------------------------------------------------------------------ driving
-    def run(self) -> None:
-        """All trials to completion or to the shared round limit.
+    def run(
+        self,
+        stop_after: Optional[int] = None,
+        observer: Optional[Callable[..., None]] = None,
+    ) -> None:
+        """All trials to completion, to the shared round limit, or to a pause.
 
         Mirrors the per-trial kernel loop: a trial still running when
         ``max_rounds`` rounds have completed is marked overrun with the
         running count the columnar engine's raise would have carried.
+        ``stop_after`` pauses the stack once that round number has been
+        completed (trials stay resumable: the importance-splitting
+        estimator stops at each level, clones survivors, and resumes the
+        clones).  ``observer(engine, round_no, active)`` runs after every
+        completed round — the hook the stacked invariant monitor attaches
+        to; it may set :attr:`stopped` to end trials early.
         """
         round_no = self._round
         while True:
-            active = (self.running > 0) & ~self.overrun
+            active = (self.running > 0) & ~self.overrun & ~self.stopped
             if not active.any():
+                break
+            if stop_after is not None and round_no >= stop_after:
                 break
             if round_no >= self.max_rounds:
                 self.overrun |= active
@@ -885,6 +405,84 @@ class VectorizedCrashEngine:
             self._round = round_no
             self.step(round_no)
             self.rounds[active] = round_no
+            if observer is not None:
+                observer(self, round_no, active)
+
+    # -------------------------------------------------------- state interchange
+    def export_trial_state(self, t: int) -> Dict[str, Any]:
+        """Trial ``t``'s protocol state in engine-independent form.
+
+        The shape ``ColumnarCrashEngine.export_state`` shares (plain
+        lists, ``-1`` sentinels for undecided/unnamed), so checkpoints
+        move between kernels.  It describes one shared view, so only a
+        running trial with a single class and no crash can export.
+        """
+        rows = np.flatnonzero(self._ctrial == t)
+        if rows.size != 1 or self.crashed_count[t]:
+            raise ConfigurationError(
+                f"trial {t} holds {rows.size} view class(es) and "
+                f"{int(self.crashed_count[t])} crash(es); a checkpoint "
+                "captures one shared, crash-free view"
+            )
+        c = int(rows[0])
+        balls = slice(t * self.n, (t + 1) * self.n)
+        return {
+            "pos": self._cpos[c].tolist(),
+            "halted": self.halted[balls].tolist(),
+            "decision": self.decision[balls].tolist(),
+            "round_named": self.round_named[balls].tolist(),
+            "round_halted": self.round_halted[balls].tolist(),
+            "count": self._ccount[c].tolist(),
+            "leaf_occ": (
+                self._cocc[c].tolist() if self._cocc is not None else None
+            ),
+            "n_at_leaf": int(self._cleaf[c]),
+            "running": int(self.running[t]),
+        }
+
+    def inject_trial_states(
+        self, states: Sequence[Dict[str, Any]], round_no: int
+    ) -> None:
+        """Load one exported state per trial, as of completed ``round_no``.
+
+        The engine must be freshly constructed with one trial seed per
+        state (the clones' derived seeds); the next :meth:`run` resumes
+        at round ``round_no + 1`` with fresh per-ball streams — valid
+        because the protocol is Markov given the exported state.  Each
+        trial becomes one class row; a halted ball is an announced
+        terminator under halt-on-name (failure-free, the two coincide).
+        """
+        if len(states) != self.trials:
+            raise ConfigurationError(
+                f"{len(states)} state(s) for {self.trials} stacked trial(s)"
+            )
+        T = self.trials
+        halted = np.array([s["halted"] for s in states], dtype=bool)
+        self.halted[:] = halted.reshape(-1)
+        self.decision[:] = np.concatenate([s["decision"] for s in states])
+        self.round_named[:] = np.concatenate([s["round_named"] for s in states])
+        self.round_halted[:] = np.concatenate(
+            [s["round_halted"] for s in states]
+        )
+        self.running[:] = [s["running"] for s in states]
+        self._cpos = np.array([s["pos"] for s in states], dtype=np.int32)
+        self._cstat = np.where(
+            halted & self._halt_on_name, np.uint8(_ANNOUNCED), np.uint8(_ACTIVE)
+        ).astype(np.uint8)
+        self._ccount = np.array([s["count"] for s in states], dtype=np.int32)
+        if self._cocc is not None:
+            self._cocc = np.array(
+                [s["leaf_occ"] for s in states], dtype=np.int32
+            )
+        self._cpresent = (self._cpos >= 0).sum(axis=1).astype(np.int32)
+        self._cleaf = np.array([s["n_at_leaf"] for s in states], dtype=np.int32)
+        self._ctrial = np.arange(T, dtype=np.int64)
+        self._crows = T
+        self.cls_of = np.where(
+            self.halted, -1, np.repeat(np.arange(T, dtype=np.int64), self.n)
+        )
+        self.rounds[:] = round_no
+        self._round = round_no
 
     def step(self, round_no: int) -> None:
         """One full round for every active trial: compose, crash plan,
@@ -923,6 +521,153 @@ class VectorizedCrashEngine:
         recv = np.flatnonzero(active_balls & ~self.crashed & ~self.halted)
         r_trial = recv // n
         r_j = recv - r_trial * n
+        g_pre: Optional["np.ndarray"]
+        if partial:
+            g_trial, g_pre, inv, g_delivered, delivered_row = (
+                self._delivery_groups(
+                    partial, recv, r_trial, r_j, sent_balls, sent_row
+                )
+            )
+        else:
+            # Fast path: no broadcast was cut short, so every receiver's
+            # delivery group is its own pre-class and hears every sender.
+            # No camps, signatures or group-key sort; class rows advance
+            # in place unless some row lost all its receivers.
+            delivered_row = np.bincount(r_trial, minlength=T) * sent_row
+            g_pre = None
+            if kind == "init":
+                g_trial = np.flatnonzero(np.bincount(r_trial, minlength=T))
+                inv = np.searchsorted(g_trial, r_trial)
+            else:
+                g_trial = self._ctrial
+                inv = self.cls_of[recv]
+                has_recv = np.bincount(inv, minlength=self._crows) > 0
+                if not has_recv.all():
+                    g_pre = np.flatnonzero(has_recv)
+                    g_trial = g_trial[g_pre]
+                    row_of = np.cumsum(has_recv) - 1
+                    inv = row_of[inv]
+            g_delivered = sent_balls.reshape(T, n)[g_trial]
+        G = g_trial.size
+
+        if kind == "init":
+            new_pos = np.where(g_delivered, np.int32(topo.root), np.int32(-1))
+            new_stat = np.zeros((G, n), dtype=np.uint8)
+            new_count = np.zeros((G, M), dtype=np.int32)
+            mcount = g_delivered.sum(axis=1).astype(np.int32)
+            new_count[:, topo.root] = mcount
+            new_present = mcount.copy()
+            new_leaf = np.zeros(G, dtype=np.int32)
+            new_occ = (
+                np.zeros((G, M), dtype=np.int32)
+                if self._track_leaf_occ
+                else None
+            )
+            if topo.span[topo.root] == 1:  # n == 1: the root is a leaf
+                new_leaf = mcount.copy()
+                if new_occ is not None:
+                    new_occ[:, topo.root] = mcount
+        else:
+            if g_pre is None:
+                new_pos, new_stat, new_count, new_occ = (
+                    self._cpos, self._cstat, self._ccount, self._cocc
+                )
+                new_present, new_leaf = self._cpresent, self._cleaf
+            else:
+                # Gather each group's pre-class row (copies).
+                new_pos = self._cpos[g_pre]
+                new_stat = self._cstat[g_pre]
+                new_count = self._ccount[g_pre]
+                new_occ = self._cocc[g_pre] if self._cocc is not None else None
+                new_present = self._cpresent[g_pre]
+                new_leaf = self._cleaf[g_pre]
+            apply = (
+                self._apply_path_groups
+                if kind == "path"
+                else self._apply_pos_groups
+            )
+            apply(
+                new_pos, new_stat, new_count, new_occ,
+                new_present, new_leaf, g_trial, g_delivered,
+            )
+
+        if not partial and bool((g_trial[1:] > g_trial[:-1]).all()):
+            # One row per trial: nothing can merge.
+            keep = None
+            rows = inv
+        else:
+            keep, rows = self._merge_rows(new_pos, new_stat, g_trial, inv)
+        if keep is not None:
+            new_pos = np.ascontiguousarray(new_pos[keep])
+            new_stat = np.ascontiguousarray(new_stat[keep])
+            new_count = np.ascontiguousarray(new_count[keep])
+            if new_occ is not None:
+                new_occ = np.ascontiguousarray(new_occ[keep])
+            new_present = new_present[keep]
+            new_leaf = new_leaf[keep]
+            g_trial = g_trial[keep]
+        self._cpos = new_pos
+        self._cstat = new_stat
+        self._ccount = new_count
+        self._cocc = new_occ
+        self._cpresent = new_present
+        self._cleaf = new_leaf
+        self._ctrial = g_trial
+        self._crows = int(g_trial.size)
+        cls = np.full(self._S, -1, dtype=np.int64)
+        cls[recv] = rows
+        self.cls_of = cls
+
+        if kind != "init":
+            # Per-ball bookkeeping against the ball's own (post) view;
+            # skipped on the hello round exactly like the scalar engines.
+            c = self.cls_of[recv]
+            p = self._cpos[c, r_j]
+            at_leaf = topo.span[p] == 1
+            naming = at_leaf & (self.round_named[recv] < 0)
+            if naming.any():
+                named = recv[naming]
+                self.round_named[named] = round_no
+                self.decision[named] = topo.leaf_rank[p[naming]]
+            if kind == "pos":
+                halt = self._cleaf[c] == self._cpresent[c]
+                if self._halt_on_name:
+                    halt |= at_leaf
+                if halt.any():
+                    idx = recv[halt]
+                    self.round_halted[idx] = round_no
+                    self.decision[idx] = topo.leaf_rank[p[halt]]
+                    self.halted[idx] = True
+                    self.running -= np.bincount(
+                        r_trial[halt], minlength=T
+                    ).astype(np.int32)
+        self.round_sent.append(sent_row)
+        self.round_delivered.append(delivered_row)
+        self.round_crashes.append(crashes_row)
+        self.round_alive.append(alive_row)
+        self.round_running.append(
+            np.where(active, self.running.astype(np.int64), 0)
+        )
+
+    def _delivery_groups(
+        self,
+        partial: Dict[int, List[Any]],
+        recv: "np.ndarray",
+        r_trial: "np.ndarray",
+        r_j: "np.ndarray",
+        sent_balls: "np.ndarray",
+        sent_row: "np.ndarray",
+    ) -> Tuple[
+        "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"
+    ]:
+        """Group receivers by (trial, pre-class, delivery signature).
+
+        Returns each group's trial and pre-class row, every receiver's
+        group index, the ``(G, n)`` mask of broadcasts each group heard,
+        and the per-trial delivery counts.
+        """
+        n = self.n
+        T = self.trials
         r_pre = self.cls_of[recv]
         r_pat = np.zeros(recv.size, dtype=np.int64)
         # Distinct delivery camps per trial: a receiver's signature is a
@@ -976,7 +721,6 @@ class VectorizedCrashEngine:
             trial_sig[t] = ((urows @ vmask) > 0, urows @ vlen)
             npat = max(npat, uniq.shape[0])
 
-        # Delivery groups: (trial, pre-class, signature pattern).
         gkey = (
             r_trial * np.int64(self._crows + 1) + (r_pre + 1)
         ) * np.int64(npat) + r_pat
@@ -986,7 +730,6 @@ class VectorizedCrashEngine:
         inv = inv.reshape(-1)
         G = first.size
         g_trial = r_trial[first]
-        g_pre = r_pre[first]
         g_pat = r_pat[first]
         g_sig = np.zeros((G, n), dtype=bool)
         g_siglen = np.zeros(G, dtype=np.int64)
@@ -1009,48 +752,23 @@ class VectorizedCrashEngine:
                 ),
                 minlength=T,
             ).astype(np.int64)
-
-        # Gather each group's pre-class row and apply the round to it.
-        sent_m = sent_balls.reshape(T, n)[g_trial]
         victim_m = self._victim.reshape(T, n)[g_trial]
-        if kind == "init":
-            members = sent_m & (~victim_m | g_sig)
-            new_pos = np.where(members, np.int32(topo.root), np.int32(-1))
-            new_stat = np.zeros((G, n), dtype=np.uint8)
-            new_count = np.zeros((G, M), dtype=np.int32)
-            mcount = members.sum(axis=1).astype(np.int32)
-            new_count[:, topo.root] = mcount
-            new_present = mcount.copy()
-            new_leaf = np.zeros(G, dtype=np.int32)
-            new_occ = (
-                np.zeros((G, M), dtype=np.int32)
-                if self._track_leaf_occ
-                else None
-            )
-            if topo.span[topo.root] == 1:  # n == 1: the root is a leaf
-                new_leaf = mcount.copy()
-                if new_occ is not None:
-                    new_occ[:, topo.root] = mcount
-        else:
-            new_pos = self._cpos[g_pre]
-            new_stat = self._cstat[g_pre]
-            new_count = self._ccount[g_pre]
-            new_occ = self._cocc[g_pre] if self._cocc is not None else None
-            new_present = self._cpresent[g_pre].copy()
-            new_leaf = self._cleaf[g_pre].copy()
-            if kind == "path":
-                self._apply_path_groups(
-                    new_pos, new_stat, new_count, new_occ,
-                    new_present, new_leaf, g_trial, g_sig, sent_m, victim_m,
-                )
-            else:
-                self._apply_pos_groups(
-                    new_pos, new_stat, new_count, new_occ,
-                    new_present, new_leaf, g_trial, g_sig, sent_m, victim_m,
-                )
+        g_delivered = sent_balls.reshape(T, n)[g_trial] & (~victim_m | g_sig)
+        return g_trial, r_pre[first], inv, g_delivered, delivered_row
 
-        # Merge classes whose (pos, status) coincide, then point every
-        # receiver at its canonical row; stale rows drop out here.
+    @staticmethod
+    def _merge_rows(
+        new_pos: "np.ndarray",
+        new_stat: "np.ndarray",
+        g_trial: "np.ndarray",
+        inv: "np.ndarray",
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Merge a trial's rows whose (pos, status) coincide.
+
+        Returns the surviving row indices and every receiver's canonical
+        row in the surviving numbering.
+        """
+        G = g_trial.size
         remap = np.empty(G, dtype=np.int64)
         canon: Dict[Any, int] = {}
         g_trial_l = g_trial.tolist()
@@ -1065,51 +783,7 @@ class VectorizedCrashEngine:
         keep = np.unique(remap)
         ridx = np.full(G, -1, dtype=np.int64)
         ridx[keep] = np.arange(keep.size, dtype=np.int64)
-        self._cpos = np.ascontiguousarray(new_pos[keep])
-        self._cstat = np.ascontiguousarray(new_stat[keep])
-        self._ccount = np.ascontiguousarray(new_count[keep])
-        self._cocc = (
-            np.ascontiguousarray(new_occ[keep]) if new_occ is not None else None
-        )
-        self._cpresent = new_present[keep]
-        self._cleaf = new_leaf[keep]
-        self._ctrial = g_trial[keep]
-        self._crows = int(keep.size)
-        cls = np.full(self._S, -1, dtype=np.int64)
-        if recv.size:
-            cls[recv] = ridx[remap[inv]]
-        self.cls_of = cls
-
-        if kind != "init":
-            # Per-ball bookkeeping against the ball's own (post) view;
-            # skipped on the hello round exactly like the scalar engines.
-            c = self.cls_of[recv]
-            p = self._cpos[c, r_j]
-            at_leaf = topo.span[p] == 1
-            naming = at_leaf & (self.round_named[recv] < 0)
-            if naming.any():
-                named = recv[naming]
-                self.round_named[named] = round_no
-                self.decision[named] = topo.leaf_rank[p[naming]]
-            if kind == "pos":
-                halt = self._cleaf[c] == self._cpresent[c]
-                if self._halt_on_name:
-                    halt |= at_leaf
-                if halt.any():
-                    idx = recv[halt]
-                    self.round_halted[idx] = round_no
-                    self.decision[idx] = topo.leaf_rank[p[halt]]
-                    self.halted[idx] = True
-                    self.running -= np.bincount(
-                        r_trial[halt], minlength=T
-                    ).astype(np.int32)
-        self.round_sent.append(sent_row)
-        self.round_delivered.append(delivered_row)
-        self.round_crashes.append(crashes_row)
-        self.round_alive.append(alive_row)
-        self.round_running.append(
-            np.where(active, self.running.astype(np.int64), 0)
-        )
+        return keep, ridx[remap[inv]]
 
     # -------------------------------------------------------------- adversary
     def _plan_and_crash(
@@ -1215,9 +889,7 @@ class VectorizedCrashEngine:
         new_present: "np.ndarray",
         new_leaf: "np.ndarray",
         g_trial: "np.ndarray",
-        g_sig: "np.ndarray",
-        sent_m: "np.ndarray",
-        victim_m: "np.ndarray",
+        delivered: "np.ndarray",
     ) -> None:
         """Lines 12-21 on every group row at once, level by level.
 
@@ -1239,7 +911,6 @@ class VectorizedCrashEngine:
         focc = new_occ.reshape(-1) if new_occ is not None else None
         lifecycle = self._halt_on_name
         present = new_pos >= 0
-        delivered = sent_m & (~victim_m | g_sig)
         # Frozen round-start capacity; purges must not open quota for
         # <R-earlier arrivals, so they go into the credit ledger instead.
         quota0 = (span[np.newaxis, :] - new_count).reshape(-1).copy()
@@ -1273,11 +944,18 @@ class VectorizedCrashEngine:
         # class's position (the columnar ghost rule: the position must
         # sit on the path strictly before its end, else the ball stays).
         mg, mi = np.nonzero(present & delivered)
-        if mg.size == 0:
-            return
         mball = g_trial[mg] * np.int64(n) + mi
         sd = self._start_depth[mball]
         ed = self._end_depth[mball]
+        # A one-node path moves nobody in any view: drop those first.
+        walking = np.flatnonzero(sd < ed)
+        if walking.size == 0:
+            return
+        if walking.size < mg.size:
+            mg, mi, mball, sd, ed = (
+                mg[walking], mi[walking], mball[walking], sd[walking],
+                ed[walking],
+            )
         p = new_pos[mg, mi]
         dp = depth[p]
         valid = (sd <= dp) & (dp < ed) & (self._path[mball, dp] == p)
@@ -1410,9 +1088,7 @@ class VectorizedCrashEngine:
         new_present: "np.ndarray",
         new_leaf: "np.ndarray",
         g_trial: "np.ndarray",
-        g_sig: "np.ndarray",
-        sent_m: "np.ndarray",
-        victim_m: "np.ndarray",
+        delivered: "np.ndarray",
     ) -> None:
         """Lines 22-28 on every group row at once (order-independent)."""
         topo = self._topo
@@ -1424,7 +1100,6 @@ class VectorizedCrashEngine:
         focc = new_occ.reshape(-1) if new_occ is not None else None
         lifecycle = self._halt_on_name
         present = new_pos >= 0
-        delivered = sent_m & (~victim_m | g_sig)
         ann = self._announced.reshape(self.trials, n)[g_trial]
         live = present & delivered
         tg, ti = np.nonzero(live & (ann != new_pos))
@@ -1578,7 +1253,13 @@ class VectorizedCrashEngine:
     def _walk_random(
         self, idx: "np.ndarray", cur: "np.ndarray", base: "np.ndarray"
     ) -> None:
-        """The failure-free engine's random walk against class rows."""
+        """Algorithm 1 lines 5-10 for every walker, one level per pass.
+
+        Each ball consumes its private stream exactly where the scalar
+        walk does — one draw per non-forced inner node, none when both
+        children appear full (the larger raw residual wins, ties left) —
+        against the counts of its own class row.
+        """
         topo = self._topo
         span = topo.span
         count = self._ccount.reshape(-1)

@@ -338,29 +338,6 @@ class RunMonitor:
 # --------------------------------------------------------------- adapters
 
 
-def observe_balls_engine(monitor: RunMonitor, engine, round_no: int) -> None:
-    """One observation of a failure-free ``ColumnarBallsEngine`` round."""
-    if engine.running_count > 0:
-        if monitor.halt_on_name:
-            status = bytes(
-                _ANNOUNCED if halted else _ACTIVE for halted in engine.halted
-            )
-        else:
-            status = bytes(engine.n)
-        views = [(engine.pos, status)]
-    else:
-        # The run just finished: every ball halted, no live view remains
-        # (matching the reference engine's running-process views).
-        views = []
-    monitor.observe(
-        round_no,
-        views=views,
-        decisions=engine.decision,
-        crashed=None,
-        running=engine.running_count,
-    )
-
-
 def observe_crash_engine(monitor: RunMonitor, engine, round_no: int) -> None:
     """One observation of a ``ColumnarCrashEngine`` round."""
     monitor.observe(
@@ -438,36 +415,41 @@ class ReferenceMonitorAdapter:
 
 
 class StackedMonitor:
-    """Per-round monitoring of a ``VectorizedCellEngine``, all trials at
+    """Per-round monitoring of a ``VectorizedCrashEngine``, all trials at
     once.
 
-    The screens are O(T·n) ufunc passes (a handful per round, against
-    the engine's own dozens); a trial flagged by any screen drops to the
-    scalar :func:`evaluate_round` for that round, so the violation
-    strings are identical to the scalar monitors'.
+    A trial's local views are its class rows (``_cpos``/``_cstat``,
+    mapped to trials by ``_ctrial``) with a running member — the
+    stacked twin of :meth:`ColumnarCrashEngine.monitor_views`.  The
+    screens are O(T·n) ufunc passes over decisions and live rows; a
+    trial flagged by any screen drops to the scalar
+    :func:`evaluate_round` for that round, so the violation strings are
+    identical to the scalar monitors'.  A trial whose state freezes for
+    ``stall_window`` rounds is reported and stopped (``engine.stopped``),
+    where the scalar kernels raise :class:`MonitorViolation`.
     """
 
     def __init__(self, engine, *, stall_window: int = STALL_WINDOW) -> None:
-        self.engine = engine
         self.labels = engine.labels
         self.n = engine.n
         self.trials = engine.trials
-        self.halt_on_name = engine._halt_on_name
         self.stall_window = stall_window
         from repro.tree.topology import cached_topology
 
         self.arrays = cached_topology(self.n).arrays()
-        self._is_leaf_tiled = np.tile(engine._topo.is_leaf, engine.trials)
+        self._is_leaf = engine._topo.is_leaf
         self._violations: Dict[int, List[Violation]] = {}
         self._streak = np.zeros(engine.trials, dtype=np.int64)
-        self._stalled = np.zeros(engine.trials, dtype=bool)
-        self._prev_pos = None
-        self._prev_halted = None
-        self._prev_decision = None
+        #: Trials the progress monitor declared deadlocked.
+        self.stalled = np.zeros(engine.trials, dtype=bool)
+        #: First round each ball was observed crashed (-1 = never).
+        self._crash_round = np.full(engine.trials * engine.n, -1, dtype=np.int64)
+        self._trial_of = np.arange(engine.trials * engine.n, dtype=np.int64) // engine.n
+        self._prev: Optional[Tuple] = None
 
     @property
     def deadlocked(self) -> bool:
-        return bool(self._stalled.any())
+        return bool(self.stalled.any())
 
     def violations(self, t: int) -> List[Violation]:
         """Trial ``t``'s findings, in observation order."""
@@ -477,116 +459,140 @@ class StackedMonitor:
     def __call__(self, engine, round_no: int, active: "np.ndarray") -> None:
         n = self.n
         T = self.trials
-        pos = engine.pos
-        halted = engine.halted
         decision = engine.decision
+        crashed = engine.crashed
+        newly = crashed & (self._crash_round < 0)
+        self._crash_round[newly] = round_no
+        # Live views: class rows with at least one running member.
+        running = ~crashed & ~engine.halted & (engine.cls_of >= 0)
+        live = np.unique(engine.cls_of[running])
+        pos = engine._cpos[live]
+        stat = engine._cstat[live]
+        row_trial = engine._ctrial[live]
         flagged = np.zeros(T, dtype=bool)
 
-        # Namespace screen: any decided name out of 0..n-1.
-        bad_name = decision >= n
-        if bad_name.any():
-            flagged |= np.bincount(
-                engine._trial[bad_name], minlength=T
-            ).astype(bool)
+        def flag(trials_hit: "np.ndarray") -> None:
+            flagged[trials_hit] = True
 
-        # Uniqueness screen: duplicate decided names within a trial.
-        decided = decision >= 0
-        if decided.any():
-            keys = (
-                engine._trial[decided] * np.int64(n)
-                + np.minimum(decision[decided], n - 1)
-            )
-            counts = np.bincount(keys, minlength=T * n)
-            dupes = np.flatnonzero(counts > 1)
-            if dupes.size:
-                flagged |= np.bincount(
-                    (dupes // n).astype(np.int64), minlength=T
-                ).astype(bool)
+        # Namespace + uniqueness screens over correct decided balls.
+        trial_of = self._trial_of
+        decided = (decision >= 0) & ~crashed
+        flag(trial_of[decided & (decision >= n)])
+        keys = trial_of[decided] * n + np.minimum(decision[decided], n - 1)
+        dupes = np.flatnonzero(np.bincount(keys, minlength=T * n) > 1)
+        flag(dupes // n)
 
-        # Leaf-capacity / retention screens over the shared view.
-        at_leaf = self._is_leaf_tiled[engine._tbase + pos]
-        if self.halt_on_name and (halted & ~at_leaf).any():
-            flagged |= np.bincount(
-                engine._trial[halted & ~at_leaf], minlength=T
-            ).astype(bool)
-        occ_keys = engine._tbase + pos
-        occupancy = np.bincount(
-            occ_keys[at_leaf], minlength=T * engine._topo.node_count
+        # Per-view screens: retention, crash-retention, leaf capacity.
+        present = pos >= 0
+        at_leaf = present & self._is_leaf[np.where(present, pos, 0)]
+        announced = stat == _ANNOUNCED
+        flag(row_trial[(present & announced & ~at_leaf).any(axis=1)])
+        crash_round = self._crash_round.reshape(T, n)[row_trial]
+        stale = (
+            present
+            & (stat == _ACTIVE)
+            & (crash_round >= 0)
+            & (crash_round < round_no)
         )
-        allowance = 1
-        if self.halt_on_name and halted.any():
-            announced = np.bincount(
-                occ_keys[at_leaf & halted],
-                minlength=T * engine._topo.node_count,
+        flag(row_trial[stale.any(axis=1)])
+        rr, jj = np.nonzero(at_leaf)
+        if rr.size:
+            M = engine._topo.node_count
+            leaf_key = rr * np.int64(M) + pos[rr, jj]
+            occupancy = np.bincount(leaf_key, minlength=live.size * M)
+            allowance = 1 + np.bincount(
+                leaf_key[announced[rr, jj]], minlength=live.size * M
             )
-            over = occupancy > 1 + announced
-        else:
-            over = occupancy > allowance
-        if over.any():
-            flagged |= np.bincount(
-                (np.flatnonzero(over) // engine._topo.node_count).astype(
-                    np.int64
-                ),
-                minlength=T,
-            ).astype(bool)
+            flag(row_trial[np.flatnonzero(occupancy > allowance) // M])
+        flagged &= active
 
-        # Progress: per-trial frozen-state streaks (same fingerprint the
-        # scalar monitor hashes: positions, lifecycle, decisions).
-        if self._prev_pos is not None:
-            same = (
-                (pos == self._prev_pos)
-                & (halted == self._prev_halted)
-                & (decision == self._prev_decision)
+        # Progress: per-trial frozen-state streaks over the scalar
+        # monitor's fingerprint (the set of live views, decisions,
+        # crashes, running count).  A trial's rows are distinct views,
+        # so equal view sets need equal row counts.
+        firing = np.zeros(T, dtype=bool)
+        dec_t = decision.reshape(T, n)
+        crashed_t = crashed.reshape(T, n)
+        running_t = engine.running.copy()
+        rows_of = np.bincount(row_trial, minlength=T)
+        # The row of each single-row trial (others: any of theirs).
+        row_at = np.zeros(T, dtype=np.int64)
+        row_at[row_trial] = np.arange(live.size)
+        if self._prev is not None:
+            p_dec, p_crashed, p_running, p_pos, p_stat, p_trial, p_rows, p_at = (
+                self._prev
             )
-            trial_same = np.logical_and.reduceat(
-                same, np.arange(0, T * n, n)
-            ) & (engine.running > 0)
-            self._streak = np.where(trial_same, self._streak + 1, 0)
-            firing = (self._streak == self.stall_window) & ~self._stalled
-            if firing.any():
-                self._stalled |= firing
-                for t in np.flatnonzero(firing):
-                    t = int(t)
-                    self._violations.setdefault(t, []).append(
-                        Violation(
-                            "progress",
-                            round_no,
-                            f"no state change for {self.stall_window} "
-                            f"rounds with {int(engine.running[t])} "
-                            f"ball(s) running",
-                        )
-                    )
-        self._prev_pos = pos.copy()
-        self._prev_halted = halted.copy()
-        self._prev_decision = decision.copy()
+            same = (
+                active
+                & (running_t > 0)
+                & (running_t == p_running)
+                & (rows_of == p_rows)
+                & (dec_t == p_dec).all(axis=1)
+                & (crashed_t == p_crashed).all(axis=1)
+            )
+            single = np.flatnonzero(same & (rows_of == 1))
+            if single.size:
+                now = row_at[single]
+                was = p_at[single]
+                same[single] = (pos[now] == p_pos[was]).all(axis=1) & (
+                    stat[now] == p_stat[was]
+                ).all(axis=1)
+            for t in map(int, np.flatnonzero(same & (rows_of > 1))):
+                same[t] = _row_set(pos, stat, row_trial, t) == _row_set(
+                    p_pos, p_stat, p_trial, t
+                )
+            self._streak = np.where(same, self._streak + 1, 0)
+            firing = (self._streak == self.stall_window) & ~self.stalled
+        self._prev = (
+            dec_t.copy(), crashed_t.copy(), running_t, pos, stat, row_trial,
+            rows_of, row_at,
+        )
 
         # Flagged trials re-run the scalar predicates for identical
         # attribution/wording (rare by construction: a screen only fires
-        # on an actual violation).
-        for t in map(int, np.flatnonzero(flagged)):
-            base = t * n
-            trial_pos = pos[base : base + n].tolist()
-            trial_halted = halted[base : base + n]
-            if self.halt_on_name:
-                status = bytes(
-                    _ANNOUNCED if h else _ACTIVE for h in trial_halted
+        # on an actual violation); a stall follows them, as in RunMonitor.
+        for t in map(int, np.flatnonzero(flagged | firing)):
+            found: List[Violation] = []
+            if flagged[t]:
+                base = t * n
+                rows = np.flatnonzero(row_trial == t)
+                trial_crashed = crashed[base : base + n].tolist()
+                crash_round = self._crash_round[base : base + n].tolist()
+                found = evaluate_round(
+                    round_no,
+                    self.arrays,
+                    self.labels,
+                    views=[(pos[r].tolist(), stat[r].tobytes()) for r in rows],
+                    decisions=[
+                        None if d < 0 else int(d)
+                        for d in decision[base : base + n]
+                    ],
+                    crashed=trial_crashed,
+                    crash_rounds={
+                        j: r for j, r in enumerate(crash_round) if r >= 0
+                    },
                 )
-            else:
-                status = bytes(n)
-            trial_decisions = [
-                None if d < 0 else int(d)
-                for d in decision[base : base + n]
-            ]
-            if int(engine.running[t]) > 0:
-                views = [(trial_pos, status)]
-            else:
-                views = []
-            found = evaluate_round(
-                round_no,
-                self.arrays,
-                self.labels,
-                views=views,
-                decisions=trial_decisions,
-            )
+            if firing[t]:
+                found.append(
+                    Violation(
+                        "progress",
+                        round_no,
+                        f"no state change for {self.stall_window} rounds "
+                        f"with {int(running_t[t])} ball(s) running",
+                    )
+                )
             if found:
                 self._violations.setdefault(t, []).extend(found)
+        if firing.any():
+            self.stalled |= firing
+            engine.stopped |= firing
+
+
+def _row_set(
+    pos: "np.ndarray", stat: "np.ndarray", row_trial: "np.ndarray", t: int
+) -> set:
+    """Trial ``t``'s set of live views, as comparable bytes."""
+    return {
+        (pos[r].tobytes(), stat[r].tobytes())
+        for r in np.flatnonzero(row_trial == t)
+    }

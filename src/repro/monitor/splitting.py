@@ -260,9 +260,9 @@ def _run_tail_chunk(task: _ChunkTask) -> List[Tuple[bool, Optional[dict]]]:
     policy, n, halt_on_name, kernel, start_round, stop_round, seeds, states = task
     ids = list(range(n))
     if kernel == "vectorized":
-        from repro.core.vectorized import VectorizedCellEngine
+        from repro.core.vectorized import VectorizedCrashEngine
 
-        engine = VectorizedCellEngine(
+        engine = VectorizedCrashEngine(
             ids, list(seeds), policy=policy, halt_on_name=halt_on_name
         )
         if states is not None:
@@ -275,11 +275,11 @@ def _run_tail_chunk(task: _ChunkTask) -> List[Tuple[bool, Optional[dict]]]:
             )
             for t in range(len(seeds))
         ]
-    from repro.core.columnar import ColumnarBallsEngine
+    from repro.core.columnar import ColumnarCrashEngine
 
     out: List[Tuple[bool, Optional[dict]]] = []
     for i, trial_seed in enumerate(seeds):
-        engine = ColumnarBallsEngine(
+        engine = ColumnarCrashEngine(
             ids, seed=trial_seed, policy=policy, halt_on_name=halt_on_name
         )
         round_no = 0

@@ -22,14 +22,15 @@ and executors preserve order — so serial and multiprocessing backends
 produce identical :class:`BatchResult` cells, byte for byte.
 
 Execution is *cell-granular* where it pays: consecutive trials of one
-failure-free cell are stacked into a single
+cell are stacked into a single
 :func:`repro.sim.vectorized.run_stacked_cell` pass (NumPy installed,
-``kernel`` in ``{"auto", "vectorized"}``), so a sweep dispatches whole
-cells — chunked across workers — instead of pickling every
-:class:`TrialSpec` individually.  The stacked engine is bit-identical to
-the per-trial kernels, so the upgrade changes wall-clock only; cells the
-vectorized engine rejects (crashes, non-BiL algorithms, missing NumPy)
-keep the per-trial path and its ``auto`` kernel selection.
+``kernel`` in ``{"auto", "vectorized"}``; crash cells only above a stream
+floor), so a sweep dispatches whole cells — chunked across workers —
+instead of pickling every :class:`TrialSpec` individually.  The stacked
+engine is bit-identical to the per-trial kernels, so the upgrade changes
+wall-clock only; cells the vectorized engine rejects (uncertified or
+non-crash fault families, non-BiL algorithms, missing NumPy) keep the
+per-trial path and its ``auto`` kernel selection.
 """
 
 from __future__ import annotations
@@ -677,13 +678,19 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
 
     All specs must share a cell configuration up to the adversary
     (:func:`plan_tasks` guarantees it; direct callers are checked); the
-    stacked engines are bit-identical to the scalar kernels, so each
+    stacked engine is bit-identical to the scalar kernels, so each
     returned :class:`TrialResult` equals the :func:`run_trial` outcome
-    of its spec except for the ``kernel`` label.  Crash cells build one
-    adversary per trial from that trial's seed — exactly the instance
+    of its spec except for the ``kernel`` label.  Each trial's adversary
+    is built from that trial's seed — exactly the instance
     :func:`run_trial` would hand its kernel.
+
+    The stack ends a failing trial early instead of raising, so the
+    per-trial semantics of the serial loop are reproduced here:
+    ascending trial order, a trial's :class:`RoundLimitExceeded` or
+    stall :class:`~repro.errors.MonitorViolation` before its spec check,
+    and — under ``capture_errors`` — the exact error rows
+    :func:`run_trial` would have produced, without re-running anything.
     """
-    from repro.adversary.none import NoFailures
     from repro.sim.vectorized import run_stacked_cell
 
     spec = specs[0]
@@ -694,12 +701,6 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
                 f"adversaries may differ); got {_cell_config(spec)} and "
                 f"{_cell_config(other)}"
             )
-    adversaries = [s.adversary.build(s.seed) for s in specs]
-    crashy = any(
-        adv is not None and type(adv) is not NoFailures for adv in adversaries
-    )
-    if crashy:
-        return _run_crash_cell(specs, adversaries)
     cell = run_stacked_cell(
         sparse_ids(spec.n),
         [s.seed for s in specs],
@@ -707,84 +708,25 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
         halt_on_name=spec.halt_on_name,
         crash_budget=spec.crash_budget,
         monitor=spec.monitor,
+        adversaries=[s.adversary.build(s.seed) for s in specs],
     )
-    if spec.check:
-        cell.check()
     labels = cell.labels
     # repr-sort of the (shared) labels once per cell, not once per trial;
-    # itemgetter picks each trial's decisions in that order at C speed.
+    # itemgetter picks a fully named trial's decisions at C speed.
     order = sorted(range(len(labels)), key=lambda i: repr(labels[i]))
     ordered_labels = tuple(labels[i] for i in order)
     pick = operator.itemgetter(*order) if len(order) > 1 else None
-    rounds = cell.rounds.tolist()
-    sent = cell.messages_sent.tolist()
-    delivered = cell.messages_delivered.tolist()
-    decisions = cell.decisions.tolist()
-    results = []
-    for t, trial_spec in enumerate(specs):
-        row = decisions[t]
-        picked = pick(row) if pick is not None else (row[order[0]],)
-        results.append(
-            TrialResult(
-                spec=trial_spec,
-                rounds=rounds[t],
-                failures=0,
-                messages_sent=sent[t],
-                messages_delivered=delivered[t],
-                last_round_named=cell.last_round_named(t),
-                names=tuple(zip(ordered_labels, picked)),
-                kernel="vectorized",
-                monitor=spec.monitor,
-                violations=tuple(
-                    v.render() for v in cell.violations(t)
-                ),
-                trace=cell.trace(t) if spec.trace == "cheap" else None,
-            )
-        )
-    return results
-
-
-def _run_crash_cell(
-    specs: Sequence[TrialSpec], adversaries: Sequence[Any]
-) -> List[TrialResult]:
-    """One stacked crash cell, trial faults resolved in serial order.
-
-    The stacked engine flags an overrun trial instead of raising, so the
-    per-trial semantics of the serial loop are reproduced here: ascending
-    trial order, a trial's :class:`RoundLimitExceeded` before its spec
-    check, and — under ``capture_errors`` — the exact error rows
-    :func:`run_trial` would have produced, without re-running anything.
-    """
-    from repro.sim.vectorized import run_stacked_cell
-
-    spec = specs[0]
-    cell = run_stacked_cell(
-        sparse_ids(spec.n),
-        [s.seed for s in specs],
-        policy=ALGORITHMS[spec.algorithm],
-        halt_on_name=spec.halt_on_name,
-        crash_budget=spec.crash_budget,
-        monitor=spec.monitor,
-        adversaries=adversaries,
-    )
-    labels = cell.labels
-    order = sorted(range(len(labels)), key=lambda i: repr(labels[i]))
     rounds = cell.rounds.tolist()
     failures = cell.failures.tolist()
     sent = cell.messages_sent.tolist()
     delivered = cell.messages_delivered.tolist()
     decisions = cell.decisions.tolist()
     crashed = cell.crashed.tolist()
-    overrun = cell.overrun.tolist()
     spec_ok = cell.spec_ok() if spec.check else None
     results = []
     for t, trial_spec in enumerate(specs):
-        error: Optional[Exception] = None
-        if overrun[t]:
-            error = RoundLimitExceeded(
-                cell.limit, int(cell.running_at_limit[t])
-            )
-        elif spec_ok is not None and not bool(spec_ok[t]):
+        error = cell.error(t)
+        if error is None and spec_ok is not None and not bool(spec_ok[t]):
             try:
                 cell.check_trial(t)
             except SpecViolation as violation:
@@ -816,7 +758,16 @@ def _run_crash_cell(
             )
             continue
         row = decisions[t]
-        crashed_row = crashed[t]
+        if failures[t] == 0 and min(row) >= 0:
+            picked = pick(row) if pick is not None else (row[order[0]],)
+            names = tuple(zip(ordered_labels, picked))
+        else:
+            crashed_row = crashed[t]
+            names = tuple(
+                (labels[i], row[i])
+                for i in order
+                if not crashed_row[i] and row[i] >= 0
+            )
         results.append(
             TrialResult(
                 spec=trial_spec,
@@ -825,14 +776,10 @@ def _run_crash_cell(
                 messages_sent=sent[t],
                 messages_delivered=delivered[t],
                 last_round_named=cell.last_round_named(t),
-                names=tuple(
-                    (labels[i], row[i])
-                    for i in order
-                    if not crashed_row[i] and row[i] >= 0
-                ),
+                names=names,
                 kernel="vectorized",
                 monitor=trial_spec.monitor,
-                violations=(),
+                violations=tuple(v.render() for v in cell.violations(t)),
                 trace=(
                     cell.trace(t) if trial_spec.trace == "cheap" else None
                 ),
@@ -845,15 +792,7 @@ def _run_task(task: Task) -> List[TrialResult]:
     """One executor work item (module-level so pools can pickle it)."""
     if isinstance(task, TrialSpec):
         return [run_trial(task)]
-    try:
-        return run_cell(task)
-    except (SimulationError, SpecViolation):
-        if not task[0].capture_errors:
-            raise
-        # The stacked engine fails the whole cell at once; re-run its
-        # trials individually so only the poisoned ones become error
-        # rows (run_trial captures per spec, bit-identical otherwise).
-        return [run_trial(spec) for spec in task]
+    return run_cell(task)
 
 
 # -------------------------------------------------------------------- executors

@@ -7,16 +7,12 @@ lock-step rounds, produces the same per-round
 and assembles an identical :class:`~repro.sim.simulator.SimulationResult`
 — bit-for-bit, as asserted by the differential suite.
 
-Two array engines split the work:
-
-* failure-free runs (no adversary, or ``NoFailures``) execute on
-  :class:`~repro.core.columnar.ColumnarBallsEngine`, the single-shared-
-  view fast path that never materializes a message;
-* runs under a *certified* crashing adversary execute on
-  :class:`~repro.core.columnar.ColumnarCrashEngine`, which reproduces
-  partial deliveries, receiver equivalence classes, and the
-  announced-termination lifecycle (halt-on-name) as per-ball status
-  columns and per-round crash masks.
+Every run executes on :class:`~repro.core.columnar.ColumnarCrashEngine`:
+a failure-free run is the crash engine with no adversary (one receiver
+class per run, advanced in place), and a run under a *certified*
+adversary reproduces partial deliveries, receiver equivalence classes,
+and the announced-termination lifecycle (halt-on-name) as per-ball
+status columns and per-round crash masks.
 
 Of the fault families (:data:`~repro.adversary.base.FAULT_FAMILIES`),
 this kernel applies ``crash`` and ``omission`` — an omitting sender folds
@@ -47,7 +43,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.adversary.certification import certification_failure
-from repro.adversary.none import NoFailures
 from repro.core.instrumentation import TIMERS
 from repro.errors import ConfigurationError, RoundLimitExceeded
 from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
@@ -114,86 +109,6 @@ class ColumnarKernel(SimulationKernel):
                 f"crash budget must satisfy 0 <= t < n; "
                 f"got t={request.crash_budget}, n={n}"
             )
-        adversary = request.adversary
-        if adversary is None or type(adversary) is NoFailures:
-            return self._run_failure_free(request)
-        return self._run_with_adversary(request)
-
-    # ------------------------------------------------------------ failure-free
-    def _run_failure_free(self, request: KernelRequest) -> KernelRun:
-        from repro.core.columnar import ColumnarBallsEngine
-
-        n = request.n
-        timer_started = TIMERS.start()
-        engine = ColumnarBallsEngine(
-            request.ids,
-            seed=request.seed,
-            policy=request.policy,
-            halt_on_name=request.halt_on_name,
-        )
-        TIMERS.stop("seeding", timer_started)
-        monitor = _build_monitor(request)
-        metrics = SimulationMetrics()
-        round_no = 0
-        while engine.running_count:
-            if round_no >= request.max_rounds:
-                raise RoundLimitExceeded(request.max_rounds, engine.running_count)
-            round_no += 1
-            senders = engine.running_count
-            timer_started = TIMERS.start()
-            engine.step(round_no)
-            TIMERS.stop("movement", timer_started)
-            if monitor is not None:
-                from repro.monitor.invariants import observe_balls_engine
-
-                timer_started = TIMERS.start()
-                observe_balls_engine(monitor, engine, round_no)
-                TIMERS.stop("monitor", timer_started)
-                _abort_on_deadlock(monitor)
-            # Failure-free: every running process broadcasts, every
-            # running process receives every broadcast (self included).
-            metrics.record(
-                RoundMetrics(
-                    round_no=round_no,
-                    messages_sent=senders,
-                    messages_delivered=senders * senders,
-                    crashes=0,
-                    alive_after=n,
-                    running_after=engine.running_count,
-                )
-            )
-            if request.trace is not None:
-                _record_cheap_round(
-                    request.trace,
-                    engine,
-                    round_no,
-                    sent=senders,
-                    crashes=0,
-                    running=engine.running_count,
-                )
-        labels = engine.labels
-        decisions = {
-            pid: engine.decision[j] for j, pid in enumerate(labels)
-        }
-        result = SimulationResult(
-            rounds=round_no,
-            decisions=decisions,
-            crashed=frozenset(),
-            halted=frozenset(labels),
-            metrics=metrics,
-            trace=request.trace,
-            participants=frozenset(labels),
-        )
-        return KernelRun(
-            result=result,
-            last_round_named=engine.last_round_named(),
-            phase_stats=[],
-            kernel=self.name,
-            violations=[] if monitor is None else monitor.violations,
-        )
-
-    # ---------------------------------------------------------- with crashes
-    def _run_with_adversary(self, request: KernelRequest) -> KernelRun:
         from repro.core.columnar import ColumnarCrashEngine
 
         timer_started = TIMERS.start()
@@ -284,11 +199,9 @@ def _record_cheap_round(
     layout, not equivalence with the reference stream.
     """
     labels = engine.labels
-    round_crashed = getattr(engine, "round_crashed", None)
-    if round_crashed is not None:
-        for j, crashed_at in enumerate(round_crashed):
-            if crashed_at == round_no:
-                trace.record(round_no, "crash", pid=labels[j])
+    for j, crashed_at in enumerate(engine.round_crashed):
+        if crashed_at == round_no:
+            trace.record(round_no, "crash", pid=labels[j])
     for j in omitters:
         trace.record(round_no, "omit", pid=labels[j])
     for j, named_at in enumerate(engine.round_named):

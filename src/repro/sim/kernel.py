@@ -16,9 +16,10 @@ stays the ground truth, the columnar engine earns its speed by agreeing
 with it.
 
 The **vectorized** kernel (:mod:`repro.sim.vectorized`) is the
-trial-stacked NumPy engine: it executes a whole cell of failure-free
-trials as one array program and is what scenario-matrix sweeps dispatch
-to cell-granularly.  As a per-run kernel it is a one-trial stack —
+trial-stacked NumPy engine: it executes a whole cell of trials —
+failure-free or under certified crash adversaries — as one array
+program and is what scenario-matrix sweeps dispatch to
+cell-granularly.  As a per-run kernel it is a one-trial stack —
 available so ``kernel="vectorized"`` composes with every entry point,
 but ``auto`` keeps single runs on the columnar engine (stacking pays
 off across trials, not within one).

@@ -1,22 +1,25 @@
 """The vectorized kernel: a stacked cell of trials as one array program.
 
-Wraps :class:`repro.core.vectorized.VectorizedCellEngine` in two shapes:
+Wraps :class:`repro.core.vectorized.VectorizedCrashEngine` in two shapes:
 
 * :class:`VectorizedKernel` — the :class:`~repro.sim.kernel.SimulationKernel`
   face, so ``kernel="vectorized"`` works anywhere a kernel name does
   (``run_renaming``, trial specs, the CLI).  A single run is just a
   one-trial stack; the payoff comes from the second shape.
 * :func:`run_stacked_cell` — the cell-granular entry point used by
-  :mod:`repro.sim.batch`: all ``T`` failure-free trials of one
-  scenario-matrix cell execute as one vectorized pass, amortizing the
-  interpreter, the topology, and the RNG machinery across the whole
-  cell instead of paying them per trial.
+  :mod:`repro.sim.batch`: all ``T`` trials of one scenario-matrix cell —
+  failure-free, or each under its own certified crash adversary —
+  execute as one vectorized pass, amortizing the interpreter, the
+  topology, and the RNG machinery across the whole cell instead of
+  paying them per trial.  ``monitor="cheap"`` rides along as the
+  :class:`~repro.monitor.invariants.StackedMonitor`.
 
 Everything the stack produces is bit-for-bit what the columnar (and
 hence reference) kernel produces trial by trial — same
 :class:`~repro.sim.simulator.SimulationResult`, same metrics rows, same
-tables — which is what lets ``auto`` batches upgrade cells to this path
-without observable change (asserted by the differential suite).
+monitor reports, same tables — which is what lets ``auto`` batches
+upgrade cells to this path without observable change (asserted by the
+differential suites).
 
 NumPy is optional: without it :func:`vectorized_available` is False,
 ``auto`` keeps using the columnar engine, and pinning
@@ -29,11 +32,10 @@ from __future__ import annotations
 from typing import Hashable, Optional, Sequence
 
 from repro.adversary.certification import certification_failure
-from repro.adversary.none import NoFailures
 from repro.core.config import BallsIntoLeavesConfig
 from repro.core.instrumentation import TIMERS
 from repro.core.mt19937 import HAVE_NUMPY
-from repro.errors import ConfigurationError, RoundLimitExceeded
+from repro.errors import ConfigurationError, MonitorViolation, RoundLimitExceeded
 from repro.sim.checker import RenamingSpec, check_renaming
 from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
 from repro.sim.metrics import RoundMetrics, SimulationMetrics
@@ -53,10 +55,12 @@ def vectorized_available() -> bool:
 class StackedCellRun:
     """Outcome of one stacked cell: per-trial results, columnar layout.
 
-    Scalar accessors (:meth:`result`, :meth:`metrics`) materialize the
-    exact per-trial objects of the scalar kernels; the batch layer reads
-    the flat arrays directly so a 100-trial cell never builds what it
-    does not need.
+    Scalar accessors (:meth:`result`, :meth:`metrics`, :meth:`trace`)
+    materialize the exact per-trial objects of the scalar kernels; the
+    batch layer reads the flat arrays directly so a 100-trial cell never
+    builds what it does not need.  :meth:`error` turns a trial the stack
+    ended early — past the round limit, or stopped by the stall monitor —
+    back into the exception the scalar loop raises.
     """
 
     def __init__(self, engine, seeds: Sequence[int], monitor=None) -> None:
@@ -64,155 +68,10 @@ class StackedCellRun:
         self._monitor = monitor
         self.seeds = list(seeds)
         self.labels = engine.labels
-        self.n = engine.n
-        self.trials = engine.trials
-        self.rounds = engine.rounds
-        #: (T, n) decided names, label-rank order.
-        self.decisions = engine.decision.reshape(engine.trials, engine.n)
-        self.round_named = engine.round_named.reshape(engine.trials, engine.n)
-        senders = np.stack(engine.round_senders) if engine.round_senders else (
-            np.zeros((0, engine.trials), dtype=np.int64)
-        )
-        #: (T,) total broadcasts / deliveries, matching the failure-free
-        #: metrics rule (every running sender reaches every running
-        #: process, itself included).
-        self.messages_sent = senders.sum(axis=0, dtype=np.int64)
-        self.messages_delivered = (
-            (senders.astype(np.int64) ** 2).sum(axis=0, dtype=np.int64)
-        )
-        self._senders = senders
-        self._running_after = (
-            np.stack(engine.round_running_after)
-            if engine.round_running_after
-            else np.zeros((0, engine.trials), dtype=np.int64)
-        )
-        self._participants = frozenset(self.labels)
-
-    def last_round_named(self, t: int) -> Optional[int]:
-        """Latest naming round of trial ``t``."""
-        return self._engine.last_round_named(t)
-
-    def violations(self, t: int) -> list:
-        """Trial ``t``'s monitor findings ([] when monitoring was off)."""
-        if self._monitor is None:
-            return []
-        return self._monitor.violations(t)
-
-    def metrics(self, t: int) -> SimulationMetrics:
-        """Trial ``t``'s per-round metrics, as the scalar kernels record them."""
-        metrics = SimulationMetrics()
-        n = self.n
-        for r in range(int(self.rounds[t])):
-            sent = int(self._senders[r, t])
-            metrics.record(
-                RoundMetrics(
-                    round_no=r + 1,
-                    messages_sent=sent,
-                    messages_delivered=sent * sent,
-                    crashes=0,
-                    alive_after=n,
-                    running_after=int(self._running_after[r, t]),
-                )
-            )
-        return metrics
-
-    def result(self, t: int) -> SimulationResult:
-        """Trial ``t``'s full :class:`SimulationResult` (bit-identical)."""
-        decisions = dict(zip(self.labels, self.decisions[t].tolist()))
-        return SimulationResult(
-            rounds=int(self.rounds[t]),
-            decisions=decisions,
-            crashed=frozenset(),
-            halted=self._participants,
-            metrics=self.metrics(t),
-            trace=None,
-            participants=self._participants,
-        )
-
-    def trace(self, t: int, sink: Optional[Trace] = None) -> Trace:
-        """Trial ``t``'s cheap trace, materialized from the stack's arrays.
-
-        Zero per-round capture cost: ``round_named``/``round_halted``
-        persist per ball and the metrics rows per round, so the event
-        stream is reconstructed post-hoc — and lazily, unless a ``sink``
-        is supplied: the per-event objects are only built for trials
-        whose timeline is actually read (the same pay-per-read contract
-        as :meth:`result`).  Carries the same vocabulary as the columnar
-        cheap trace minus the per-round ``pos`` snapshots (the stacked
-        engine's positions are transient).
-        """
-        if sink is None:
-            return Trace(lambda trace: self._decode_trace(t, trace))
-        self._decode_trace(t, sink)
-        return sink
-
-    def _decode_trace(self, t: int, trace: Trace) -> None:
-        n = self.n
-        labels = self.labels
-        named = self.round_named[t].tolist()
-        halted = self._engine.round_halted.reshape(self.trials, n)[t].tolist()
-        decisions = self.decisions[t].tolist()
-        named_by: dict = {}
-        halted_by: dict = {}
-        for j in range(n):
-            if named[j] >= 0:
-                named_by.setdefault(named[j], []).append(j)
-            if halted[j] >= 0:
-                halted_by.setdefault(halted[j], []).append(j)
-        for r in range(1, int(self.rounds[t]) + 1):
-            for j in named_by.get(r, ()):
-                trace.record(r, "name", pid=labels[j], name=decisions[j])
-            for j in halted_by.get(r, ()):
-                trace.record(r, "halt", pid=labels[j], decision=decisions[j])
-            trace.record(
-                r,
-                "round",
-                sent=int(self._senders[r - 1, t]),
-                crashes=0,
-                running=int(self._running_after[r - 1, t]),
-            )
-
-    def check(self) -> None:
-        """Renaming-spec check for every trial, vectorized.
-
-        Termination is structural (the stack only returns when every
-        ball halted), so validity + uniqueness reduce to: each trial's
-        decisions are a permutation of ``0..n-1``.  A violating trial is
-        re-checked through :func:`check_renaming` so the raised
-        :class:`~repro.errors.SpecViolation` carries the exact scalar
-        wording.
-        """
-        dec = self.decisions
-        expected = np.arange(self.n, dtype=dec.dtype)
-        ok = (np.sort(dec, axis=1) == expected).all(axis=1)
-        if bool(ok.all()):
-            return
-        bad = int(np.flatnonzero(~ok)[0])
-        check_renaming(self.result(bad), RenamingSpec(n=self.n))
-        raise AssertionError(  # pragma: no cover - checker always raises
-            f"vectorized checker flagged trial {bad} but check_renaming passed"
-        )
-
-
-class StackedCrashCellRun:
-    """Outcome of one stacked *crash* cell: per-trial crash results.
-
-    Same accessor contract as :class:`StackedCellRun`, plus the crash
-    surfaces: per-trial crash/halt sets, real per-round metrics, and the
-    :attr:`overrun` flags a caller turns back into the per-trial
-    :class:`~repro.errors.RoundLimitExceeded` the scalar loop raises.
-    """
-
-    def __init__(self, engine, seeds: Sequence[int]) -> None:
-        self._engine = engine
-        self.seeds = list(seeds)
-        self.labels = engine.labels
         self.n = n = engine.n
         self.trials = T = engine.trials
         self.rounds = engine.rounds
         self.limit = engine.max_rounds
-        self.overrun = engine.overrun
-        self.running_at_limit = engine.running_at_limit
         self.decisions = engine.decision.reshape(T, n)
         self.round_named = engine.round_named.reshape(T, n)
         self.crashed = engine.crashed.reshape(T, n)
@@ -243,8 +102,21 @@ class StackedCrashCellRun:
         return self._engine.last_round_named(t)
 
     def violations(self, t: int) -> list:
-        """Stacked crash cells run unmonitored (gated by the kernel)."""
-        return []
+        """Trial ``t``'s monitor findings ([] when monitoring was off)."""
+        if self._monitor is None:
+            return []
+        return self._monitor.violations(t)
+
+    def error(self, t: int) -> Optional[Exception]:
+        """The exception the scalar loop raises for trial ``t``, if any:
+        :class:`RoundLimitExceeded` for an overrun trial,
+        :class:`MonitorViolation` for one the stall monitor stopped."""
+        engine = self._engine
+        if bool(engine.overrun[t]):
+            return RoundLimitExceeded(self.limit, int(engine.running_at_limit[t]))
+        if bool(engine.stopped[t]):
+            return MonitorViolation(self.violations(t))
+        return None
 
     def metrics(self, t: int) -> SimulationMetrics:
         """Trial ``t``'s per-round metrics, as the columnar loop records."""
@@ -286,14 +158,15 @@ class StackedCrashCellRun:
         )
 
     def trace(self, t: int, sink: Optional[Trace] = None) -> Trace:
-        """Trial ``t``'s cheap trace (crash vocabulary, post-hoc).
+        """Trial ``t``'s cheap trace, materialized from the stack's arrays.
 
-        Crash rounds come from the engine's ``round_crashed`` column;
-        naming/halting from the persistent per-ball round arrays; the
-        per-round aggregates from the same metrics rows ``metrics(t)``
-        reads — so the stream is bit-consistent with the per-trial
-        kernels by the existing differential guarantee.  Lazy unless a
-        ``sink`` is supplied (see :meth:`StackedCellRun.trace`).
+        Zero per-round capture cost: crash/naming/halting rounds persist
+        per ball and the aggregates per round (the rows :meth:`metrics`
+        reads), so the event stream is reconstructed post-hoc — and
+        lazily, unless a ``sink`` is supplied: the per-event objects are
+        only built for trials whose timeline is actually read.  Carries
+        the columnar cheap-trace vocabulary minus the per-round ``pos``
+        snapshots (the stacked engine's positions are transient).
         """
         if sink is None:
             return Trace(lambda trace: self._decode_trace(t, trace))
@@ -367,7 +240,7 @@ class StackedCrashCellRun:
         bad = int(np.flatnonzero(~ok)[0])
         self.check_trial(bad)
         raise AssertionError(  # pragma: no cover - checker always raises
-            f"vectorized crash screen flagged trial {bad} but "
+            f"vectorized spec screen flagged trial {bad} but "
             "check_renaming passed"
         )
 
@@ -382,57 +255,31 @@ def run_stacked_cell(
     max_rounds: Optional[int] = None,
     monitor: str = "off",
     adversaries: Optional[Sequence] = None,
-):
+) -> StackedCellRun:
     """Execute ``len(seeds)`` trials of one cell as one stacked pass.
 
-    Without ``adversaries`` (or with every entry None/:class:`NoFailures`)
-    this is the failure-free stack returning :class:`StackedCellRun`.
-    With any crashing adversary it builds the crash engine instead and
-    returns :class:`StackedCrashCellRun`; entry ``t`` of ``adversaries``
-    is the already-built instance driving trial ``t`` (the caller owns
-    seed-faithful construction, exactly like the scalar kernels).
+    Entry ``t`` of ``adversaries`` is the already-built instance driving
+    trial ``t`` (the caller owns seed-faithful construction, exactly
+    like the scalar kernels); None or :class:`NoFailures` entries, or no
+    ``adversaries`` at all, run failure-free.  ``monitor="cheap"``
+    attaches the stacked invariant monitor, which also stops a trial
+    whose state has frozen (see :meth:`StackedCellRun.error`).
     """
+    from repro.core.vectorized import VectorizedCrashEngine
+
     n = len(ids)
     if crash_budget is not None and not 0 <= crash_budget < n:
         raise ConfigurationError(
             f"crash budget must satisfy 0 <= t < n; got t={crash_budget}, n={n}"
         )
     limit = max_rounds if max_rounds is not None else default_round_limit(n, crash_budget)
-    crashy = adversaries is not None and any(
-        adv is not None and type(adv) is not NoFailures for adv in adversaries
-    )
-    if crashy:
-        from repro.core.vectorized import VectorizedCrashEngine
-
-        if monitor != "off":
-            raise ConfigurationError(
-                "stacked crash cells run unmonitored; per-trial kernels "
-                "cover monitored crash runs"
-            )
-        budget = crash_budget if crash_budget is not None else n - 1
-        engine = VectorizedCrashEngine(
-            ids,
-            list(seeds),
-            policy=policy,
-            halt_on_name=halt_on_name,
-            adversaries=list(adversaries),
-            crash_budget=budget,
-            max_rounds=limit,
-        )
-        # Telemetry: "movement" on the stacked path is the whole array
-        # program, inclusive of the nested "twist" passes the stream
-        # bank runs on demand (seeding was attributed at construction).
-        timer_started = TIMERS.start()
-        engine.run()
-        TIMERS.stop("movement", timer_started)
-        return StackedCrashCellRun(engine, seeds)
-    from repro.core.vectorized import VectorizedCellEngine
-
-    engine = VectorizedCellEngine(
+    engine = VectorizedCrashEngine(
         ids,
         list(seeds),
         policy=policy,
         halt_on_name=halt_on_name,
+        adversaries=None if adversaries is None else list(adversaries),
+        crash_budget=crash_budget if crash_budget is not None else n - 1,
         max_rounds=limit,
     )
     observer = None
@@ -440,6 +287,9 @@ def run_stacked_cell(
         from repro.monitor.invariants import StackedMonitor
 
         observer = StackedMonitor(engine)
+    # Telemetry: "movement" on the stacked path is the whole array
+    # program, inclusive of the nested "twist" passes the stream bank
+    # runs on demand (seeding was attributed at construction).
     timer_started = TIMERS.start()
     engine.run(observer=_timed_monitor(observer))
     TIMERS.stop("movement", timer_started)
@@ -472,16 +322,9 @@ class VectorizedKernel(SimulationKernel):
                 "based; its broadcasts are not position announcements over "
                 "a shared view"
             )
-        adversary = request.adversary
-        failure = certification_failure(adversary, supported=("crash",))
+        failure = certification_failure(request.adversary, supported=("crash",))
         if failure is not None:
             return failure
-        crashy = adversary is not None and type(adversary) is not NoFailures
-        if crashy and request.monitor != "off":
-            return (
-                "monitors observe per-trial crash engines; stacked crash "
-                "cells run unmonitored"
-            )
         if request.trace is not None and request.trace_mode != "cheap":
             return (
                 "full trace recording observes the reference engine's "
@@ -520,8 +363,6 @@ class VectorizedKernel(SimulationKernel):
                 f"crash budget must satisfy 0 <= t < n; "
                 f"got t={request.crash_budget}, n={n}"
             )
-        adversary = request.adversary
-        crashy = adversary is not None and type(adversary) is not NoFailures
         cell = run_stacked_cell(
             request.ids,
             [request.seed],
@@ -530,12 +371,11 @@ class VectorizedKernel(SimulationKernel):
             crash_budget=request.crash_budget,
             max_rounds=request.max_rounds,
             monitor=request.monitor,
-            adversaries=[adversary] if crashy else None,
+            adversaries=[request.adversary],
         )
-        if crashy and bool(cell.overrun[0]):
-            raise RoundLimitExceeded(
-                request.max_rounds, int(cell.running_at_limit[0])
-            )
+        error = cell.error(0)
+        if error is not None:
+            raise error
         if request.trace is not None:
             cell.trace(0, sink=request.trace)
         return KernelRun(

@@ -85,24 +85,3 @@ class TestCrashMinStreams:
         with pytest.raises(ConfigurationError):
             config.crash_min_streams()
 
-
-class TestSha256Lanes:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHA256_LANES", raising=False)
-        assert config.sha256_lanes() == "auto"
-
-    @pytest.mark.parametrize("raw", ["1", "on", "force", "ON", "Force"])
-    def test_on_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SHA256_LANES", raw)
-        assert config.sha256_lanes() == "on"
-
-    @pytest.mark.parametrize("raw", ["0", "off", "OFF"])
-    def test_off_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SHA256_LANES", raw)
-        assert config.sha256_lanes() == "off"
-
-    def test_unrecognized_falls_back_to_auto(self, monkeypatch):
-        # A typo can only cost speed, never correctness.
-        monkeypatch.setenv("REPRO_SHA256_LANES", "turbo")
-        assert config.sha256_lanes() == "auto"
-        assert config.sha256_lanes() in config.SHA256_LANE_MODES

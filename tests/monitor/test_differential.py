@@ -77,12 +77,43 @@ class TestDifferentialGrid:
         assert _report(reference) == _report(columnar)
         assert _report(reference) == []  # the protocol holds
         assert _outcome(reference) == _outcome(columnar)
-        if HAVE_NUMPY and adversary_name == "none":
+        if HAVE_NUMPY:
             vectorized = _monitored(
-                algorithm, n, seed, "vectorized", None, halt_on_name
+                algorithm, n, seed, "vectorized", build(), halt_on_name
             )
             assert _report(vectorized) == _report(reference)
             assert _outcome(vectorized) == _outcome(reference)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="stacked cells need numpy")
+    @pytest.mark.parametrize("adversary", ["random:rate=0.15", "sandwich"])
+    @pytest.mark.parametrize("halt_on_name", [False, True])
+    def test_monitored_stacked_crash_cell_matches_per_trial_kernels(
+        self, monkeypatch, adversary, halt_on_name
+    ):
+        from dataclasses import replace
+
+        from repro.sim.batch import AdversarySpec, TrialSpec, run_batch, run_trial
+
+        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
+        specs = [
+            TrialSpec(
+                algorithm="balls-into-leaves",
+                n=16,
+                seed=seed,
+                adversary=AdversarySpec.parse(adversary),
+                halt_on_name=halt_on_name,
+                monitor="cheap",
+            )
+            for seed in range(4)
+        ]
+        stacked = run_batch(specs).trials
+        assert {trial.kernel for trial in stacked} == {"vectorized"}
+        for kernel in ("columnar", "reference"):
+            per_trial = [run_trial(replace(spec, kernel=kernel)) for spec in specs]
+            for want, got in zip(per_trial, stacked):
+                row, expected = got.to_row(), want.to_row()
+                del row["kernel"], expected["kernel"]
+                assert row == expected
 
     @pytest.mark.parametrize("kernel", ["reference", "columnar"])
     def test_monitoring_does_not_change_the_run(self, kernel):

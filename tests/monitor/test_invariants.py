@@ -3,7 +3,8 @@
 Every predicate of :mod:`repro.monitor.invariants` is exercised directly
 on synthetic flat-array states — one test per invariant, plus the
 progress/deadlock fingerprint machinery and the vectorized
-:class:`StackedMonitor`'s parity with the scalar ``evaluate_round``.
+:class:`StackedMonitor`'s parity with the scalar ``evaluate_round``,
+including a stacked trial split into two view classes.
 """
 
 from __future__ import annotations
@@ -258,13 +259,48 @@ class TestStackedMonitorParity:
     """The vectorized screens produce the scalar monitors' verdicts."""
 
     def _engine(self, n=8, trials=4, halt_on_name=False):
-        from repro.core.vectorized import VectorizedCellEngine
+        from repro.core.vectorized import VectorizedCrashEngine
         from repro.sim.rng import derive_seed
 
         seeds = [derive_seed(11, "stacked", i) for i in range(trials)]
-        return VectorizedCellEngine(
+        return VectorizedCrashEngine(
             list(range(n)), seeds, halt_on_name=halt_on_name
         )
+
+    def _observe(self, engine, round_no):
+        import numpy as np
+
+        from repro.monitor.invariants import StackedMonitor
+
+        monitor = StackedMonitor(engine)
+        monitor(engine, round_no, np.ones(engine.trials, dtype=bool))
+        return monitor
+
+    @staticmethod
+    def _row(engine, t):
+        """Trial ``t``'s class row (one per trial, failure-free)."""
+        import numpy as np
+
+        (row,) = np.flatnonzero(engine._ctrial == t)
+        return int(row)
+
+    @staticmethod
+    def _split(engine, t, balls):
+        """Forge a second class for trial ``t``: ``balls`` move onto a copy
+        of its row.  Returns the new row index."""
+        import numpy as np
+
+        row = TestStackedMonitorParity._row(engine, t)
+        new = engine._crows
+        for name in ("_cpos", "_cstat", "_ccount"):
+            matrix = getattr(engine, name)
+            setattr(engine, name, np.vstack([matrix, matrix[row : row + 1]]))
+        for name in ("_cpresent", "_cleaf", "_ctrial"):
+            column = getattr(engine, name)
+            setattr(engine, name, np.append(column, column[row]))
+        engine._crows += 1
+        engine.cls_of[[t * engine.n + j for j in balls]] = new
+        return new
 
     def test_clean_runs_report_nothing(self):
         from repro.monitor.invariants import StackedMonitor
@@ -277,18 +313,13 @@ class TestStackedMonitorParity:
             assert monitor.violations(t) == []
 
     def test_duplicate_decision_flags_only_the_corrupt_trial(self):
-        import numpy as np
-
-        from repro.monitor.invariants import StackedMonitor
-
         engine = self._engine()
         engine.run()
         n, corrupt = engine.n, 2
         base = corrupt * n
         # Forge a duplicate decided name inside one trial.
         engine.decision[base + 1] = engine.decision[base + 0]
-        monitor = StackedMonitor(engine)
-        monitor(engine, 9, np.zeros(0, dtype=np.int64))
+        monitor = self._observe(engine, 9)
         for t in range(engine.trials):
             found = monitor.violations(t)
             if t != corrupt:
@@ -309,35 +340,75 @@ class TestStackedMonitorParity:
         assert [v.render() for v in found] == [v.render() for v in scalar]
 
     def test_out_of_range_decision_flags_namespace(self):
-        import numpy as np
-
-        from repro.monitor.invariants import StackedMonitor
-
         engine = self._engine()
         engine.run()
         engine.decision[0] = engine.n + 3
-        monitor = StackedMonitor(engine)
-        monitor(engine, 9, np.zeros(0, dtype=np.int64))
+        monitor = self._observe(engine, 9)
         found = monitor.violations(0)
         assert [v.invariant for v in found] == ["namespace"]
 
     def test_over_capacity_leaf_flags_the_trial(self):
         import numpy as np
 
-        from repro.monitor.invariants import StackedMonitor
-
         engine = self._engine()
         engine.run(stop_after=2)
-        n = engine.n
         # Teleport two balls of trial 1 onto the same leaf.
         leaf = int(np.flatnonzero(engine._topo.is_leaf)[0])
-        engine.pos[n + 0] = leaf
-        engine.pos[n + 1] = leaf
-        monitor = StackedMonitor(engine)
-        monitor(engine, 3, np.zeros(0, dtype=np.int64))
+        row = self._row(engine, 1)
+        engine._cpos[row, 0] = leaf
+        engine._cpos[row, 1] = leaf
+        monitor = self._observe(engine, 3)
         found = monitor.violations(1)
         assert "leaf-capacity" in [v.invariant for v in found]
         assert monitor.violations(0) == []
+
+    def test_two_class_trial_attributes_the_breaking_row(self):
+        import numpy as np
+
+        engine = self._engine(halt_on_name=True)
+        engine.run(stop_after=2)
+        n, t = engine.n, 2
+        # Trial 2 splits into two classes; only the second one's view
+        # breaks leaf capacity and parks an announced ball off its leaf.
+        forged = self._split(engine, t, balls=range(n // 2, n))
+        leaf = int(np.flatnonzero(engine._topo.is_leaf)[-1])
+        inner = int(np.flatnonzero(~engine._topo.is_leaf)[0])
+        engine._cpos[forged, 0] = leaf
+        engine._cpos[forged, 1] = leaf
+        engine._cpos[forged, 5] = inner
+        engine._cstat[forged, 5] = ANNOUNCED
+        monitor = self._observe(engine, 3)
+        for other in range(engine.trials):
+            if other != t:
+                assert monitor.violations(other) == []
+        found = monitor.violations(t)
+        assert sorted(v.invariant for v in found) == [
+            "leaf-capacity",
+            "retention",
+        ]
+        (retention,) = [v for v in found if v.invariant == "retention"]
+        assert retention.ball == 5 and retention.node == inner
+        (capacity,) = [v for v in found if v.invariant == "leaf-capacity"]
+        assert capacity.node == leaf
+        # String-identical to the scalar monitor over both class views.
+        rows = [self._row_of(engine, t, 0), forged]
+        scalar = evaluate_round(
+            3,
+            cached_topology(n).arrays(),
+            engine.labels,
+            views=[
+                (engine._cpos[r].tolist(), engine._cstat[r].tobytes())
+                for r in rows
+            ],
+            decisions=[None] * n,
+            crashed=[False] * n,
+            crash_rounds={},
+        )
+        assert [v.render() for v in found] == [v.render() for v in scalar]
+
+    @staticmethod
+    def _row_of(engine, t, j):
+        return int(engine.cls_of[t * engine.n + j])
 
     def test_frozen_trial_reports_progress_stall(self):
         import numpy as np
@@ -346,13 +417,13 @@ class TestStackedMonitorParity:
 
         engine = self._engine(trials=2)
         engine.run(stop_after=2)
-        # Wedge both trials by pretending balls still run while the
-        # state never changes again: feed the monitor the same state.
-        engine.running[:] = 1
+        # Wedge both trials: feed the monitor the same running state.
         monitor = StackedMonitor(engine)
+        active = np.ones(engine.trials, dtype=bool)
         for round_no in range(3, 3 + STALL_WINDOW + 1):
-            monitor(engine, round_no, np.zeros(0, dtype=np.int64))
+            monitor(engine, round_no, active)
         assert monitor.deadlocked
+        assert engine.stopped.all()
         for t in range(engine.trials):
             stalls = [
                 v for v in monitor.violations(t) if v.invariant == "progress"

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.columnar import ColumnarBallsEngine, ColumnarCrashEngine
+from repro.core.columnar import ColumnarCrashEngine
+from repro.core.lifecycle import BallStatus
+from repro.core.mt19937 import HAVE_NUMPY
 from repro.adversary import RandomCrashAdversary
 from repro.errors import MonitorViolation
 from repro.ids import sparse_ids
 from repro.monitor.invariants import (
     STALL_WINDOW,
     RunMonitor,
-    observe_balls_engine,
     observe_crash_engine,
 )
-from repro.sim.batch import AdversarySpec, TrialSpec, run_trial
+from repro.sim.batch import AdversarySpec, TrialSpec, run_cell, run_trial
 from repro.sim.runner import run_renaming
 from repro.tree.topology import cached_topology
 
@@ -31,11 +32,18 @@ N = 16
 
 
 def fresh_engine(halt_on_name=False, seed=3):
+    """A failure-free run: the crash engine with no adversary."""
     ids = sparse_ids(N)
-    engine = ColumnarBallsEngine(
+    engine = ColumnarCrashEngine(
         ids, seed=seed, policy="random", halt_on_name=halt_on_name
     )
     return ids, engine
+
+
+def shared_view(engine):
+    """The single class view every running ball of a failure-free run shares."""
+    (view,) = {id(cv): cv for cv in engine._class_of}.values()
+    return view
 
 
 def fresh_monitor(ids, halt_on_name=False):
@@ -65,7 +73,7 @@ class TestSeededColumnarMutations:
         last = run_to_completion(engine)
         engine.decision[4] = engine.decision[2]
         monitor = fresh_monitor(ids)
-        observe_balls_engine(monitor, engine, last)
+        observe_crash_engine(monitor, engine, last)
         assert [v.invariant for v in monitor.violations] == ["uniqueness"]
         violation = monitor.violations[0]
         assert violation.round_no == last and violation.ball == 4
@@ -78,7 +86,7 @@ class TestSeededColumnarMutations:
         last = run_to_completion(engine)
         engine.decision[0] = N + 7
         monitor = fresh_monitor(ids)
-        observe_balls_engine(monitor, engine, last)
+        observe_crash_engine(monitor, engine, last)
         assert [v.invariant for v in monitor.violations] == ["namespace"]
         assert monitor.violations[0].ball == 0
         assert f"outside 0..{N - 1}" in monitor.violations[0].detail
@@ -88,10 +96,11 @@ class TestSeededColumnarMutations:
         engine.step(1)
         engine.step(2)
         leaves, _ = leaf_and_inner()
-        engine.pos[0] = leaves[0]
-        engine.pos[1] = leaves[0]
+        view = shared_view(engine)
+        view.pos[0] = leaves[0]
+        view.pos[1] = leaves[0]
         monitor = fresh_monitor(ids)
-        observe_balls_engine(monitor, engine, 2)
+        observe_crash_engine(monitor, engine, 2)
         found = [v for v in monitor.violations if v.invariant == "leaf-capacity"]
         assert len(found) == 1
         assert found[0].node == leaves[0] and found[0].round_no == 2
@@ -104,10 +113,11 @@ class TestSeededColumnarMutations:
         engine.step(1)
         engine.step(2)
         _, inner = leaf_and_inner()
-        engine.halted[3] = True
-        engine.pos[3] = inner[0]
+        view = shared_view(engine)
+        view.status[3] = int(BallStatus.ANNOUNCED)
+        view.pos[3] = inner[0]
         monitor = fresh_monitor(ids, halt_on_name=True)
-        observe_balls_engine(monitor, engine, 2)
+        observe_crash_engine(monitor, engine, 2)
         found = [v for v in monitor.violations if v.invariant == "retention"]
         assert len(found) == 1
         assert found[0].ball == 3 and found[0].node == inner[0]
@@ -147,73 +157,124 @@ class TestSeededColumnarMutations:
         # with balls still running — the monitor must call the deadlock
         # instead of spinning to the round limit.
         for round_no in range(2, 2 + STALL_WINDOW + 2):
-            observe_balls_engine(monitor, engine, round_no)
+            observe_crash_engine(monitor, engine, round_no)
         assert monitor.deadlocked
         stalls = [v for v in monitor.violations if v.invariant == "progress"]
         assert len(stalls) == 1
         assert f"no state change for {STALL_WINDOW} rounds" in stalls[0].detail
 
 
-class _WedgedBallsEngine(ColumnarBallsEngine):
-    """A columnar engine whose balls stop moving after ``WEDGE_ROUND``."""
+WEDGE_ROUND = 2
 
-    WEDGE_ROUND = 2
 
-    def step(self, round_no):
-        if round_no > self.WEDGE_ROUND:
-            return
-        super().step(round_no)
+def _wedged(engine_class):
+    """``engine_class`` whose balls stop moving after ``WEDGE_ROUND``."""
+
+    class Wedged(engine_class):
+        def step(self, round_no):
+            if round_no > WEDGE_ROUND:
+                return
+            super().step(round_no)
+
+    return Wedged
+
+
+#: kernel -> the engine class it drives, as a monkeypatch target.
+ENGINES = {
+    "columnar": "repro.core.columnar.ColumnarCrashEngine",
+    "vectorized": "repro.core.vectorized.VectorizedCrashEngine",
+}
+KERNELS = [
+    "columnar",
+    pytest.param(
+        "vectorized",
+        marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
+    ),
+]
 
 
 class TestEndToEndAbort:
-    """Corruption surfaces through the full runner/batch stack."""
+    """Corruption surfaces through the full runner/batch stack, per-trial
+    and stacked alike."""
 
-    def _wedge(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.columnar.ColumnarBallsEngine", _WedgedBallsEngine
+    def _wedge(self, monkeypatch, kernel):
+        import importlib
+
+        module, _, name = ENGINES[kernel].rpartition(".")
+        engine_class = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(ENGINES[kernel], _wedged(engine_class))
+
+    def _spec(self, kernel, seed=3, **kwargs):
+        return TrialSpec(
+            algorithm="balls-into-leaves",
+            n=N,
+            seed=seed,
+            adversary=AdversarySpec(),
+            kernel=kernel,
+            monitor="cheap",
+            **kwargs,
         )
 
-    def test_wedged_run_raises_monitor_violation(self, monkeypatch):
-        self._wedge(monkeypatch)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_wedged_run_raises_monitor_violation(self, monkeypatch, kernel):
+        self._wedge(monkeypatch, kernel)
         with pytest.raises(MonitorViolation) as caught:
             run_renaming(
                 "balls-into-leaves",
                 sparse_ids(N),
                 seed=3,
-                kernel="columnar",
+                kernel=kernel,
                 monitor="cheap",
             )
         assert any(
             v.invariant == "progress" for v in caught.value.violations
         )
         assert "[progress]" in str(caught.value)
+        assert f"round {WEDGE_ROUND + STALL_WINDOW} [progress]" in str(
+            caught.value
+        )
 
-    def test_unmonitored_wedged_run_spins_to_the_round_limit(self, monkeypatch):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_unmonitored_wedged_run_spins_to_the_round_limit(
+        self, monkeypatch, kernel
+    ):
         # Without the monitor the same wedge burns the whole round
         # budget — the "silent spin" the progress monitor exists to end.
         from repro.errors import RoundLimitExceeded
 
-        self._wedge(monkeypatch)
+        self._wedge(monkeypatch, kernel)
         with pytest.raises(RoundLimitExceeded):
             run_renaming(
-                "balls-into-leaves", sparse_ids(N), seed=3, kernel="columnar"
+                "balls-into-leaves", sparse_ids(N), seed=3, kernel=kernel
             )
 
-    def test_batch_captures_violations_as_data(self, monkeypatch):
-        self._wedge(monkeypatch)
-        spec = TrialSpec(
-            algorithm="balls-into-leaves",
-            n=N,
-            seed=3,
-            adversary=AdversarySpec(),
-            kernel="columnar",
-            capture_errors=True,
-            monitor="cheap",
-        )
-        result = run_trial(spec)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_batch_captures_violations_as_data(self, monkeypatch, kernel):
+        self._wedge(monkeypatch, kernel)
+        result = run_trial(self._spec(kernel, capture_errors=True))
         assert result.error is not None
+        assert result.error.startswith("MonitorViolation: ")
         assert result.monitor == "cheap"
         assert any("[progress]" in line for line in result.violations)
         row = result.to_row()
         assert row["monitor"] == "cheap"
         assert row["violations"] == list(result.violations)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+    def test_stalled_stacked_trial_aborts_like_a_per_trial_one(
+        self, monkeypatch
+    ):
+        # A wedged stack stops each stalled trial at the stall window and
+        # surfaces the per-trial MonitorViolation: raised without
+        # capture_errors, else as run_trial's exact error row.
+        self._wedge(monkeypatch, "vectorized")
+        specs = [
+            self._spec("vectorized", seed=seed, capture_errors=True)
+            for seed in (3, 4, 5)
+        ]
+        stacked = [result.to_row() for result in run_cell(specs)]
+        assert stacked == [run_trial(spec).to_row() for spec in specs]
+        assert all(row["error"].startswith("MonitorViolation") for row in stacked)
+        with pytest.raises(MonitorViolation) as caught:
+            run_cell([self._spec("vectorized", seed=seed) for seed in (3, 4)])
+        assert "[progress]" in str(caught.value)

@@ -137,6 +137,134 @@ class TestDeterminism:
         assert rows_json(serial) == rows_json(pooled)
 
 
+class TestCheckpointShape:
+    """Checkpoints capture one shared, crash-free view on both engines."""
+
+    @staticmethod
+    def _split_schedule(n):
+        from repro.search.schedule import CrashEvent, Schedule
+
+        # Ball 3 crashes mid-broadcast in round 2, reaching only balls
+        # 0 and 1: the survivors split into two view classes.
+        return Schedule.of(n, [CrashEvent(2, 3, (0, 1))]).spec()
+
+    def test_columnar_split_run_refuses_to_export(self):
+        from repro.core.columnar import ColumnarCrashEngine
+        from repro.ids import sparse_ids
+
+        n = 12
+        ids = sparse_ids(n)
+        engine = ColumnarCrashEngine(
+            ids, seed=5, adversary=self._split_schedule(n).build(5),
+            crash_budget=n - 1,
+        )
+        for round_no in (1, 2):
+            engine.step(round_no)
+        assert len(engine._live) == 2
+        with pytest.raises(ConfigurationError, match="2 live view class"):
+            engine.export_state()
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs the vectorized engine")
+    def test_vectorized_split_trial_refuses_to_export(self):
+        from repro.core.vectorized import VectorizedCrashEngine
+        from repro.ids import sparse_ids
+
+        n = 12
+        spec = self._split_schedule(n)
+        engine = VectorizedCrashEngine(
+            sparse_ids(n), [5, 6],
+            adversaries=[spec.build(5), None], crash_budget=n - 1,
+        )
+        engine.run(stop_after=2)
+        with pytest.raises(ConfigurationError, match="holds 2 view class"):
+            engine.export_trial_state(0)
+        # The failure-free stack-mate still checkpoints.
+        assert engine.export_trial_state(1)["running"] == n
+
+
+#: (policy, halt_on_name) pairs the checkpoint interchange must carry.
+CHECKPOINT_VARIANTS = [
+    ("random", False),
+    ("random", True),
+    ("hybrid", False),
+    ("rank", False),
+    ("leftmost", False),
+]
+
+
+def _columnar_to(ids, seed, policy, halt_on_name, stop_round, state=None,
+                 start_round=0):
+    """A columnar run advanced to ``stop_round`` (or completion), driven
+    like the estimator's worker loop."""
+    from repro.core.columnar import ColumnarCrashEngine
+
+    engine = ColumnarCrashEngine(
+        ids, seed=seed, policy=policy, halt_on_name=halt_on_name
+    )
+    round_no = 0
+    if state is not None:
+        engine.restore_state(state, start_round)
+        round_no = start_round
+    while engine.running_count and (stop_round is None or round_no < stop_round):
+        round_no += 1
+        engine.step(round_no)
+    return engine, round_no
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs both fast engines")
+class TestCheckpointInterchange:
+    """Both crash engines emit and accept the same failure-free checkpoint."""
+
+    N = 16
+
+    @pytest.mark.parametrize("stop_round", [1, 2])
+    @pytest.mark.parametrize("policy,halt_on_name", CHECKPOINT_VARIANTS)
+    def test_engines_export_identical_checkpoints(
+        self, policy, halt_on_name, stop_round
+    ):
+        from repro.core.vectorized import VectorizedCrashEngine
+        from repro.ids import sparse_ids
+
+        ids = sparse_ids(self.N)
+        columnar, _ = _columnar_to(ids, 21, policy, halt_on_name, stop_round)
+        vectorized = VectorizedCrashEngine(
+            ids, [21], policy=policy, halt_on_name=halt_on_name
+        )
+        vectorized.run(stop_after=stop_round)
+        assert columnar.running_count > 0
+        assert columnar.export_state() == vectorized.export_trial_state(0)
+
+    @pytest.mark.parametrize("policy,halt_on_name", CHECKPOINT_VARIANTS)
+    def test_restored_checkpoint_finishes_identically_on_both_engines(
+        self, policy, halt_on_name
+    ):
+        from repro.core.vectorized import VectorizedCrashEngine
+        from repro.ids import sparse_ids
+
+        ids = sparse_ids(self.N)
+        source, _ = _columnar_to(ids, 8, policy, halt_on_name, 2)
+        state = source.export_state()
+        # A clone resumes under a fresh seed on each engine.
+        columnar, rounds = _columnar_to(
+            ids, 99, policy, halt_on_name, None, state=state, start_round=2
+        )
+        vectorized = VectorizedCrashEngine(
+            ids, [99], policy=policy, halt_on_name=halt_on_name
+        )
+        vectorized.inject_trial_states([state], 2)
+        vectorized.run()
+        assert columnar.running_count == 0
+        assert int(vectorized.running[0]) == 0
+        assert int(vectorized.rounds[0]) == rounds > 2
+        assert [-1 if d is None else d for d in columnar.decision] == (
+            vectorized.decision.tolist()
+        )
+        assert [-1 if r is None else r for r in columnar.round_named] == (
+            vectorized.round_named.tolist()
+        )
+        assert sorted(columnar.decision) == list(range(self.N))
+
+
 class TestEstimates:
     def test_stage_zero_is_direct_monte_carlo(self):
         config = TailConfig(seed=1, n=16, trials=64, levels=(5,))
@@ -169,13 +297,13 @@ class TestEstimates:
             pytest.skip("direct MC sweep needs the vectorized engine")
         import numpy as np
 
-        from repro.core.vectorized import VectorizedCellEngine
+        from repro.core.vectorized import VectorizedCrashEngine
         from repro.sim.rng import derive_seed
 
         n, level = 16, 7
         # Direct MC: P(rounds > 7) over 4000 independent trials.
         seeds = [derive_seed(2, "p", n, i) for i in range(4000)]
-        engine = VectorizedCellEngine(list(range(n)), seeds)
+        engine = VectorizedCrashEngine(list(range(n)), seeds)
         engine.run()
         mc = float(np.mean(np.asarray(engine.rounds) > level))
         assert mc > 0  # the event is measurable directly at this n

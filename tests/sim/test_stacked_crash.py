@@ -30,8 +30,8 @@ from repro.sim.batch import (
     TrialSpec,
     plan_tasks,
     run_batch,
+    run_cell,
     run_trial,
-    _run_crash_cell,
 )
 from repro.sim.runner import run_renaming
 from repro.sim.vectorized import run_stacked_cell, vectorized_available
@@ -84,8 +84,7 @@ def _crash_specs(algorithm, n, seeds, adversary, *, halt_on_name=False):
 def assert_stack_matches_per_trial(specs):
     """The stacked cell's rows == the per-trial columnar/auto rows."""
     per_trial = [run_trial(spec) for spec in specs]
-    adversaries = [spec.adversary.build(spec.seed) for spec in specs]
-    stacked = _run_crash_cell(specs, adversaries)
+    stacked = run_cell(specs)
     assert len(stacked) == len(per_trial)
     for want, got in zip(per_trial, stacked):
         for field in COMPARED_FIELDS:
@@ -114,8 +113,7 @@ class TestStackedCrashDifferential:
         seeds = [4301463716303469878 + k for k in range(4)]
         specs = _crash_specs("balls-into-leaves", 16, seeds, mined)
         assert_stack_matches_per_trial(specs)
-        adversaries = [spec.adversary.build(spec.seed) for spec in specs]
-        rows = _run_crash_cell(specs, adversaries)
+        rows = run_cell(specs)
         assert rows[0].rounds == 9
 
     def test_partial_receiver_schedules_bit_identical(self):
@@ -188,13 +186,13 @@ class TestStackedCrashDifferential:
             except RoundLimitExceeded as error:
                 expected.append(("overrun", str(error)))
         got = [
-            ("overrun", str(RoundLimitExceeded(cell.limit, int(cell.running_at_limit[t]))))
-            if bool(cell.overrun[t])
+            ("overrun", str(cell.error(t)))
+            if cell.error(t) is not None
             else ("done", int(cell.rounds[t]))
             for t in range(cell.trials)
         ]
         assert got == expected
-        assert any(flag for flag, _ in [(o, None) for o in cell.overrun.tolist()])
+        assert any(flag == "overrun" for flag, _ in got)
 
 
 @needs_numpy
