@@ -15,7 +15,14 @@ Quickstart::
     print(run.rounds, run.names)
 
 See README.md and EXPERIMENTS.md for the full tour.
+
+The simulation, adversary, core and tree names below resolve on first
+access (a PEP 562 module ``__getattr__``), so ``import repro`` — which
+every ``python -m repro`` verb pays — loads no engine.
 """
+
+import importlib
+from typing import Any, Dict, List
 
 from repro._version import __version__
 from repro.errors import (
@@ -32,29 +39,37 @@ from repro.errors import (
     UnknownBallError,
 )
 from repro.ids import Name, ProcessId, sparse_ids, string_ids
-from repro.sim import (
-    ALGORITHMS,
-    KERNEL_CHOICES,
-    RenamingRun,
-    RenamingSpec,
-    Simulation,
-    check_renaming,
-    derive_rng,
-    run_renaming,
-    select_kernel,
-)
-from repro.adversary import (
-    Adversary,
-    HalfSplitAdversary,
-    NoFailures,
-    RandomCrashAdversary,
-    SandwichAdversary,
-    ScheduledAdversary,
-    ScheduledCrash,
-    TargetedPriorityAdversary,
-)
-from repro.core import BallsIntoLeavesConfig, BallProcess, build_balls_into_leaves
-from repro.tree import LocalTreeView, Topology, render_view
+
+#: Public name -> the module that defines it.
+_LAZY: Dict[str, str] = {
+    # sim / runner
+    "ALGORITHMS": "repro.sim.runner",
+    "Simulation": "repro.sim.simulator",
+    "RenamingRun": "repro.sim.runner",
+    "RenamingSpec": "repro.sim.checker",
+    "check_renaming": "repro.sim.checker",
+    "run_renaming": "repro.sim.runner",
+    "derive_rng": "repro.sim.rng",
+    "KERNEL_CHOICES": "repro.sim.kernel",
+    "select_kernel": "repro.sim.kernel",
+    # adversaries
+    "Adversary": "repro.adversary.base",
+    "NoFailures": "repro.adversary.none",
+    "RandomCrashAdversary": "repro.adversary.random_crash",
+    "ScheduledAdversary": "repro.adversary.scheduled",
+    "ScheduledCrash": "repro.adversary.scheduled",
+    "TargetedPriorityAdversary": "repro.adversary.targeted",
+    "SandwichAdversary": "repro.adversary.sandwich",
+    "HalfSplitAdversary": "repro.adversary.splitter",
+    # core
+    "BallsIntoLeavesConfig": "repro.core.config",
+    "BallProcess": "repro.core.balls_into_leaves",
+    "build_balls_into_leaves": "repro.core.balls_into_leaves",
+    # tree
+    "Topology": "repro.tree.topology",
+    "LocalTreeView": "repro.tree.local_view",
+    "render_view": "repro.tree.render",
+}
 
 __all__ = [
     "__version__",
@@ -75,31 +90,19 @@ __all__ = [
     "Name",
     "sparse_ids",
     "string_ids",
-    # sim / runner
-    "ALGORITHMS",
-    "Simulation",
-    "RenamingRun",
-    "RenamingSpec",
-    "check_renaming",
-    "run_renaming",
-    "derive_rng",
-    "KERNEL_CHOICES",
-    "select_kernel",
-    # adversaries
-    "Adversary",
-    "NoFailures",
-    "RandomCrashAdversary",
-    "ScheduledAdversary",
-    "ScheduledCrash",
-    "TargetedPriorityAdversary",
-    "SandwichAdversary",
-    "HalfSplitAdversary",
-    # core
-    "BallsIntoLeavesConfig",
-    "BallProcess",
-    "build_balls_into_leaves",
-    # tree
-    "Topology",
-    "LocalTreeView",
-    "render_view",
+    *_LAZY,
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's defining module on first access."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_LAZY})

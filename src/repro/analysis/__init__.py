@@ -7,30 +7,3 @@ facts used throughout the paper's proofs (with exact binomial checks),
 distributions, and :mod:`tables`/:mod:`ascii_plot` render the tables and
 figures EXPERIMENTS.md records.
 """
-
-from repro.analysis.concentration import (
-    binomial_deviation_probability,
-    binomial_pmf,
-    chernoff_deviation_bound,
-    lemma4_bound,
-    lemma6_phase_budget,
-)
-from repro.analysis.fitting import FitResult, fit_growth_models, best_model
-from repro.analysis.stats import TrialStats, summarize
-from repro.analysis.tables import Table
-from repro.analysis.ascii_plot import line_plot
-
-__all__ = [
-    "binomial_pmf",
-    "binomial_deviation_probability",
-    "chernoff_deviation_bound",
-    "lemma4_bound",
-    "lemma6_phase_budget",
-    "FitResult",
-    "fit_growth_models",
-    "best_model",
-    "TrialStats",
-    "summarize",
-    "Table",
-    "line_plot",
-]

@@ -26,16 +26,17 @@ from typing import Iterable, List, Optional
 from repro._version import __version__
 from repro.config import set_vec_threads
 from repro.errors import ReproError
-from repro.experiments.registry import all_experiments, run_experiment
 from repro.ids import sparse_ids
-from repro.search.objectives import OBJECTIVES
-from repro.search.strategies import FAULT_FAMILY_CHOICES, STRATEGIES
-from repro.sim.batch import EXECUTORS, ScenarioMatrix, run_batch
-from repro.sim.kernel import KERNEL_CHOICES
-from repro.sim.runner import ALGORITHMS, run_renaming
+
+# Each verb imports what it runs, and the parser takes its choices from
+# the modules that own them, none of which loads NumPy: `--version`,
+# `list`, `lint`, `stats` and `explore` never pay for an array engine.
 
 
 def _add_executor_options(parser: argparse.ArgumentParser) -> None:
+    from repro.sim.batch import EXECUTORS
+    from repro.sim.kernel import KERNEL_CHOICES
+
     parser.add_argument(
         "--executor",
         default=None,
@@ -70,7 +71,7 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_monitor_option(parser: argparse.ArgumentParser) -> None:
-    from repro.monitor.invariants import MONITOR_MODES
+    from repro.sim.kernel import MONITOR_MODES
 
     parser.add_argument(
         "--monitor",
@@ -109,6 +110,11 @@ def _add_telemetry_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.search.objectives import OBJECTIVES
+    from repro.search.strategies import FAULT_FAMILY_CHOICES, STRATEGIES
+    from repro.sim.kernel import KERNEL_CHOICES
+    from repro.sim.runner import ALGORITHMS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Balls-into-Leaves (PODC 2014) reproduction toolkit",
@@ -437,6 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
+    from repro.experiments.registry import all_experiments
+
     for entry in all_experiments():
         print(f"{entry.experiment_id:<10} {entry.title}")
     return 0
@@ -491,6 +499,8 @@ def _emit(report: str, out: Optional[str], jsonl_rows=None) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import run_experiment
+
     result = run_experiment(
         args.experiment_id,
         scale=args.scale,
@@ -504,6 +514,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import all_experiments, run_experiment
+
     results = []
     for entry in all_experiments():
         print(f"... running {entry.experiment_id}", file=sys.stderr)
@@ -526,6 +538,8 @@ def _cmd_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(n: int, seed: int, algorithm: str, kernel: str = "auto") -> int:
+    from repro.sim.runner import run_renaming
+
     run = run_renaming(algorithm, sparse_ids(n), seed=seed, kernel=kernel)
     print(
         f"{algorithm}: renamed n={n} processes in {run.rounds} rounds "
@@ -573,6 +587,8 @@ def _print_telemetry(
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from repro.sim.batch import ScenarioMatrix, run_batch
+
     matrix = ScenarioMatrix.build(
         [name.strip() for name in args.algorithms.split(",") if name.strip()],
         _parse_sizes(args.sizes),

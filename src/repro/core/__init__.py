@@ -1,58 +1,11 @@
 """The paper's primary contribution: the Balls-into-Leaves algorithm.
 
-:class:`BallProcess` implements Algorithm 1 on the :mod:`repro.sim`
-substrate.  The random, early-terminating (Section 6), deterministic-rank,
-and degenerate-leftmost variants differ only in the *path policy* used on
-lines 5-10; everything else (priority movement, crash handling, round-2
-synchronization, termination) is shared, mirroring the paper's structure.
+:class:`~repro.core.balls_into_leaves.BallProcess` implements Algorithm 1
+on the :mod:`repro.sim` substrate.  The random, early-terminating
+(Section 6), deterministic-rank, and degenerate-leftmost variants differ
+only in the *path policy* (:mod:`repro.core.policies`) used on lines
+5-10; everything else (priority movement, crash handling, round-2
+synchronization, termination) is shared, mirroring the paper's
+structure.  The flat-array engines live in :mod:`repro.core.columnar`
+and, on NumPy installs, :mod:`repro.core.vectorized`.
 """
-
-from repro.core.config import BallsIntoLeavesConfig
-from repro.core.lifecycle import BallStatus
-from repro.core.messages import (
-    HELLO,
-    PATH,
-    POSITION,
-    hello_message,
-    path_message,
-    position_message,
-)
-from repro.core.policies import (
-    HybridRankThenRandomPolicy,
-    LeftmostPolicy,
-    PathPolicy,
-    RandomPolicy,
-    RankPolicy,
-    make_policy,
-)
-from repro.core.movement import apply_path_round, apply_position_round
-from repro.core.views import PrivateViewStore, SharedViewStore, ViewStore, make_store
-from repro.core.balls_into_leaves import BallProcess, build_balls_into_leaves
-from repro.core.instrumentation import PhaseStats, TreeStatsObserver
-
-__all__ = [
-    "BallsIntoLeavesConfig",
-    "BallStatus",
-    "HELLO",
-    "PATH",
-    "POSITION",
-    "hello_message",
-    "path_message",
-    "position_message",
-    "PathPolicy",
-    "RandomPolicy",
-    "RankPolicy",
-    "HybridRankThenRandomPolicy",
-    "LeftmostPolicy",
-    "make_policy",
-    "apply_path_round",
-    "apply_position_round",
-    "ViewStore",
-    "PrivateViewStore",
-    "SharedViewStore",
-    "make_store",
-    "BallProcess",
-    "build_balls_into_leaves",
-    "PhaseStats",
-    "TreeStatsObserver",
-]

@@ -7,14 +7,3 @@ experiment ids (EXP-T2, EXP-L6, ...) to runners, and
 ``python -m repro run <id>`` executes them.  EXPERIMENTS.md records the
 paper-vs-measured comparison produced by these modules.
 """
-
-from repro.experiments.common import ExperimentResult, Scale
-from repro.experiments.registry import all_experiments, get_experiment, run_experiment
-
-__all__ = [
-    "ExperimentResult",
-    "Scale",
-    "all_experiments",
-    "get_experiment",
-    "run_experiment",
-]

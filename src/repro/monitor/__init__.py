@@ -8,23 +8,8 @@ importance-splitting rare-event estimator.
 * :mod:`repro.monitor.splitting` — fixed-effort multilevel importance
   splitting over round-count level sets, estimating tail probabilities
   P(rounds > k·log log n) far below what direct Monte Carlo can reach.
+
+The monitor-mode vocabulary lives beside the kernel request it
+configures (:data:`repro.sim.kernel.MONITOR_MODES`), so validating a
+mode string loads neither module.
 """
-
-from repro.monitor.invariants import (
-    MONITOR_MODES,
-    RunMonitor,
-    Violation,
-    evaluate_round,
-)
-from repro.monitor.splitting import TailConfig, TailResult, loglog_unit, run_tail
-
-__all__ = [
-    "MONITOR_MODES",
-    "RunMonitor",
-    "Violation",
-    "evaluate_round",
-    "TailConfig",
-    "TailResult",
-    "loglog_unit",
-    "run_tail",
-]

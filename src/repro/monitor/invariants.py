@@ -41,16 +41,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.lifecycle import BallStatus
 from repro.core.mt19937 import HAVE_NUMPY
-from repro.errors import ConfigurationError, MonitorViolation
+from repro.errors import MonitorViolation
 
 if HAVE_NUMPY:
     import numpy as np
-
-#: Monitor modes accepted by ``run_renaming``, the batch engine, and the
-#: CLI: "off" (no checking), "cheap" (per-round flat-array predicates on
-#: any kernel), "full" (cheap predicates plus the instrumented reference
-#: movement audit; pins the reference engine).
-MONITOR_MODES = ("off", "cheap", "full")
 
 #: Identical consecutive fingerprints before the progress monitor calls
 #: a deadlock.  Any full frozen phase (two rounds) is already a fixed
@@ -60,15 +54,6 @@ STALL_WINDOW = 8
 
 _ACTIVE = int(BallStatus.ACTIVE)
 _ANNOUNCED = int(BallStatus.ANNOUNCED)
-
-
-def check_monitor_mode(monitor: str) -> str:
-    """Validate a monitor-mode name (returns it for chaining)."""
-    if monitor not in MONITOR_MODES:
-        raise ConfigurationError(
-            f"unknown monitor mode {monitor!r}; choose from {MONITOR_MODES}"
-        )
-    return monitor
 
 
 @dataclass(frozen=True)

@@ -23,48 +23,6 @@ spirit of runtime checking of distributed protocol specifications:
   schedule down to a minimal repro, emitted as a ready-to-paste pytest
   regression (the PR 3 ghost-leaf workflow, automated).
 
-Entry points: ``python -m repro hunt`` and :func:`run_hunt`.
+Entry points: ``python -m repro hunt`` and
+:func:`repro.search.strategies.run_hunt`.
 """
-
-from repro.search.baseline import (
-    BUNDLED_GAUNTLET,
-    OMISSION_GAUNTLET,
-    evaluate_bundled,
-    gauntlet_for,
-)
-from repro.search.objectives import OBJECTIVES, Objective, as_objective
-from repro.search.schedule import EVENT_KINDS, CrashEvent, Schedule
-from repro.search.shrink import replay, replay_identical, shrink, to_pytest
-from repro.search.strategies import (
-    FAULT_FAMILY_CHOICES,
-    STRATEGIES,
-    Evaluation,
-    Evaluator,
-    HuntConfig,
-    HuntResult,
-    run_hunt,
-)
-
-__all__ = [
-    "CrashEvent",
-    "EVENT_KINDS",
-    "FAULT_FAMILY_CHOICES",
-    "BUNDLED_GAUNTLET",
-    "OMISSION_GAUNTLET",
-    "evaluate_bundled",
-    "gauntlet_for",
-    "Schedule",
-    "Objective",
-    "OBJECTIVES",
-    "as_objective",
-    "STRATEGIES",
-    "Evaluation",
-    "Evaluator",
-    "HuntConfig",
-    "HuntResult",
-    "run_hunt",
-    "replay",
-    "replay_identical",
-    "shrink",
-    "to_pytest",
-]

@@ -40,6 +40,7 @@ from repro.errors import ConfigurationError
 from repro.search.objectives import Objective, as_objective
 from repro.search.schedule import CrashEvent, Schedule
 from repro.sim.batch import TrialResult, TrialSpec, as_executor, run_batch
+from repro.sim.kernel import check_monitor_mode
 from repro.sim.rng import derive_rng, derive_seed
 from repro.sim.runner import ALGORITHMS
 
@@ -74,8 +75,6 @@ class HuntConfig:
     fault_family: str = "crash"
 
     def __post_init__(self) -> None:
-        from repro.monitor.invariants import check_monitor_mode
-
         check_monitor_mode(self.monitor)
         if self.fault_family not in FAULT_FAMILY_CHOICES:
             raise ConfigurationError(

@@ -9,77 +9,9 @@ stop and never recover.
 The engine is deterministic given a seed: process randomness comes from
 :func:`repro.sim.rng.derive_rng`, so every experiment in this repository
 is exactly reproducible.
+
+Import names from their defining modules (:mod:`repro.sim.simulator`,
+:mod:`repro.sim.runner`, :mod:`repro.sim.batch`, ...): this package
+re-exports nothing, so loading one of them loads no engine it does not
+use.
 """
-
-from repro.sim.process import SyncProcess
-from repro.sim.simulator import Simulation, SimulationResult
-from repro.sim.rng import derive_rng, derive_seed
-from repro.sim.kernel import (
-    KERNEL_CHOICES,
-    KernelRequest,
-    KernelRun,
-    SimulationKernel,
-    select_kernel,
-)
-from repro.sim.metrics import RoundMetrics, SimulationMetrics
-from repro.sim.trace import Trace, TraceEvent
-from repro.sim.checker import RenamingSpec, check_renaming
-from repro.sim.runner import RenamingRun, run_renaming, ALGORITHMS
-from repro.sim.batch import (
-    AdversarySpec,
-    BatchResult,
-    CellKey,
-    CellStats,
-    MultiprocessingExecutor,
-    ScenarioMatrix,
-    SerialExecutor,
-    TrialResult,
-    TrialSpec,
-    plan_tasks,
-    run_batch,
-    run_cell,
-    run_trial,
-)
-from repro.sim.vectorized import (
-    StackedCellRun,
-    run_stacked_cell,
-    vectorized_available,
-)
-
-__all__ = [
-    "SyncProcess",
-    "Simulation",
-    "SimulationResult",
-    "derive_rng",
-    "derive_seed",
-    "KERNEL_CHOICES",
-    "KernelRequest",
-    "KernelRun",
-    "SimulationKernel",
-    "select_kernel",
-    "RoundMetrics",
-    "SimulationMetrics",
-    "Trace",
-    "TraceEvent",
-    "RenamingSpec",
-    "check_renaming",
-    "RenamingRun",
-    "run_renaming",
-    "ALGORITHMS",
-    "AdversarySpec",
-    "BatchResult",
-    "CellKey",
-    "CellStats",
-    "MultiprocessingExecutor",
-    "ScenarioMatrix",
-    "SerialExecutor",
-    "TrialResult",
-    "TrialSpec",
-    "plan_tasks",
-    "run_batch",
-    "run_cell",
-    "run_trial",
-    "StackedCellRun",
-    "run_stacked_cell",
-    "vectorized_available",
-]

@@ -76,6 +76,7 @@ from repro.errors import (
     SpecViolation,
 )
 from repro.ids import Name, ProcessId, sparse_ids
+from repro.sim.kernel import KERNEL_CHOICES, KernelRequest, check_monitor_mode
 from repro.sim.rng import derive_seed
 from repro.sim.runner import ALGORITHMS, default_round_limit, run_renaming
 from repro.sim.trace import Trace, check_trace_mode
@@ -598,7 +599,6 @@ def _stackable(spec: TrialSpec) -> bool:
     """
     if spec.kernel not in ("auto", "vectorized"):
         return False
-    from repro.sim.kernel import KernelRequest
     from repro.sim.vectorized import cell_rejection
 
     policy = ALGORITHMS.get(spec.algorithm)
@@ -653,12 +653,19 @@ def plan_tasks(
                 break
             j += 1
         group = specs[i:j]
-        stacks = len(group) >= 2 and _stackable(spec)
-        if stacks and spec.adversary.name != "none":
-            # Crash stacks only pay above the stream floor; smaller
-            # crash cells keep per-trial columnar speed (bit-identical
-            # either way — the floor is purely a scheduling choice).
-            stacks = len(group) * spec.n >= _crash_min_streams()
+        # Crash stacks only pay above the stream floor; smaller crash
+        # cells keep per-trial columnar speed (bit-identical either way —
+        # the floor is purely a scheduling choice).  It is checked before
+        # the stacking probe, which builds an adversary and loads the
+        # vectorized kernel.
+        stacks = (
+            len(group) >= 2
+            and (
+                spec.adversary.name == "none"
+                or len(group) * spec.n >= _crash_min_streams()
+            )
+            and _stackable(spec)
+        )
         if stacks:
             chunk = max(1, max_streams // max(1, spec.n))
             if parts > 1:
@@ -958,14 +965,10 @@ class ScenarioMatrix:
             raise ConfigurationError(
                 f"unknown seed mode {seed_mode!r}; choose from {SEED_MODES}"
             )
-        from repro.sim.kernel import KERNEL_CHOICES
-
         if kernel not in KERNEL_CHOICES:
             raise ConfigurationError(
                 f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
             )
-        from repro.monitor.invariants import check_monitor_mode
-
         check_monitor_mode(monitor)
         check_trace_mode(trace)
         return cls(

@@ -50,6 +50,21 @@ from repro.sim.trace import Trace
 #: engine, and the CLI.
 KERNEL_CHOICES = ("auto", "reference", "columnar", "vectorized")
 
+#: Monitor modes accepted by ``run_renaming``, the batch engine, and the
+#: CLI: "off" (no checking), "cheap" (per-round flat-array predicates on
+#: any kernel), "full" (cheap predicates plus the instrumented reference
+#: movement audit; pins the reference engine).
+MONITOR_MODES = ("off", "cheap", "full")
+
+
+def check_monitor_mode(monitor: str) -> str:
+    """Validate a monitor-mode name (returns it for chaining)."""
+    if monitor not in MONITOR_MODES:
+        raise ConfigurationError(
+            f"unknown monitor mode {monitor!r}; choose from {MONITOR_MODES}"
+        )
+    return monitor
+
 
 @dataclass(frozen=True)
 class KernelRequest:
@@ -118,20 +133,6 @@ class SimulationKernel(ABC):
         """Execute the run.  Callers must have checked :meth:`rejects`."""
 
 
-def _kernels():
-    # Imported lazily: the concrete kernels pull in the process machinery
-    # and the array engines, which themselves import from repro.sim.
-    from repro.sim.columnar import ColumnarKernel
-    from repro.sim.reference import ReferenceKernel
-    from repro.sim.vectorized import VectorizedKernel
-
-    return {
-        "reference": ReferenceKernel(),
-        "columnar": ColumnarKernel(),
-        "vectorized": VectorizedKernel(),
-    }
-
-
 def select_kernel(name: str, request: KernelRequest) -> SimulationKernel:
     """Resolve a kernel name against one request.
 
@@ -141,24 +142,32 @@ def select_kernel(name: str, request: KernelRequest) -> SimulationKernel:
     :class:`KernelUnsupported`.  (Cell-level ``auto`` upgrades to the
     vectorized engine happen in :mod:`repro.sim.batch`, which sees whole
     cells; a single request has no trials to stack.)
+
+    Only the kernels a branch consults are imported: the concrete
+    kernels pull in the process machinery and the array engines (the
+    vectorized one NumPy), which themselves import from repro.sim.
     """
     if name not in KERNEL_CHOICES:
         raise ConfigurationError(
             f"unknown kernel {name!r}; choose from {KERNEL_CHOICES}"
         )
-    kernels = _kernels()
-    if name == "reference":
-        return kernels["reference"]
     if name == "vectorized":
-        vectorized = kernels["vectorized"]
+        from repro.sim.vectorized import VectorizedKernel
+
+        vectorized = VectorizedKernel()
         reason = vectorized.rejects(request)
         if reason is not None:
             raise KernelUnsupported("vectorized", reason)
         return vectorized
-    columnar = kernels["columnar"]
-    reason = columnar.rejects(request)
-    if reason is None:
-        return columnar
-    if name == "columnar":
-        raise KernelUnsupported("columnar", reason)
-    return kernels["reference"]
+    if name != "reference":
+        from repro.sim.columnar import ColumnarKernel
+
+        columnar = ColumnarKernel()
+        reason = columnar.rejects(request)
+        if reason is None:
+            return columnar
+        if name == "columnar":
+            raise KernelUnsupported("columnar", reason)
+    from repro.sim.reference import ReferenceKernel
+
+    return ReferenceKernel()

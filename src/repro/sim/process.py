@@ -18,7 +18,7 @@ from repro.ids import ProcessId
 
 
 class SyncProcess(ABC):
-    """Base class for processes driven by :class:`repro.sim.Simulation`."""
+    """Base class for processes driven by :class:`repro.sim.simulator.Simulation`."""
 
     def __init__(self, pid: ProcessId) -> None:
         self._pid = pid

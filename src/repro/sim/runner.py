@@ -18,7 +18,7 @@ from repro.adversary.base import Adversary
 from repro.errors import ConfigurationError
 from repro.ids import Name, ProcessId
 from repro.sim.checker import RenamingSpec, check_renaming
-from repro.sim.kernel import KernelRequest, select_kernel
+from repro.sim.kernel import KernelRequest, check_monitor_mode, select_kernel
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.simulator import SimulationResult
 from repro.sim.trace import Trace, check_trace_mode
@@ -178,8 +178,6 @@ def run_renaming(
     n = len(ids)
     if n == 0:
         raise ConfigurationError("renaming needs at least one participant")
-    from repro.monitor.invariants import check_monitor_mode
-
     check_monitor_mode(monitor)
     if check_invariants and monitor == "off":
         # The satellite fix: invariant checking used to force the

@@ -201,25 +201,50 @@ def write_trace_jsonl(
             handle.write("\n")
 
 
+def _json_object(path: str, lineno: int, line: str) -> Dict[str, Any]:
+    """One jsonl line as a dict, or a ConfigurationError naming the line."""
+    try:
+        row = json.loads(line)
+    except ValueError:
+        row = None
+    if not isinstance(row, dict):
+        raise ConfigurationError(f"{path}:{lineno}: not a JSON object")
+    return row
+
+
 def read_trace_jsonl(path: str) -> Tuple[Dict[str, Any], Trace]:
-    """Read a jsonl trace file back into ``(header, Trace)``."""
+    """Read a jsonl trace file back into ``(header, Trace)``.
+
+    Trace files are edited by hand, so a truncated line or an event
+    without an integer ``r`` or a string ``kind`` raises
+    :class:`~repro.errors.ConfigurationError` with its line number.
+    """
     trace = Trace()
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
         if not first.strip():
             raise ConfigurationError(f"empty trace file: {path}")
-        header = json.loads(first)
+        header = _json_object(path, 1, first)
         if header.get("format") != TRACE_FORMAT:
             raise ConfigurationError(
                 f"{path}: not a {TRACE_FORMAT} file "
                 f"(format={header.get('format')!r})"
             )
-        for line in handle:
+        for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            round_no = row.pop("r")
-            kind = row.pop("kind")
+            row = _json_object(path, lineno, line)
+            round_no = row.pop("r", None)
+            kind = row.pop("kind", None)
+            if type(round_no) is not int:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: event round 'r' must be an integer, "
+                    f"got {round_no!r}"
+                )
+            if not isinstance(kind, str):
+                raise ConfigurationError(
+                    f"{path}:{lineno}: event 'kind' must be a string, got {kind!r}"
+                )
             trace.record(round_no, kind, **row)
     return header, trace
 

@@ -15,13 +15,12 @@ from repro.core.lifecycle import BallStatus
 from repro.core.mt19937 import HAVE_NUMPY
 from repro.errors import ConfigurationError
 from repro.monitor.invariants import (
-    MONITOR_MODES,
     STALL_WINDOW,
     RunMonitor,
     Violation,
-    check_monitor_mode,
     evaluate_round,
 )
+from repro.sim.kernel import MONITOR_MODES, check_monitor_mode
 from repro.tree.topology import cached_topology
 
 ACTIVE = int(BallStatus.ACTIVE)

@@ -126,7 +126,7 @@ class TestScenarioMatrixRouting:
 
 class TestApproxAgreementHuntSmoke:
     def test_mixed_family_hunt_runs_on_the_reference_rails(self):
-        from repro.search import HuntConfig, run_hunt
+        from repro.search.strategies import HuntConfig, run_hunt
 
         config = HuntConfig(
             algorithm="approx-agreement",

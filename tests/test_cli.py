@@ -284,7 +284,10 @@ class TestFaultAdversaryCli:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_hunt_omission_family_smoke(self, capsys):
+    def test_hunt_omission_family_smoke(self, capsys, tmp_path, monkeypatch):
+        # The winner's scenario and trace files land in the working
+        # directory: keep them out of the checkout.
+        monkeypatch.chdir(tmp_path)
         assert main(["hunt", "--objective", "rounds", "--strategy", "random",
                      "--fault-family", "omission", "--n", "8",
                      "--budget", "6", "--baseline-trials", "1",

@@ -1,0 +1,101 @@
+"""Which modules each CLI verb loads.
+
+Balls-into-Leaves renames in O(log log n) rounds, so at everyday sizes a
+``python -m repro`` run spends as much time importing as simulating.
+Each verb imports only what it executes: one that never runs the
+trial-stacked engine must not load NumPy or :mod:`repro.core.vectorized`.
+Every case runs the verb in a fresh interpreter and inspects
+``sys.modules`` after ``main()`` returns.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.core.mt19937 import HAVE_NUMPY
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Runs ``main(argv)`` and prints the loaded module names as a last line.
+PROBE = """
+import json, sys
+from repro.cli import main
+try:
+    code = main(json.loads(sys.argv[1]))
+except SystemExit as exit_:
+    code = exit_.code
+print()
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+ENGINE = {"numpy", "repro.core.vectorized"}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A stored hunt (scenario, trace, rows) and batch rows to inspect."""
+    path = tmp_path_factory.mktemp("imports")
+    assert main(
+        ["hunt", "--n", "8", "--budget", "6", "--seed", "2",
+         "--baseline-trials", "1", "--no-shrink",
+         "--out", str(path / "hunt.jsonl"),
+         "--scenario-out", str(path / "scenario.json")]
+    ) == 0
+    assert main(
+        ["batch", "--sizes", "8", "--trials", "2",
+         "--out", str(path / "rows.jsonl")]
+    ) == 0
+    return path
+
+
+def loaded_modules(argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(SRC), env.get("PYTHONPATH")) if part
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0, proc.stderr
+    return set(report["modules"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["list"],
+        ["lint", "--rules"],
+        ["stats", "rows.jsonl", "hunt.jsonl"],
+        ["explore", "scenario.json", "--out", "t.html"],
+        ["explore", "scenario.json", "--replay", "--out", "t.html"],
+        ["demo", "--n", "8"],
+        # Below the crash stacking floor: per-trial columnar, no probe.
+        ["batch", "--sizes", "16", "--adversary", "random:rate=0.1",
+         "--trials", "4"],
+    ],
+    ids=["version", "list", "lint-rules", "stats", "explore-stored",
+         "explore-replay", "demo", "crash-batch-below-floor"],
+)
+def test_verb_loads_no_array_engine(workdir, argv):
+    assert not loaded_modules(argv, workdir) & ENGINE
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
+def test_stackable_batch_loads_the_array_engine(workdir):
+    modules = loaded_modules(["batch", "--sizes", "64", "--trials", "4"], workdir)
+    assert ENGINE <= modules

@@ -132,6 +132,36 @@ class TestExplore:
         assert main(["explore", "nope.json"]) == 2
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"r":3,"kind":"cra',
+            '[3, "crash"]',
+            '{"r":"x","kind":"crash","pid":1}',
+            '{"kind":"crash","pid":1}',
+            '{"r":3,"pid":1}',
+            '{"r":3,"kind":7}',
+        ],
+        ids=["truncated", "not-an-object", "string-round", "no-round",
+             "no-kind", "int-kind"],
+    )
+    def test_malformed_stored_trace_fails_cleanly(self, capsys, line):
+        assert _hunt() == 0
+        capsys.readouterr()
+        scenario_name = _emitted_scenario()
+        with open(scenario_name, encoding="utf-8") as handle:
+            trace_name = json.load(handle)["trace"]["path"]
+        with open(trace_name, encoding="utf-8") as handle:
+            lineno = len(handle.readlines()) + 1
+        with open(trace_name, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        assert main(["explore", scenario_name, "--out", "t.html"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{trace_name}:{lineno}: " in err
+        assert "Traceback" not in err
+        assert not os.path.exists("t.html")
+
 
 class TestStatsAndTelemetry:
     def test_batch_telemetry_row_feeds_stats(self, capsys):

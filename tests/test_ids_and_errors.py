@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro import errors
 from repro.ids import interleave, require_distinct, sparse_ids, string_ids
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestIds:
@@ -78,6 +85,34 @@ class TestPublicApi:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_import_loads_no_engine(self):
+        probe = "import sys, repro; print('repro.sim.batch' in sys.modules)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (SRC, env.get("PYTHONPATH")) if part
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "False"
+
+    def test_dir_lists_every_export(self):
+        assert set(repro.__all__) <= set(dir(repro))
+
+    def test_star_import_binds_every_export(self):
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert [name for name in repro.__all__ if name not in namespace] == []
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+        assert getattr(repro, "no_such_name", None) is None
 
     def test_algorithms_registry(self):
         assert set(repro.ALGORITHMS) == {
