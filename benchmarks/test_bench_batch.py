@@ -6,21 +6,28 @@ backend must beat serial wall-clock with >= 4 workers; on boxes without 4
 cores the speedup assertions skip (pool overhead cannot win on one core)
 while the determinism assertions still run everywhere.
 
-The chunking benchmark isolates the MultiprocessingExecutor fix: tasks
-ship in per-worker chunks (so a worker's process-local cached_topology
-is built once per size, not once per submission) instead of the
-chunksize=1 degenerate case that pays one IPC round-trip and a fresh
-task pickle per trial.
+The chunking benchmark isolates the Executor's chunk rule: tasks ship
+in per-worker chunks (so a worker's process-local cached_topology is
+built once per size, not once per submission) instead of one task per
+round-trip, which pays an IPC round-trip and a fresh task pickle per
+trial.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
 import pytest
 
-from repro.sim.batch import MultiprocessingExecutor, ScenarioMatrix, run_batch
+from repro.sim.batch import (
+    Executor,
+    ScenarioMatrix,
+    _run_task,
+    plan_tasks,
+    run_batch,
+)
 
 
 def _sweep_matrix(trials: int = 100) -> ScenarioMatrix:
@@ -80,21 +87,14 @@ def test_parallel_speedup_on_four_workers():
     )
 
 
-def test_chunksize_is_configurable_and_invisible_in_results():
-    """Any chunksize produces byte-identical results (perf knob only)."""
-    matrix = _sweep_matrix(trials=12)
-    default = run_batch(matrix, executor="process", workers=2)
-    per_trial = run_batch(matrix, executor="process", workers=2, chunksize=1)
-    assert default.trials == per_trial.trials
-
-
 @pytest.mark.tier2  # wall-clock comparison: too flaky for the -x tier-1 gate
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4,
     reason="chunking wins need real parallelism; skip on small boxes",
 )
 def test_worker_chunking_beats_per_trial_submission():
-    """Chunked task shipping must beat chunksize=1 on a multi-size sweep.
+    """Chunked task shipping must beat one task per round-trip on a
+    multi-size sweep.
 
     The sweep mixes sizes so per-trial submission also pays repeated
     process-local topology rebuilds when trials of different n
@@ -106,19 +106,19 @@ def test_worker_chunking_beats_per_trial_submission():
         ["balls-into-leaves"], [64, 256], ["none"],
         trials=40, base_seed=0, kernel="reference",
     )
-    executor_chunked = MultiprocessingExecutor(4)
-    executor_degenerate = MultiprocessingExecutor(4, chunksize=1)
-    run_batch(_sweep_matrix(trials=4), executor=executor_chunked)  # warm pools
+    tasks = plan_tasks(matrix.expand(), parts=4)
+    run_batch(_sweep_matrix(trials=4), executor="process", workers=4)  # warm pools
 
     started = time.perf_counter()
-    chunked = run_batch(matrix, executor=executor_chunked)
+    chunked = Executor("process", 4).map(_run_task, tasks)
     chunked_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    degenerate = run_batch(matrix, executor=executor_degenerate)
+    with multiprocessing.Pool(4) as pool:
+        degenerate = pool.map(_run_task, tasks, 1)
     degenerate_s = time.perf_counter() - started
 
-    assert chunked.trials == degenerate.trials
+    assert chunked == degenerate
     assert chunked_s < degenerate_s, (
         f"chunked shipping ({chunked_s:.2f}s) did not beat per-trial "
         f"submission ({degenerate_s:.2f}s)"

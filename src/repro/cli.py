@@ -12,8 +12,8 @@ Subcommands::
 
 Every experiment prints the exact command reproducing it, and all
 randomness flows from ``--seed``.  ``--executor process --workers K``
-spreads batched sweeps over ``K`` processes without changing a digit of
-the output.
+spreads batched sweeps, hunts and tail stages over ``K`` processes
+without changing a digit of the output.
 """
 
 from __future__ import annotations
@@ -204,13 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record simulation/spec failures as per-trial error rows "
         "instead of aborting the batch",
-    )
-    batch_parser.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        help="tasks shipped per worker round-trip on the process executor "
-        "(default: ~4 chunks per worker); results are identical for any value",
     )
     _add_executor_options(batch_parser)
     _add_monitor_option(batch_parser)
@@ -602,12 +595,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         monitor=args.monitor,
         trace=args.trace,
     )
-    batch = run_batch(
-        matrix,
-        executor=args.executor,
-        workers=args.workers,
-        chunksize=args.chunksize,
-    )
+    batch = run_batch(matrix, executor=args.executor, workers=args.workers)
     table = batch.to_table(
         f"scenario matrix: {len(matrix)} trials "
         f"({len(matrix.algorithms)} algorithms x {len(matrix.sizes)} sizes "

@@ -1,12 +1,13 @@
 """Shared scaffolding for experiment modules.
 
 Seed sweeps route through :mod:`repro.sim.batch`: :func:`sweep` expands a
-scenario matrix and runs it on the chosen executor (serial by default,
-multiprocessing when the caller passes ``executor="process"`` or
-``workers > 1``), and :func:`rounds_over_trials` — for experiments that
-need full :class:`~repro.sim.runner.RenamingRun` objects such as phase
-statistics — shares the engine's legacy per-trial seed schedule so both
-paths stay byte-identical.
+scenario matrix and runs it on the chosen executor (serial by default;
+a process pool for ``executor="process"``, ``workers > 1`` or a process
+:class:`~repro.sim.batch.Executor`, the seam EXP-TAIL's splitting stages
+share), and :func:`rounds_over_trials` — for experiments that need full
+:class:`~repro.sim.runner.RenamingRun` objects such as phase statistics
+— shares the engine's legacy per-trial seed schedule so both paths stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -22,16 +23,15 @@ from repro.ids import sparse_ids
 from repro.sim.batch import (
     AdversaryLike,
     BatchResult,
-    MultiprocessingExecutor,
+    Executor,
     ScenarioMatrix,
-    SerialExecutor,
     legacy_trial_seeds,
     run_batch,
 )
 from repro.sim.runner import RenamingRun, run_renaming
 
 #: What experiments accept as an execution backend.
-ExecutorLike = Union[None, str, SerialExecutor, MultiprocessingExecutor]
+ExecutorLike = Union[None, str, Executor]
 
 #: Experiment scales: "smoke" finishes in seconds (CI / benchmarks),
 #: "paper" uses the full sweeps recorded in EXPERIMENTS.md, and "deep"

@@ -42,7 +42,6 @@ def run(
     """Estimate the round tail for every cell of the scale's grid."""
     check_scale(scale)
     result = ExperimentResult(EXPERIMENT_ID, TITLE, scale)
-    executor_name = executor if isinstance(executor, str) else None
     for n, trials, k_min, k_max, growth in _GRIDS[scale]:
         config = TailConfig(
             n=n,
@@ -52,7 +51,7 @@ def run(
             kernel=kernel if kernel is not None else "auto",
             growth=growth,
         )
-        tail = run_tail(config, executor=executor_name, workers=workers)
+        tail = run_tail(config, executor=executor, workers=workers)
         table = Table(
             f"round tail: balls-into-leaves n={n} "
             f"(unit {tail.unit}, {trials} trials/stage)",

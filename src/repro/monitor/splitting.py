@@ -27,20 +27,21 @@ p^m (e.g. three stages of p ≈ 1e-3 ≈ 1e-9) at cost m·T runs instead of
 
 Everything is deterministic by construction: trial seeds and resampling
 choices all derive from the root seed via :func:`repro.sim.rng.derive_seed`
-scopes, work ships in fixed-size chunks, and ``Pool.map`` preserves
-chunk order — so serial and multiprocessing executions produce
-byte-identical results (asserted by the estimator determinism suite).
+scopes, work ships in fixed-size chunks, and each stage maps its chunks
+through the batch engine's order-preserving
+:class:`~repro.sim.batch.Executor` — so serial and multiprocessing
+executions produce byte-identical results (asserted by the estimator
+determinism suite).
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.sim.batch import Executor, as_executor
 from repro.sim.rng import derive_rng, derive_seed
 
 #: Kernel names the estimator accepts ("auto" resolves in the driver
@@ -324,13 +325,13 @@ def _chunks(values: Sequence, size: int) -> List[Tuple]:
 def run_tail(
     config: TailConfig,
     *,
-    executor: Optional[str] = None,
+    executor: Union[None, str, Executor] = None,
     workers: Optional[int] = None,
 ) -> TailResult:
     """Estimate P(rounds > L) for every level L of ``config``.
 
-    ``executor`` is "serial" / "process" / None (serial unless
-    ``workers > 1``), mirroring the batch engine's executor names; the
+    ``executor`` and ``workers`` resolve through
+    :func:`repro.sim.batch.as_executor`, exactly as for a batch; the
     result is byte-identical across executors.
     """
     from repro.sim.runner import ALGORITHMS
@@ -357,24 +358,10 @@ def run_tail(
             f"max_trials ({config.max_trials}) must be >= trials "
             f"({config.trials})"
         )
-    if executor not in (None, "serial", "process"):
-        raise ConfigurationError(
-            f"unknown executor {executor!r}; choose from ('serial', 'process')"
-        )
+    backend = as_executor(executor, workers=workers)
     kernel = _resolve_kernel(config.kernel)
     levels = config.resolved_levels()
     unit = loglog_unit(config.n)
-    pool_workers = workers if workers is not None else (os.cpu_count() or 1)
-    parallel = executor == "process" or (executor is None and (workers or 1) > 1)
-
-    def run_stage(tasks: List[_ChunkTask]) -> List[Tuple[bool, Optional[dict]]]:
-        if parallel and pool_workers > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(processes=pool_workers) as pool:
-                nested = pool.map(_run_tail_chunk, tasks)
-        else:
-            nested = [_run_tail_chunk(task) for task in tasks]
-        return [result for chunk in nested for result in chunk]
-
     stages: List[StageResult] = []
     checkpoints: List[dict] = []
     start_round = 0
@@ -412,8 +399,10 @@ def run_tail(
                     state_chunks[c] if state_chunks is not None else None,
                 )
             )
-        outcomes = run_stage(tasks)
-        checkpoints = [state for survived, state in outcomes if survived]
+        outcomes = backend.map(_run_tail_chunk, tasks)
+        checkpoints = [
+            state for chunk in outcomes for survived, state in chunk if survived
+        ]
         stages.append(
             StageResult(
                 stage=stage,

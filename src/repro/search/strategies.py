@@ -176,12 +176,11 @@ class Evaluator:
         *,
         executor=None,
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         mixed_cells: bool = False,
     ) -> None:
         self.config = config
         self.objective: Objective = as_objective(config.objective)
-        self._backend = as_executor(executor, workers=workers, chunksize=chunksize)
+        self._backend = as_executor(executor, workers=workers)
         #: Stack same-cell generations with per-candidate adversaries
         #: (set from the strategy's batching hint by :func:`run_hunt`).
         self.mixed_cells = mixed_cells
@@ -549,7 +548,6 @@ def run_hunt(
     *,
     executor=None,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
 ) -> HuntResult:
     """Search one cell for worst-case schedules.  The main search API."""
     search = as_strategy(strategy)
@@ -557,7 +555,6 @@ def run_hunt(
         config,
         executor=executor,
         workers=workers,
-        chunksize=chunksize,
         mixed_cells=search.same_cell_batches,
     )
     search.run(evaluator)

@@ -8,9 +8,10 @@ makes those sweeps first-class:
   seed, adversary), picklable so it can cross process boundaries;
 * :class:`ScenarioMatrix` — expands an algorithm x size x adversary x
   seed grid into trial specs with deterministic per-trial seeds;
-* :class:`SerialExecutor` / :class:`MultiprocessingExecutor` — pluggable
-  backends that map :func:`run_trial` over the specs, chunked, preserving
-  input order so results are independent of the backend;
+* :class:`Executor` — the one place work meets worker processes: an
+  order-preserving ``map``, in-process or across a fresh process pool,
+  so results are independent of the backend (the splitting estimator
+  in :mod:`repro.monitor.splitting` maps its chunks through it too);
 * :class:`BatchResult` — the aggregated outcome, grouped into per-cell
   round/failure/message statistics ready for :mod:`repro.analysis.tables`.
 
@@ -52,6 +53,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -804,106 +806,60 @@ def _run_task(task: Task) -> List[TrialResult]:
 
 # -------------------------------------------------------------------- executors
 
-
-class SerialExecutor:
-    """Run trials in-process, one after another."""
-
-    name = "serial"
-
-    def run(self, specs: Sequence[TrialSpec]) -> List[TrialResult]:
-        """Map :func:`run_trial` over ``specs`` in order."""
-        return [run_trial(spec) for spec in specs]
-
-    def run_tasks(self, tasks: Sequence[Task]) -> List[TrialResult]:
-        """Execute planned tasks in order (stacked cells inline)."""
-        results: List[TrialResult] = []
-        for task in tasks:
-            results.extend(_run_task(task))
-        return results
-
-
-class MultiprocessingExecutor:
-    """Run trials across a :mod:`multiprocessing` pool, chunked.
-
-    ``Pool.map`` preserves input order, so cells come back in exactly the
-    order the serial executor would produce — determinism under
-    parallelism.  Work ships as *chunks* of tasks per worker (``~4`` per
-    worker by default, tunable via ``chunksize``), so a worker executes a
-    run of same-``n`` trials back to back and its process-local
-    :func:`~repro.tree.topology.cached_topology` is built once per size
-    instead of once per submission.  Falls back to in-process execution
-    for tiny batches where pool startup would dominate.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        chunksize: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.chunksize = chunksize
-        self.start_method = start_method
-
-    def _resolved_chunksize(self, items: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
-        # ~4 chunks per worker balances load without drowning in IPC.
-        return max(1, items // (self.workers * 4))
-
-    def run(self, specs: Sequence[TrialSpec]) -> List[TrialResult]:
-        """Map :func:`run_trial` over ``specs``, preserving order."""
-        specs = list(specs)
-        if self.workers == 1 or len(specs) <= 1:
-            return SerialExecutor().run(specs)
-        context = multiprocessing.get_context(self.start_method)
-        with context.Pool(processes=self.workers) as pool:
-            return pool.map(run_trial, specs, self._resolved_chunksize(len(specs)))
-
-    def run_tasks(self, tasks: Sequence[Task]) -> List[TrialResult]:
-        """Execute planned tasks across the pool, preserving order."""
-        tasks = list(tasks)
-        if self.workers == 1 or len(tasks) <= 1:
-            return SerialExecutor().run_tasks(tasks)
-        context = multiprocessing.get_context(self.start_method)
-        with context.Pool(processes=self.workers) as pool:
-            nested = pool.map(_run_task, tasks, self._resolved_chunksize(len(tasks)))
-        return [result for chunk in nested for result in chunk]
-
-
 #: Executor names accepted by :func:`as_executor` and the CLI.
 EXECUTORS = ("serial", "process")
 
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+@dataclass(frozen=True)
+class Executor:
+    """Where work items run: in-process, or across a process pool.
+
+    ``Pool.map`` preserves input order, so results come back in exactly
+    the order the in-process loop produces — determinism under
+    parallelism.  Items ship in ~4 chunks per worker, so a worker runs a
+    stretch of same-``n`` tasks back to back and builds its process-local
+    :func:`~repro.tree.topology.cached_topology` once per size instead of
+    once per item.
+    """
+
+    name: str = "serial"
+    workers: int = 1
+
+    def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
+        """``[fn(item) for item in items]``, spread over a fresh pool.
+
+        One worker, or fewer than two items, runs in-process: there is
+        nothing to spread, and pool start-up would dominate.
+        """
+        items = list(items)
+        if self.workers == 1 or len(items) < 2:
+            return [fn(item) for item in items]
+        with multiprocessing.Pool(self.workers) as pool:
+            return pool.map(fn, items, max(1, len(items) // (4 * self.workers)))
+
 
 def as_executor(
-    value: Union[None, str, SerialExecutor, MultiprocessingExecutor],
-    *,
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-):
-    """Coerce a name / None / executor instance to an executor object."""
-    if value is None:
-        if workers is not None and workers > 1:
-            return MultiprocessingExecutor(workers, chunksize=chunksize)
-        return SerialExecutor()
-    if isinstance(value, str):
-        if value == "serial":
-            return SerialExecutor()
-        if value == "process":
-            return MultiprocessingExecutor(workers, chunksize=chunksize)
-        raise ConfigurationError(
-            f"unknown executor {value!r}; choose from {EXECUTORS}"
-        )
-    if hasattr(value, "run"):
+    value: Union[None, str, Executor], *, workers: Optional[int] = None
+) -> Executor:
+    """Coerce a name / None / executor to an :class:`Executor`.
+
+    None means serial, or process when ``workers > 1``; "process"
+    without ``workers`` uses one worker per CPU.
+    """
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if isinstance(value, Executor):
         return value
-    raise ConfigurationError(f"not an executor: {value!r}")
+    if value is None:
+        value = "process" if workers is not None and workers > 1 else "serial"
+    if value == "serial":
+        return Executor()
+    if value == "process":
+        return Executor("process", workers or os.cpu_count() or 1)
+    raise ConfigurationError(f"unknown executor {value!r}; choose from {EXECUTORS}")
 
 
 # -------------------------------------------------------------- scenario matrix
@@ -1126,14 +1082,13 @@ class BatchResult:
 def run_batch(
     source: Union[ScenarioMatrix, Sequence[TrialSpec]],
     *,
-    executor: Union[None, str, SerialExecutor, MultiprocessingExecutor] = None,
+    executor: Union[None, str, Executor] = None,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
     mixed_cells: bool = False,
 ) -> BatchResult:
     """Expand (if needed) and execute a batch of trials.
 
-    ``executor`` may be an executor object, a name from
+    ``executor`` may be an :class:`Executor`, a name from
     :data:`EXECUTORS`, or None (serial; or process when ``workers > 1``).
     Eligible cells — failure-free and certified-crash alike — run
     trial-stacked on the vectorized engine (one call per cell, split
@@ -1142,16 +1097,11 @@ def run_batch(
     groups whose trials carry per-trial adversary specs (hunt batches).
     """
     specs = source.expand() if isinstance(source, ScenarioMatrix) else list(source)
-    backend = as_executor(executor, workers=workers, chunksize=chunksize)
-    parts = getattr(backend, "workers", 1)
+    backend = as_executor(executor, workers=workers)
     # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
     started = time.perf_counter()
-    if hasattr(backend, "run_tasks"):
-        results = backend.run_tasks(
-            plan_tasks(specs, parts=parts, mixed=mixed_cells)
-        )
-    else:  # a caller-supplied executor object predating task planning
-        results = backend.run(specs)
+    tasks = plan_tasks(specs, parts=backend.workers, mixed=mixed_cells)
+    results = [result for chunk in backend.map(_run_task, tasks) for result in chunk]
     # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
     elapsed = time.perf_counter() - started
     return BatchResult(trials=results, executor=backend.name, elapsed=elapsed)

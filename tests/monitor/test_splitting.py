@@ -337,3 +337,22 @@ class TestExperimentRegistration:
             t.render() for t in pooled.tables
         ]
         assert serial.notes == pooled.notes
+
+    def test_executor_objects_reach_the_pool(self, monkeypatch):
+        import multiprocessing.pool
+
+        from repro.experiments import tail
+        from repro.sim.batch import as_executor
+
+        serial = tail.run(scale="smoke", executor="serial")
+        started = []
+        init = multiprocessing.pool.Pool.__init__
+
+        def spy(pool, *args, **kwargs):
+            started.append(pool)
+            init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", spy)
+        pooled = tail.run(scale="smoke", executor=as_executor("process", workers=2))
+        assert started, "the process executor started no pool"
+        assert pooled.render() == serial.render()

@@ -8,9 +8,8 @@ from repro.errors import ConfigurationError
 from repro.sim.batch import (
     AdversarySpec,
     CellKey,
-    MultiprocessingExecutor,
+    Executor,
     ScenarioMatrix,
-    SerialExecutor,
     TrialSpec,
     as_executor,
     derived_trial_seed,
@@ -123,24 +122,55 @@ class TestRunTrial:
 
 class TestExecutors:
     def test_as_executor_coercions(self):
-        assert isinstance(as_executor(None), SerialExecutor)
-        assert isinstance(as_executor("serial"), SerialExecutor)
-        assert isinstance(as_executor("process"), MultiprocessingExecutor)
-        assert isinstance(as_executor(None, workers=4), MultiprocessingExecutor)
-        custom = SerialExecutor()
+        assert as_executor(None) == Executor("serial", 1)
+        assert as_executor(None, workers=1) == Executor("serial", 1)
+        assert as_executor("serial", workers=4) == Executor("serial", 1)
+        assert as_executor(None, workers=4) == Executor("process", 4)
+        assert as_executor("process", workers=1) == Executor("process", 1)
+        custom = Executor("process", 3)
         assert as_executor(custom) is custom
         with pytest.raises(ConfigurationError, match="unknown executor"):
             as_executor("gpu")
 
     def test_worker_default_and_validation(self):
-        assert MultiprocessingExecutor().workers >= 1
-        with pytest.raises(ConfigurationError):
-            MultiprocessingExecutor(0)
+        assert as_executor("process").workers >= 1
+        for name in (None, "serial", "process", Executor()):
+            for workers in (0, -3):
+                with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+                    as_executor(name, workers=workers)
 
-    def test_single_worker_falls_back_to_serial(self):
-        matrix = ScenarioMatrix.build(["flood"], [4], trials=2)
-        serial = SerialExecutor().run(matrix.expand())
-        assert MultiprocessingExecutor(1).run(matrix.expand()) == serial
+    def test_only_the_batch_engine_imports_multiprocessing(self):
+        # One executor seam: every worker process starts in Executor.map.
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        importers = set()
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "multiprocessing" for m in modules):
+                    importers.add(path.relative_to(root.parent).as_posix())
+        assert importers == {"repro/sim/batch.py"}
+
+    def test_single_worker_falls_back_to_serial(self, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single worker must not start a pool")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        specs = ScenarioMatrix.build(["flood"], [4], trials=2).expand()
+        assert Executor("process", 1).map(run_trial, specs) == [
+            run_trial(spec) for spec in specs
+        ]
 
 
 class TestBatchResult:

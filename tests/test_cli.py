@@ -51,6 +51,28 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "executor", [[], ["--executor", "process"]], ids=["default", "process"]
+    )
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["batch", "--sizes", "8", "--trials", "4"],
+            ["hunt", "--n", "8", "--budget", "4", "--baseline-trials", "1"],
+            ["tail", "--n", "16", "--trials", "4"],
+        ],
+        ids=["batch", "hunt", "tail"],
+    )
+    def test_workers_below_one_fail_cleanly(
+        self, verb, workers, executor, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(verb + executor + ["--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert "error: workers must be >= 1" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
 
 class TestBatchCli:
     def test_batch_renders_one_row_per_cell(self, capsys):
@@ -167,15 +189,6 @@ class TestKernelCli:
         else:
             assert code == 2
             assert "numpy" in captured.err
-
-    def test_batch_chunksize_flag_changes_nothing_but_wallclock(self, capsys):
-        argv = ["batch", "--algorithms", "balls-into-leaves", "--sizes", "8",
-                "--trials", "4", "--executor", "process", "--workers", "2"]
-        assert main(argv) == 0
-        default_out = capsys.readouterr().out
-        assert main(argv + ["--chunksize", "1"]) == 0
-        chunked_out = capsys.readouterr().out
-        assert chunked_out == default_out
 
     def test_run_threads_kernel_through_experiments(self, capsys):
         assert main(["run", "EXP-T2", "--scale", "smoke",
