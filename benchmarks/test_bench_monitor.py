@@ -6,7 +6,7 @@ Times whole scenario-matrix cells through the batch API with
 job).  Two workloads:
 
 * *stacked* — failure-free cells pinned to the vectorized kernel, where
-  the :class:`~repro.monitor.invariants.StackedMonitor` screens are a
+  the :class:`~repro.monitor.stacked.StackedMonitor` screens are a
   handful of O(T·n) ufunc passes per round against the engine's own
   dozens; the acceptance bar is <= 15% overhead, and in practice the
   screens disappear into the seed-derivation noise floor;

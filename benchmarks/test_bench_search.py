@@ -13,7 +13,7 @@ worker pool, and (c) the *stacked multiplier*: every built-in strategy
 emits same-cell generations, so the evaluator can stack a whole
 generation onto the vectorized crash engine as one pass.  The stacked
 and forced-per-trial variants are timed explicitly by pinning
-``REPRO_VEC_CRASH_MIN_STREAMS`` to 0 and to an unreachable floor; the
+``REPRO_VEC_MIN_STREAMS`` to 0 and to an unreachable floor; the
 default run sits between them (small generations stay per-trial, big
 ones stack).  The determinism contract is asserted inside the timing
 loop: every executor and stacking mode must produce byte-identical
@@ -50,9 +50,9 @@ def _config(seed: int = 1, n: int = N) -> HuntConfig:
 
 
 def _timed_hunt(strategy: str, *, n: int = N, min_streams=None, **kwargs):
-    saved = os.environ.get("REPRO_VEC_CRASH_MIN_STREAMS")
+    saved = os.environ.get("REPRO_VEC_MIN_STREAMS")
     if min_streams is not None:
-        os.environ["REPRO_VEC_CRASH_MIN_STREAMS"] = str(min_streams)
+        os.environ["REPRO_VEC_MIN_STREAMS"] = str(min_streams)
     try:
         started = time.perf_counter()
         result = run_hunt(_config(n=n), strategy, **kwargs)
@@ -60,9 +60,9 @@ def _timed_hunt(strategy: str, *, n: int = N, min_streams=None, **kwargs):
     finally:
         if min_streams is not None:
             if saved is None:
-                del os.environ["REPRO_VEC_CRASH_MIN_STREAMS"]
+                del os.environ["REPRO_VEC_MIN_STREAMS"]
             else:
-                os.environ["REPRO_VEC_CRASH_MIN_STREAMS"] = saved
+                os.environ["REPRO_VEC_MIN_STREAMS"] = saved
     return result, elapsed
 
 
@@ -151,7 +151,7 @@ def test_bench_search_writes_artifact():
         "notes": (
             "stacked_multiplier = forced per-trial columnar vs whole "
             "generations stacked on the vectorized crash engine "
-            "(REPRO_VEC_CRASH_MIN_STREAMS pinned to 10**9 vs 0); the "
+            "(REPRO_VEC_MIN_STREAMS pinned to 10**9 vs 0); the "
             "default serial run sits between them — generations below "
             "the 1024-stream floor stay per-trial because small cells "
             "are faster that way.  Histories are asserted byte-identical "

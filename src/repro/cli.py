@@ -54,10 +54,10 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=KERNEL_CHOICES,
         help="simulation kernel: auto picks the fastest exact engine per "
-        "cell (trial-stacked vectorized for failure-free sweeps when numpy "
-        "is installed, columnar otherwise, reference as the final "
-        "fallback); reference/columnar/vectorized pin an engine and fail "
-        "on runs it cannot model",
+        "cell (trial-stacked vectorized for cells of at least 1024 "
+        "ball-streams when numpy is installed, columnar otherwise, "
+        "reference as the final fallback); reference/columnar/vectorized "
+        "pin an engine and fail on runs it cannot model",
     )
     parser.add_argument(
         "--threads",

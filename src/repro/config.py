@@ -1,8 +1,9 @@
 """The process-environment seam: typed readers for every ``REPRO_*`` knob.
 
 Determinism contract: environment variables must never influence
-*results* — only wall-clock strategy (thread fanout, stacking floors).  Every knob therefore lives here: one function per
-variable, read per call (never cached, so the CLI and tests can set the
+*results* — only wall-clock strategy (thread fanout, the stacking
+floor).  Every knob therefore lives here: one function per variable,
+read per call (never cached, so the CLI and tests can set the
 environment at any point), with validation and a documented default.
 
 The D105 lint rule (:mod:`repro.lint.rules_determinism`) enforces the
@@ -19,10 +20,11 @@ Knobs
 ``REPRO_VEC_MAX_STREAMS``
     Stream budget (trials x n) of one stacked vectorized call; bounds
     resident MT state (~2.5 KB per stream).
-``REPRO_VEC_CRASH_MIN_STREAMS``
-    Minimum stream count below which a *crash* cell stays on the
-    per-trial columnar path (the stacked crash engine's fixed per-round
-    costs only amortize across enough streams).  0 = always stack.
+``REPRO_VEC_MIN_STREAMS``
+    Minimum stream count below which an ``auto`` cell, failure-free or
+    crash, stays on the per-trial columnar path (a stack's fixed
+    seeding and per-round costs only amortize across enough streams).
+    0 = always stack.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from repro.errors import ConfigurationError
 #: Stream budget (trials x n) of one stacked vectorized call.
 DEFAULT_MAX_STREAMS = 1 << 17
 
-#: Measured crossover floor for stacking crash cells (streams).
-DEFAULT_CRASH_MIN_STREAMS = 1 << 10
+#: Measured crossover floor for stacking ``auto`` cells (streams).
+DEFAULT_MIN_STREAMS = 1 << 10
 
 
 def _read(name: str) -> str:
@@ -92,11 +94,9 @@ def vec_max_streams() -> int:
     )
 
 
-def crash_min_streams() -> int:
-    """Resolved ``REPRO_VEC_CRASH_MIN_STREAMS`` (>= 0; default 2**10)."""
+def min_streams() -> int:
+    """Resolved ``REPRO_VEC_MIN_STREAMS`` (>= 0; default 2**10)."""
     return _int_knob(
-        "REPRO_VEC_CRASH_MIN_STREAMS",
-        default=DEFAULT_CRASH_MIN_STREAMS,
-        minimum=0,
+        "REPRO_VEC_MIN_STREAMS", default=DEFAULT_MIN_STREAMS, minimum=0
     )
 

@@ -5,6 +5,9 @@ importance-splitting rare-event estimator.
   invariants as flat-array predicates cheap enough to leave enabled in
   columnar/vectorized sweeps (``monitor="cheap"``), plus the stateful
   per-run monitor with progress/deadlock detection.
+* :mod:`repro.monitor.stacked` — the same predicates over a whole
+  trial-stacked vectorized cell; the only monitor module that needs
+  NumPy.
 * :mod:`repro.monitor.splitting` — fixed-effort multilevel importance
   splitting over round-count level sets, estimating tail probabilities
   P(rounds > k·log log n) far below what direct Monte Carlo can reach.

@@ -25,13 +25,13 @@ produce identical :class:`BatchResult` cells, byte for byte.
 Execution is *cell-granular* where it pays: consecutive trials of one
 cell are stacked into a single
 :func:`repro.sim.vectorized.run_stacked_cell` pass (NumPy installed,
-``kernel`` in ``{"auto", "vectorized"}``; crash cells only above a stream
-floor), so a sweep dispatches whole cells — chunked across workers —
-instead of pickling every :class:`TrialSpec` individually.  The stacked
-engine is bit-identical to the per-trial kernels, so the upgrade changes
-wall-clock only; cells the vectorized engine rejects (uncertified or
-non-crash fault families, non-BiL algorithms, missing NumPy) keep the
-per-trial path and its ``auto`` kernel selection.
+``kernel`` in ``{"auto", "vectorized"}``; ``auto`` cells only from a
+stream floor up), so a sweep dispatches whole cells — chunked across
+workers — instead of pickling every :class:`TrialSpec` individually.
+The stacked engine is bit-identical to the per-trial kernels, so the
+upgrade changes wall-clock only; cells the vectorized engine rejects
+(uncertified or non-crash fault families, non-BiL algorithms, missing
+NumPy) keep the per-trial path and its ``auto`` kernel selection.
 """
 
 from __future__ import annotations
@@ -336,9 +336,10 @@ class TrialSpec:
     crash_budget: Optional[int] = None
     check: bool = True
     #: Kernel selection: "auto" (stacked vectorized cells for eligible
-    #: failure-free batches, columnar when it models the run, reference
-    #: otherwise), or a pinned "reference" / "columnar" / "vectorized"
-    #: (pinned fast paths raise KernelUnsupported on rejected cells).
+    #: cells at the stream floor, columnar when it models the run,
+    #: reference otherwise), or a pinned "reference" / "columnar" /
+    #: "vectorized" (pinned fast paths raise KernelUnsupported on
+    #: rejected cells).
     kernel: str = "auto"
     #: Counterexample-mining mode: capture simulation/spec failures as
     #: data (:attr:`TrialResult.error`) instead of letting one poisoned
@@ -543,16 +544,23 @@ DEFAULT_MAX_STREAMS = repro_config.DEFAULT_MAX_STREAMS
 
 _max_streams = repro_config.vec_max_streams
 
-#: Minimum stream count (trials x n) below which a *crash* cell stays on
-#: the per-trial columnar path.  The crash stack pays fixed per-round
-#: costs (adversary planning, class-matrix bookkeeping) that only
-#: amortize across enough streams; measured crossover on one core sits
-#: between 512 and 1024 streams, above which stacking wins 1.3-2.8x.
-#: Failure-free stacks amortize from far smaller cells and take no
-#: floor.  Override with REPRO_VEC_CRASH_MIN_STREAMS (0 = always stack).
-DEFAULT_CRASH_MIN_STREAMS = repro_config.DEFAULT_CRASH_MIN_STREAMS
+#: Minimum stream count (trials x n) below which an ``auto`` cell,
+#: failure-free or crash, stays on the per-trial columnar path.  A stack
+#: pays fixed costs (a ~5 ms MT-seeding pass for Balls-into-Leaves,
+#: adversary planning and class bookkeeping per round) that only
+#: amortize across enough streams.  Measured on a two-core Xeon with
+#: NumPy preloaded (stacked vs per-trial, median of 5): failure-free
+#: Balls-into-Leaves cells run faster per-trial up to 256 streams
+#: (16 x 2: 6.0 vs 0.75 ms), tie near 512 and stack faster from 1024
+#: (32 x 32: 11 vs 18 ms; 256 x 32: 46 vs 121 ms); crash cells cross at
+#: the same point (random:rate=0.1, 32 x 32: 30 vs 36 ms).  RNG-free
+#: early-terminating stacks win from ~128 streams, but one floor costs
+#: its small cells under 3 ms each.  Pinning ``kernel`` bypasses the
+#: floor: ``vectorized`` always stacks, ``columnar`` never does.
+#: Override with REPRO_VEC_MIN_STREAMS (0 = always stack).
+DEFAULT_MIN_STREAMS = repro_config.DEFAULT_MIN_STREAMS
 
-_crash_min_streams = repro_config.crash_min_streams
+_min_streams = repro_config.min_streams
 
 
 def _cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
@@ -635,11 +643,11 @@ def plan_tasks(
     (the hunt batching hint), provided every adversary in the run shares
     a name (so one certification answer covers the group).
 
-    Crash groups additionally respect the
-    :data:`DEFAULT_CRASH_MIN_STREAMS` floor: below it the stacked crash
-    engine's fixed per-round costs outweigh the amortization, so small
-    crash cells keep the per-trial columnar path (a pure scheduling
-    choice — the engines are bit-identical).
+    ``auto`` groups additionally respect the :data:`DEFAULT_MIN_STREAMS`
+    floor: below it a stack's fixed seeding and per-round costs outweigh
+    the amortization, so small cells keep the per-trial columnar path (a
+    pure scheduling choice — the engines are bit-identical).  A pinned
+    ``kernel="vectorized"`` group always stacks.
     """
     tasks: List[Task] = []
     specs = list(specs)
@@ -655,16 +663,13 @@ def plan_tasks(
                 break
             j += 1
         group = specs[i:j]
-        # Crash stacks only pay above the stream floor; smaller crash
-        # cells keep per-trial columnar speed (bit-identical either way —
-        # the floor is purely a scheduling choice).  It is checked before
-        # the stacking probe, which builds an adversary and loads the
-        # vectorized kernel.
+        # The floor is checked before the stacking probe, which builds an
+        # adversary and loads NumPy and the vectorized kernel.  A pinned
+        # ``vectorized`` cell asked to stack, so it takes no floor.
         stacks = (
             len(group) >= 2
             and (
-                spec.adversary.name == "none"
-                or len(group) * spec.n >= _crash_min_streams()
+                spec.kernel != "auto" or len(group) * spec.n >= _min_streams()
             )
             and _stackable(spec)
         )
@@ -1090,11 +1095,12 @@ def run_batch(
 
     ``executor`` may be an :class:`Executor`, a name from
     :data:`EXECUTORS`, or None (serial; or process when ``workers > 1``).
-    Eligible cells — failure-free and certified-crash alike — run
-    trial-stacked on the vectorized engine (one call per cell, split
-    across workers); results are bit-identical either way, so backends
-    and kernels interchange freely.  ``mixed_cells`` extends stacking to
-    groups whose trials carry per-trial adversary specs (hunt batches).
+    Eligible cells — failure-free and certified-crash alike, from the
+    stream floor up — run trial-stacked on the vectorized engine (one
+    call per cell, split across workers); results are bit-identical
+    either way, so backends and kernels interchange freely.
+    ``mixed_cells`` extends stacking to groups whose trials carry
+    per-trial adversary specs (hunt batches).
     """
     specs = source.expand() if isinstance(source, ScenarioMatrix) else list(source)
     backend = as_executor(executor, workers=workers)

@@ -12,7 +12,7 @@ Wraps :class:`repro.core.vectorized.VectorizedCrashEngine` in two shapes:
   execute as one vectorized pass, amortizing the interpreter, the
   topology, and the RNG machinery across the whole cell instead of
   paying them per trial.  ``monitor="cheap"`` rides along as the
-  :class:`~repro.monitor.invariants.StackedMonitor`.
+  :class:`~repro.monitor.stacked.StackedMonitor`.
 
 Everything the stack produces is bit-for-bit what the columnar (and
 hence reference) kernel produces trial by trial — same
@@ -284,7 +284,7 @@ def run_stacked_cell(
     )
     observer = None
     if monitor != "off":
-        from repro.monitor.invariants import StackedMonitor
+        from repro.monitor.stacked import StackedMonitor
 
         observer = StackedMonitor(engine)
     # Telemetry: "movement" on the stacked path is the whole array

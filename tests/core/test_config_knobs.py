@@ -63,25 +63,25 @@ class TestVecMaxStreams:
             config.vec_max_streams()
 
 
-class TestCrashMinStreams:
+class TestMinStreams:
     def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VEC_CRASH_MIN_STREAMS", raising=False)
+        monkeypatch.delenv("REPRO_VEC_MIN_STREAMS", raising=False)
         assert (
-            config.crash_min_streams()
-            == config.DEFAULT_CRASH_MIN_STREAMS
+            config.min_streams()
+            == config.DEFAULT_MIN_STREAMS
             == 1 << 10
         )
 
     def test_zero_means_always_stack(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
-        assert config.crash_min_streams() == 0
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
+        assert config.min_streams() == 0
 
     def test_clamped_to_zero(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "-5")
-        assert config.crash_min_streams() == 0
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "-5")
+        assert config.min_streams() == 0
 
     def test_junk_is_loud(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "x")
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "x")
         with pytest.raises(ConfigurationError):
-            config.crash_min_streams()
+            config.min_streams()
 

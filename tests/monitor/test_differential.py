@@ -94,7 +94,7 @@ class TestDifferentialGrid:
 
         from repro.sim.batch import AdversarySpec, TrialSpec, run_batch, run_trial
 
-        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         specs = [
             TrialSpec(
                 algorithm="balls-into-leaves",

@@ -269,7 +269,7 @@ class TestStackedMonitorParity:
     def _observe(self, engine, round_no):
         import numpy as np
 
-        from repro.monitor.invariants import StackedMonitor
+        from repro.monitor.stacked import StackedMonitor
 
         monitor = StackedMonitor(engine)
         monitor(engine, round_no, np.ones(engine.trials, dtype=bool))
@@ -302,7 +302,7 @@ class TestStackedMonitorParity:
         return new
 
     def test_clean_runs_report_nothing(self):
-        from repro.monitor.invariants import StackedMonitor
+        from repro.monitor.stacked import StackedMonitor
 
         engine = self._engine()
         monitor = StackedMonitor(engine)
@@ -412,7 +412,7 @@ class TestStackedMonitorParity:
     def test_frozen_trial_reports_progress_stall(self):
         import numpy as np
 
-        from repro.monitor.invariants import StackedMonitor
+        from repro.monitor.stacked import StackedMonitor
 
         engine = self._engine(trials=2)
         engine.run(stop_after=2)

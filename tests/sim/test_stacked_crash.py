@@ -61,7 +61,9 @@ COMPARED_FIELDS = (
 )
 
 
-def _crash_specs(algorithm, n, seeds, adversary, *, halt_on_name=False):
+def _crash_specs(
+    algorithm, n, seeds, adversary, *, halt_on_name=False, kernel="auto"
+):
     return [
         TrialSpec(
             algorithm=algorithm,
@@ -74,7 +76,7 @@ def _crash_specs(algorithm, n, seeds, adversary, *, halt_on_name=False):
             ),
             halt_on_name=halt_on_name,
             check=True,
-            kernel="auto",
+            kernel=kernel,
             capture_errors=True,
         )
         for seed in seeds
@@ -197,26 +199,36 @@ class TestStackedCrashDifferential:
 
 @needs_numpy
 class TestCrashCellPlanning:
-    def test_small_crash_cells_respect_the_stream_floor(self, monkeypatch):
-        """Below REPRO_VEC_CRASH_MIN_STREAMS the per-trial path stays."""
+    @pytest.mark.parametrize(
+        "algorithm", ["balls-into-leaves", "early-terminating"]
+    )
+    @pytest.mark.parametrize("adversary", ["none", "random:rate=0.25"])
+    def test_auto_cells_respect_the_stream_floor(
+        self, monkeypatch, algorithm, adversary
+    ):
+        """Failure-free or crash, an ``auto`` cell stacks from 1024
+        streams (trials x n) up and stays per-trial below."""
+        monkeypatch.delenv("REPRO_VEC_MIN_STREAMS", raising=False)
+        below = _crash_specs(algorithm, 31, range(33), adversary)
+        assert plan_tasks(below) == below  # 1023 streams
+        at = _crash_specs(algorithm, 32, range(32), adversary)
+        assert plan_tasks(at) == [tuple(at)]  # 1024 streams
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "1023")
+        assert plan_tasks(below) == [tuple(below)]
+
+    @pytest.mark.parametrize("adversary", ["none", "random:rate=0.25"])
+    def test_pinned_vectorized_cells_take_no_floor(self, monkeypatch, adversary):
+        """Pinning ``kernel="vectorized"`` stacks a cell far below the
+        floor as one task, not as one-trial stacks."""
+        monkeypatch.delenv("REPRO_VEC_MIN_STREAMS", raising=False)
         specs = _crash_specs(
-            "balls-into-leaves", 9, [40 + k for k in range(8)],
-            "random:rate=0.25",
+            "balls-into-leaves", 9, [40 + k for k in range(8)], adversary,
+            kernel="vectorized",
         )
-        assert plan_tasks(specs) == specs  # 72 streams < the default floor
-        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "72")
-        tasks = plan_tasks(specs)
-        assert len(tasks) == 1 and isinstance(tasks[0], tuple)
-        # Failure-free cells take no floor.
-        free = [
-            TrialSpec(algorithm="balls-into-leaves", n=9, seed=40 + k)
-            for k in range(8)
-        ]
-        monkeypatch.delenv("REPRO_VEC_CRASH_MIN_STREAMS")
-        assert len(plan_tasks(free)) == 1
+        assert plan_tasks(specs) == [tuple(specs)]  # 72 streams
 
     def test_run_batch_auto_stacks_crash_cells(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         specs = _crash_specs(
             "balls-into-leaves", 9, [40 + k for k in range(8)],
             "random:rate=0.25",
@@ -232,7 +244,7 @@ class TestCrashCellPlanning:
 
     def test_mixed_cells_stack_distinct_schedules(self, monkeypatch):
         """The hunt's batching hint: same cell shape, different plans."""
-        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         specs = []
         for k in range(6):
             schedule = Schedule.of(10, [CrashEvent(2 + (k % 3), k, ())])
@@ -266,7 +278,7 @@ class TestThreadInvariance:
         import repro.core.mt19937 as mt19937
 
         monkeypatch.setattr(mt19937, "MIN_STREAMS_PER_THREAD", 4)
-        monkeypatch.setenv("REPRO_VEC_CRASH_MIN_STREAMS", "0")
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         outcomes = []
         for threads in ("1", "2", "8"):
             monkeypatch.setenv("REPRO_VEC_THREADS", threads)

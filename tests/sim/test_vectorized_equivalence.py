@@ -143,6 +143,7 @@ class TestStackedCellEquivalence:
 
     def test_stream_budget_chunking_is_invisible(self, monkeypatch):
         """Tiny REPRO_VEC_MAX_STREAMS splits stacks without changing bits."""
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         specs = _cell_specs("balls-into-leaves", 16, range(10), kernel="auto")
         whole = run_batch(specs).trials
         monkeypatch.setenv("REPRO_VEC_MAX_STREAMS", "48")  # 3 trials per stack
@@ -151,7 +152,8 @@ class TestStackedCellEquivalence:
         chunked = run_batch(specs).trials
         assert chunked == whole
 
-    def test_batch_auto_upgrade_matches_pinned_columnar_batch(self):
+    def test_batch_auto_upgrade_matches_pinned_columnar_batch(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         matrix = ScenarioMatrix.build(
             ["balls-into-leaves", "early-terminating"], [8, 33],
             trials=5, base_seed=3,
@@ -172,7 +174,8 @@ class TestStackedCellEquivalence:
         # exactly, so the upgrade cannot move a published number.
         assert auto.cell_stats() == columnar.cell_stats()
 
-    def test_mixed_matrix_stacks_only_eligible_cells(self):
+    def test_mixed_matrix_stacks_only_eligible_cells(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         matrix = ScenarioMatrix.build(
             ["balls-into-leaves", "flood"], [8],
             ["none", "random:rate=0.2"], trials=3, base_seed=0,
@@ -182,18 +185,20 @@ class TestStackedCellEquivalence:
             (trial.spec.algorithm, trial.spec.adversary.key): trial.kernel
             for trial in batch.trials
         }
-        # Certified crash cells can stack too (the crash engine), but a
-        # 3-trial n=8 cell sits far below the crash stream floor, so it
-        # keeps the per-trial columnar path; non-BiL algorithms keep the
-        # scalar path outright.
+        # With the stream floor off, certified crash cells stack too
+        # (the crash engine); non-BiL algorithms keep the scalar path
+        # outright.
         assert kernels == {
             ("balls-into-leaves", "none"): "vectorized",
-            ("balls-into-leaves", "random:rate=0.2"): "columnar",
+            ("balls-into-leaves", "random:rate=0.2"): "vectorized",
             ("flood", "none"): "reference",
             ("flood", "random:rate=0.2"): "reference",
         }
 
-    def test_serial_and_process_backends_agree_on_stacked_cells(self):
+    def test_serial_and_process_backends_agree_on_stacked_cells(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         matrix = ScenarioMatrix.build(
             ["balls-into-leaves"], [16], trials=8, base_seed=1
         )
@@ -215,9 +220,10 @@ class TestTaskPlanning:
             specs = _cell_specs("balls-into-leaves", 8, range(4), kernel=kernel)
             assert plan_tasks(specs) == specs
 
-    def test_parts_split_large_stacks_for_worker_spread(self):
+    def test_parts_split_large_stacks_for_worker_spread(self, monkeypatch):
         if not vectorized_available():
             pytest.skip("grouping requires the vectorized engine")
+        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         specs = _cell_specs("balls-into-leaves", 8, range(12), kernel="auto")
         tasks = plan_tasks(specs, parts=3)
         assert [len(task) for task in tasks] == [4, 4, 4]

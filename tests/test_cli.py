@@ -208,10 +208,8 @@ class TestJsonlOut:
         assert rows[0]["algorithm"] == "balls-into-leaves"
         assert rows[0]["n"] == 8
         assert rows[0]["adversary"] == "none"
-        from repro.sim.vectorized import vectorized_available
-
-        expected_kernel = "vectorized" if vectorized_available() else "columnar"
-        assert rows[0]["kernel"] == expected_kernel
+        # 3 trials x 8 balls sit below the stacking floor: per-trial.
+        assert rows[0]["kernel"] == "columnar"
         assert {row["seed"] for row in rows} == {0, 1, 2}
         assert all(row["rounds"] >= 3 for row in rows)
 

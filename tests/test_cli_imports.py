@@ -84,12 +84,21 @@ def loaded_modules(argv, cwd):
         ["explore", "scenario.json", "--out", "t.html"],
         ["explore", "scenario.json", "--replay", "--out", "t.html"],
         ["demo", "--n", "8"],
-        # Below the crash stacking floor: per-trial columnar, no probe.
+        # Below the stacking floor (trials x n < 1024 streams), failure-
+        # free or crash, monitored or not: per-trial columnar, no probe.
+        ["batch", "--sizes", "16", "--trials", "4"],
         ["batch", "--sizes", "16", "--adversary", "random:rate=0.1",
          "--trials", "4"],
+        ["batch", "--sizes", "16", "--adversary", "random:rate=0.1",
+         "--trials", "4", "--monitor", "cheap"],
+        ["hunt", "--n", "16", "--budget", "20", "--fault-family", "mixed",
+         "--baseline-trials", "2", "--no-scenario"],
+        ["run", "EXP-T3", "--scale", "smoke"],
     ],
     ids=["version", "list", "lint-rules", "stats", "explore-stored",
-         "explore-replay", "demo", "crash-batch-below-floor"],
+         "explore-replay", "demo", "batch-below-floor",
+         "crash-batch-below-floor", "monitored-batch-below-floor", "hunt",
+         "run-smoke"],
 )
 def test_verb_loads_no_array_engine(workdir, argv):
     assert not loaded_modules(argv, workdir) & ENGINE
@@ -97,5 +106,6 @@ def test_verb_loads_no_array_engine(workdir, argv):
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
 def test_stackable_batch_loads_the_array_engine(workdir):
-    modules = loaded_modules(["batch", "--sizes", "64", "--trials", "4"], workdir)
+    # 16 trials x 64 balls = 1024 streams: exactly the stacking floor.
+    modules = loaded_modules(["batch", "--sizes", "64", "--trials", "16"], workdir)
     assert ENGINE <= modules
