@@ -22,12 +22,11 @@ nearly all interpreter cost (~5x on one core); *balls-into-leaves*
 cells must reproduce every per-ball Mersenne-Twister stream bit for bit
 (SHA-256 seed derivation + ``init_by_array`` + partial twists — a cost
 the scalar kernels pay in C at near-identical efficiency), so their
-serial ceiling is ~3.5x; ``REPRO_VEC_THREADS>1`` lifts the seeding and
-twist share further on multi-core runners.  Crash trial cells are the
-hunt/gauntlet regime: a schedule-compiled candidate and the sandwich
-adversary stack 2-3x above the per-trial columnar path at sweep sizes,
-while a heavy random workload (budget n-1, 20% rate) is bounded near
-1x by per-class state copies — all three are recorded.  The assertion
+ceiling is ~3.5x.  Crash trial cells are the hunt/gauntlet regime: a
+schedule-compiled candidate and the sandwich adversary stack 2-3x
+above the per-trial columnar path at sweep sizes, while a heavy random
+workload (budget n-1, 20% rate) is bounded near 1x by per-class state
+copies — all three are recorded.  The assertion
 floors are set conservatively below the locally measured numbers to
 absorb CI-runner variance.
 
@@ -436,8 +435,7 @@ def test_bench_kernel_writes_json(capsys):
             "serial by bit-exact per-ball MT stream reproduction (SHA-256 "
             "derivation + init_by_array + twists, 65-77% of the stacked "
             "cell), which the scalar kernels pay in C at near-identical "
-            "efficiency — REPRO_VEC_THREADS>1 lifts that share on "
-            "multi-core runners. crash_trial_cells: schedule/sandwich "
+            "efficiency. crash_trial_cells: schedule/sandwich "
             "cells (the hunt regime) stack 2-3x; heavy random crash "
             "cells are bounded near 1x by per-class state copies"
         ),

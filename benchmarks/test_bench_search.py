@@ -12,12 +12,12 @@ supposed to be noise), (b) how well generation-sized batches feed the
 worker pool, and (c) the *stacked multiplier*: every built-in strategy
 emits same-cell generations, so the evaluator can stack a whole
 generation onto the vectorized crash engine as one pass.  The stacked
-and forced-per-trial variants are timed explicitly by pinning
-``REPRO_VEC_MIN_STREAMS`` to 0 and to an unreachable floor; the
-default run sits between them (small generations stay per-trial, big
-ones stack).  The determinism contract is asserted inside the timing
-loop: every executor and stacking mode must produce byte-identical
-evaluation histories.
+and per-trial variants are timed explicitly by pinning the hunt's
+kernel to ``vectorized`` and to ``columnar``; the default ``auto`` run
+sits between them (generations below the 1024-stream floor stay
+per-trial, bigger ones stack).  The determinism contract is asserted
+inside the timing loop: every executor and kernel must produce
+byte-identical evaluation histories.
 """
 
 from __future__ import annotations
@@ -45,25 +45,13 @@ BIG_N = 128
 BIG_STRATEGIES = ("evolve", "random")
 
 
-def _config(seed: int = 1, n: int = N) -> HuntConfig:
-    return HuntConfig(n=n, objective="rounds", budget=BUDGET, seed=seed)
-
-
-def _timed_hunt(strategy: str, *, n: int = N, min_streams=None, **kwargs):
-    saved = os.environ.get("REPRO_VEC_MIN_STREAMS")
-    if min_streams is not None:
-        os.environ["REPRO_VEC_MIN_STREAMS"] = str(min_streams)
-    try:
-        started = time.perf_counter()
-        result = run_hunt(_config(n=n), strategy, **kwargs)
-        elapsed = time.perf_counter() - started
-    finally:
-        if min_streams is not None:
-            if saved is None:
-                del os.environ["REPRO_VEC_MIN_STREAMS"]
-            else:
-                os.environ["REPRO_VEC_MIN_STREAMS"] = saved
-    return result, elapsed
+def _timed_hunt(strategy: str, *, n: int = N, kernel: str = "auto", **kwargs):
+    config = HuntConfig(
+        n=n, objective="rounds", budget=BUDGET, seed=1, kernel=kernel
+    )
+    started = time.perf_counter()
+    result = run_hunt(config, strategy, **kwargs)
+    return result, time.perf_counter() - started
 
 
 # One artifact-writing pass, nightly/bench-job scoped like bench-kernel.
@@ -76,10 +64,10 @@ def test_bench_search_writes_artifact():
             strategy, executor="process", workers=WORKERS
         )
         # The stacked multiplier: whole generations on the vectorized
-        # crash engine (floor 0) vs forced per-trial columnar (floor
-        # out of reach) — byte-identical histories either way.
-        per_trial, per_trial_s = _timed_hunt(strategy, min_streams=10**9)
-        stacked, stacked_s = _timed_hunt(strategy, min_streams=0)
+        # crash engine vs per-trial columnar, both pinned —
+        # byte-identical histories either way.
+        per_trial, per_trial_s = _timed_hunt(strategy, kernel="columnar")
+        stacked, stacked_s = _timed_hunt(strategy, kernel="vectorized")
         assert json.dumps(serial.rows()) == json.dumps(process.rows()), (
             f"{strategy}: executor changed the evaluation history"
         )
@@ -87,8 +75,8 @@ def test_bench_search_writes_artifact():
             f"{strategy}: generation stacking changed the evaluation history"
         )
         assert json.dumps(serial.rows()) == json.dumps(stacked.rows()), (
-            f"{strategy}: the crash-stream floor changed the evaluation "
-            "history"
+            f"{strategy}: the auto kernel's stream floor changed the "
+            "evaluation history"
         )
         cells.append(
             {
@@ -120,10 +108,10 @@ def test_bench_search_writes_artifact():
         per_trial_s = stacked_s = None
         per_trial = stacked = None
         for _ in range(2):
-            result, elapsed = _timed_hunt(strategy, n=BIG_N, min_streams=10**9)
+            result, elapsed = _timed_hunt(strategy, n=BIG_N, kernel="columnar")
             if per_trial_s is None or elapsed < per_trial_s:
                 per_trial_s, per_trial = elapsed, result
-            result, elapsed = _timed_hunt(strategy, n=BIG_N, min_streams=0)
+            result, elapsed = _timed_hunt(strategy, n=BIG_N, kernel="vectorized")
             if stacked_s is None or elapsed < stacked_s:
                 stacked_s, stacked = elapsed, result
         assert json.dumps(per_trial.rows()) == json.dumps(stacked.rows()), (
@@ -149,13 +137,13 @@ def test_bench_search_writes_artifact():
         "rounds objective",
         "workers": WORKERS,
         "notes": (
-            "stacked_multiplier = forced per-trial columnar vs whole "
-            "generations stacked on the vectorized crash engine "
-            "(REPRO_VEC_MIN_STREAMS pinned to 10**9 vs 0); the "
-            "default serial run sits between them — generations below "
-            "the 1024-stream floor stay per-trial because small cells "
-            "are faster that way.  Histories are asserted byte-identical "
-            "across every executor and stacking mode."
+            "stacked_multiplier = per-trial columnar vs whole "
+            "generations stacked on the vectorized crash engine (hunt "
+            "kernel pinned to columnar vs vectorized); the default auto "
+            "run sits between them — generations below the 1024-stream "
+            "floor stay per-trial because small cells are faster that "
+            "way.  Histories are asserted byte-identical across every "
+            "executor and kernel."
         ),
         "cells": cells,
         "big_cells": big_cells,

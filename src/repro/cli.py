@@ -24,7 +24,6 @@ import sys
 from typing import Iterable, List, Optional
 
 from repro._version import __version__
-from repro.config import set_vec_threads
 from repro.errors import ReproError
 from repro.ids import sparse_ids
 
@@ -58,15 +57,6 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         "ball-streams when numpy is installed, columnar otherwise, "
         "reference as the final fallback); reference/columnar/vectorized "
         "pin an engine and fail on runs it cannot model",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="K",
-        help="threads for the vectorized kernel's seeding/twist passes "
-        "(sets REPRO_VEC_THREADS; default: CPU count, 1 = the exact "
-        "serial pass — any value is byte-identical)",
     )
 
 
@@ -493,13 +483,13 @@ def _emit(report: str, out: Optional[str], jsonl_rows=None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.registry import run_experiment
+    from repro.sim.batch import as_executor
 
     result = run_experiment(
         args.experiment_id,
         scale=args.scale,
         seed=args.seed,
-        executor=args.executor,
-        workers=args.workers,
+        executor=as_executor(args.executor, workers=args.workers),
         kernel=args.kernel,
     )
     _emit(result.render(), args.out, jsonl_rows=_experiment_rows([result], args.kernel))
@@ -508,7 +498,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_all(args: argparse.Namespace) -> int:
     from repro.experiments.registry import all_experiments, run_experiment
+    from repro.sim.batch import as_executor
 
+    # Resolved once, before the first experiment: a bad --workers fails
+    # here even though only the batched experiments use the executor.
+    executor = as_executor(args.executor, workers=args.workers)
     results = []
     for entry in all_experiments():
         print(f"... running {entry.experiment_id}", file=sys.stderr)
@@ -517,8 +511,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
                 entry.experiment_id,
                 scale=args.scale,
                 seed=args.seed,
-                executor=args.executor,
-                workers=args.workers,
+                executor=executor,
                 kernel=args.kernel,
             )
         )
@@ -871,15 +864,25 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             )
         if os.path.exists(trace_path):
             header, stored = read_trace(trace_path)
-            if header.get("digest") in ("", None, digest):
+            recorded = header.get("digest") or None
+            pointer = scenario.trace_digest
+            if recorded and pointer and pointer != recorded:
+                # The pointer and the file it names disagree, so one of
+                # them was edited: neither can be trusted to describe
+                # the other.
+                raise ReproError(
+                    f"{scenario.trace_path} records digest {recorded}, but "
+                    f"the scenario's trace.digest is {pointer}"
+                )
+            if recorded in (None, digest):
                 trace, source = stored, f"stored trace {scenario.trace_path}"
             else:
-                # The scenario was edited after the trace was captured
-                # (digests disagree): fall through to a fresh replay so
-                # the timeline shows the *edited* execution.
+                # The schedule was edited after the trace was captured
+                # (the spec digest moved): fall through to a fresh replay
+                # so the timeline shows the *edited* execution.
                 print(
                     f"note: {scenario.trace_path} is for digest "
-                    f"{header.get('digest')}, scenario is {digest}; "
+                    f"{recorded}, scenario is {digest}; "
                     "replaying instead",
                     file=sys.stderr,
                 )
@@ -982,14 +985,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = _build_parser().parse_args(argv)
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        # The knob is just the env var, written through the config seam:
-        # the stream-bank fanout reads it per pass, and every thread
-        # count is byte-identical.
-        set_vec_threads(args.threads)
     if getattr(args, "telemetry", False):
         from repro.core.instrumentation import TIMERS
 

@@ -22,14 +22,6 @@ array passes over a ``(624, S)`` stacked state, one column per stream:
   (``(a >> 5) * 2**26 + (b >> 6)`` over two consecutive words, divided
   by ``2**53``).
 
-The seeding and twist passes are uint32 streams over independent
-columns, and NumPy releases the GIL, so both fan out across a thread
-pool when ``REPRO_VEC_THREADS`` (default: the CPU count; the CLI's
-``--threads`` sets it) resolves above 1 and the bank is wide enough to
-amortize the dispatch.  Columns are partitioned, never shared, so any
-thread count produces byte-identical streams; ``REPRO_VEC_THREADS=1``
-is exactly the serial pass.
-
 Bit-identity with ``random.Random(seed).random()`` is asserted for
 every stream shape in ``tests/sim/test_mt19937_streams.py``; the
 vectorized kernel's differential suite then rests on it.
@@ -42,12 +34,8 @@ kernel layer degrades to the columnar engine.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import ThreadPoolExecutor
-
-from repro import config as repro_config
 from repro.core.instrumentation import TIMERS
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
@@ -73,15 +61,7 @@ _LOWER = 0x7FFFFFFF
 #: Doubles produced per generation (two 32-bit words per double).
 DOUBLES_PER_GENERATION = _N // 2
 
-#: Below this many columns per worker a thread dispatch costs more than
-#: the pass it would split; narrower banks stay serial whatever the
-#: configured thread count.
-MIN_STREAMS_PER_THREAD = 8192
-
 _base_state_cache = None
-
-_pool = None
-_pool_workers = 0
 
 #: Scratch ``(624, S)`` state buffers, recycled across banks.  A sweep
 #: or hunt seeds thousands of equally-shaped banks back to back, and on
@@ -110,47 +90,6 @@ def _acquire_state(count: int) -> "np.ndarray":
         _state_pool.pop(0)
     _state_pool.append(buf)
     return buf
-
-
-def thread_count() -> int:
-    """The resolved ``REPRO_VEC_THREADS`` (default: CPU count, >= 1).
-
-    Read per pass (through the :mod:`repro.config` seam) rather than
-    cached so the CLI knob and tests can set the environment variable
-    at any point.
-    """
-    return repro_config.vec_threads()
-
-
-def _executor(workers: int) -> "ThreadPoolExecutor":
-    """The shared column-fanout pool, grown on demand."""
-    global _pool, _pool_workers
-    if _pool is None or _pool_workers < workers:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if _pool is not None:
-            _pool.shutdown(wait=False)
-        _pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-vec"
-        )
-        _pool_workers = workers
-    return _pool
-
-
-def _fanout(work: Callable[[slice], None], count: int) -> None:
-    """Run ``work`` over the column axis, split across threads when the
-    bank is wide enough; partitioning is by contiguous column slices, so
-    results are byte-identical at every thread count."""
-    workers = min(thread_count(), count // MIN_STREAMS_PER_THREAD)
-    if workers <= 1:
-        work(slice(0, count))
-        return
-    step = -(-count // workers)
-    slices = [
-        slice(start, min(count, start + step))
-        for start in range(0, count, step)
-    ]
-    list(_executor(len(slices)).map(work, slices))
 
 
 def _base_state() -> "np.ndarray":
@@ -195,59 +134,52 @@ def _mix_group(mt: "np.ndarray", keys: "np.ndarray") -> None:
     write the row fresh; only revisits (step >= 623) read the row back.
     """
     width = keys.shape[0]
-    count = mt.shape[1]
     base = _base_state()
     mix1 = np.uint32(1664525)
     mix2 = np.uint32(1566083941)
     s30 = np.uint32(30)
-
-    def work(cols: slice) -> None:
-        sub = mt[:, cols]
-        sub_keys = keys[:, cols]
-        tmp = np.empty(cols.stop - cols.start, dtype=np.uint32)
-        i = 1
-        j = 0
-        for step in range(max(_N, width)):
-            row = sub[i]
-            if step == 0:
-                # Row 0 is never materialized before its first wrap
-                # copy; the whole first step is scalar arithmetic on
-                # base[0] folded into the key add.
-                b0 = int(base[0])
-                head = (int(base[1]) ^ ((1664525 * (b0 ^ (b0 >> 30))) & 0xFFFFFFFF)) & 0xFFFFFFFF
-                np.add(sub_keys[0], np.uint32(head), out=row)
-            else:
-                prev = sub[i - 1]
-                np.right_shift(prev, s30, out=tmp)
-                np.bitwise_xor(tmp, prev, out=tmp)
-                np.multiply(tmp, mix1, out=tmp)
-                if step < _N - 1:  # first visit: fold base[i] as a scalar
-                    np.bitwise_xor(tmp, base[i], out=row)
-                else:
-                    np.bitwise_xor(row, tmp, out=row)
-                np.add(row, sub_keys[j], out=row)
-            i += 1
-            j += 1
-            if i >= _N:
-                sub[0] = sub[_N - 1]
-                i = 1
-            if j >= width:
-                j = 0
-        for _ in range(_N - 1):
-            prev = sub[i - 1]
+    tmp = np.empty(mt.shape[1], dtype=np.uint32)
+    i = 1
+    j = 0
+    for step in range(max(_N, width)):
+        row = mt[i]
+        if step == 0:
+            # Row 0 is never materialized before its first wrap copy;
+            # the whole first step is scalar arithmetic on base[0]
+            # folded into the key add.
+            b0 = int(base[0])
+            head = (int(base[1]) ^ ((1664525 * (b0 ^ (b0 >> 30))) & 0xFFFFFFFF)) & 0xFFFFFFFF
+            np.add(keys[0], np.uint32(head), out=row)
+        else:
+            prev = mt[i - 1]
             np.right_shift(prev, s30, out=tmp)
             np.bitwise_xor(tmp, prev, out=tmp)
-            np.multiply(tmp, mix2, out=tmp)
-            row = sub[i]
-            np.bitwise_xor(row, tmp, out=row)
-            np.subtract(row, np.uint32(i), out=row)
-            i += 1
-            if i >= _N:
-                sub[0] = sub[_N - 1]
-                i = 1
-        sub[0] = np.uint32(0x80000000)
-
-    _fanout(work, count)
+            np.multiply(tmp, mix1, out=tmp)
+            if step < _N - 1:  # first visit: fold base[i] as a scalar
+                np.bitwise_xor(tmp, base[i], out=row)
+            else:
+                np.bitwise_xor(row, tmp, out=row)
+            np.add(row, keys[j], out=row)
+        i += 1
+        j += 1
+        if i >= _N:
+            mt[0] = mt[_N - 1]
+            i = 1
+        if j >= width:
+            j = 0
+    for _ in range(_N - 1):
+        prev = mt[i - 1]
+        np.right_shift(prev, s30, out=tmp)
+        np.bitwise_xor(tmp, prev, out=tmp)
+        np.multiply(tmp, mix2, out=tmp)
+        row = mt[i]
+        np.bitwise_xor(row, tmp, out=row)
+        np.subtract(row, np.uint32(i), out=row)
+        i += 1
+        if i >= _N:
+            mt[0] = mt[_N - 1]
+            i = 1
+    mt[0] = np.uint32(0x80000000)
 
 
 def seed_states(seeds: Sequence[int]) -> "np.ndarray":
@@ -345,46 +277,37 @@ class MTStreamBank:
         buffer: rows below ``N - M`` read only the old state, higher
         rows also read freshly twisted words (already produced), and the
         final row pairs old word 623 with *new* word 0 — the wrap-around
-        of the in-place reference loop.  Columns are independent, so the
-        pass fans out across the thread pool.
+        of the in-place reference loop.
         """
-        if self._new is None:
-            self._new = _acquire_state(self._count)
-
-        def work(cols: slice) -> None:
-            mt = self._mt[:, cols]
-            new = self._new[:, cols]
-            upper = np.uint32(_UPPER)
-            lower = np.uint32(_LOWER)
-            one = np.uint32(1)
-            matrix_a = np.uint32(_MATRIX_A)
-            lo = start
-            while lo < stop:
-                if lo < _N - 1:
-                    hi = (
-                        min(stop, _N - _M)
-                        if lo < _N - _M
-                        else min(stop, _N - 1)
-                    )
-                    y = (mt[lo:hi] & upper) | (mt[lo + 1 : hi + 1] & lower)
-                    if hi <= _N - _M:
-                        mixed = mt[lo + _M : hi + _M]
-                    else:
-                        mixed = new[lo - (_N - _M) : hi - (_N - _M)]
+        mt = self._mt
+        new = self._new
+        if new is None:
+            new = self._new = _acquire_state(self._count)
+        upper = np.uint32(_UPPER)
+        lower = np.uint32(_LOWER)
+        one = np.uint32(1)
+        matrix_a = np.uint32(_MATRIX_A)
+        lo = start
+        while lo < stop:
+            if lo < _N - 1:
+                hi = min(stop, _N - _M) if lo < _N - _M else min(stop, _N - 1)
+                y = (mt[lo:hi] & upper) | (mt[lo + 1 : hi + 1] & lower)
+                if hi <= _N - _M:
+                    mixed = mt[lo + _M : hi + _M]
                 else:
-                    hi = _N
-                    y = (mt[_N - 1 :] & upper) | (new[0:1] & lower)
-                    mixed = new[_M - 1 : _M]
-                out = new[lo:hi]
-                np.right_shift(y, one, out=out)
-                np.bitwise_xor(out, mixed, out=out)
-                np.bitwise_and(y, one, out=y)
-                np.multiply(y, matrix_a, out=y)
-                np.bitwise_xor(out, y, out=out)
-                lo = hi
-
-        _fanout(work, self._count)
-        return self._new[start:stop]
+                    mixed = new[lo - (_N - _M) : hi - (_N - _M)]
+            else:
+                hi = _N
+                y = (mt[_N - 1 :] & upper) | (new[0:1] & lower)
+                mixed = new[_M - 1 : _M]
+            out = new[lo:hi]
+            np.right_shift(y, one, out=out)
+            np.bitwise_xor(out, mixed, out=out)
+            np.bitwise_and(y, one, out=y)
+            np.multiply(y, matrix_a, out=y)
+            np.bitwise_xor(out, y, out=out)
+            lo = hi
+        return new[start:stop]
 
     def _extend(self, doubles: int) -> None:
         """Produce ``doubles`` more values for every stream."""

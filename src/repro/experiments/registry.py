@@ -34,7 +34,7 @@ from repro.experiments import (
     t4_early_termination,
     tail,
 )
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExecutorLike, ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def run_experiment(
     *,
     scale: str = "paper",
     seed: int = 0,
-    executor: Optional[str] = None,
+    executor: ExecutorLike = None,
     workers: Optional[int] = None,
     kernel: Optional[str] = None,
 ) -> ExperimentResult:

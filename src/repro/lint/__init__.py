@@ -1,22 +1,19 @@
 """``repro lint`` — the determinism & kernel-parity static analyzer.
 
 Every guarantee this repro sells — byte-identical results across
-executors, kernels, and thread counts — is otherwise enforced only
-dynamically, by differential suites that cannot see a hazard until a
-seed happens to trip it.  This package turns the determinism contract
-into a static gate that runs on every commit (the tier-1 ``lint`` CI
-job): an AST pass over ``src/`` with three project-specific rule
-families.
+executors and kernels — is otherwise enforced only dynamically, by
+differential suites that cannot see a hazard until a seed happens to
+trip it.  This package turns the determinism contract into a static
+gate that runs on every commit (the tier-1 ``lint`` CI job): an AST
+pass over ``src/`` with two project-specific rule families.
 
 * **D-series** — determinism hazards (global RNG state, wall-clock
-  reads, unordered iteration, identity ordering, environment reads
-  outside the :mod:`repro.config` seam).
+  reads, unordered iteration, identity ordering, any environment
+  read).
 * **K-series** — kernel/contract parity (``@certified`` adversaries
   stay on the columnar ``AdversaryContext`` surface,
   ``KernelUnsupported`` raises carry vocabulary reasons,
   ``TrialSpec``/``TrialResult`` fields reach the jsonl serializer).
-* **T-series** — thread safety of ``_fanout`` workers (writes only
-  through the partition slice, no shared-object mutation).
 
 Known-good exceptions are waived per line with a justified
 ``# repro: lint-ok[RULE] why`` comment; the engine flags unjustified

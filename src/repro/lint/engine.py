@@ -166,7 +166,6 @@ def all_rules() -> Tuple[Rule, ...]:
     # Importing the rule modules populates the registry as a side effect.
     from repro.lint import rules_contracts  # noqa: F401
     from repro.lint import rules_determinism  # noqa: F401
-    from repro.lint import rules_threading  # noqa: F401
 
     return tuple(_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY))
 

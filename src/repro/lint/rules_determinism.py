@@ -1,8 +1,8 @@
 """D-series rules: determinism hazards.
 
 Each rule targets one way a PR can silently break the repo's byte-
-identity guarantee (same spec + seed => same bytes, on every executor,
-kernel, and thread count).  The hazards are exactly the ones the
+identity guarantee (same spec + seed => same bytes, on every executor
+and kernel).  The hazards are exactly the ones the
 differential suites can only catch *dynamically*, when a lucky seed
 trips them — the point of the static gate is to catch the pattern on
 every commit instead.
@@ -14,10 +14,6 @@ import ast
 from typing import Iterator, Optional, Tuple
 
 from repro.lint.engine import LintViolation, ModuleContext, Rule, register
-
-#: The only modules allowed to touch ``os.environ`` (the config seam,
-#: see :mod:`repro.config`).  Matched as posix-path suffixes.
-CONFIG_SEAM = ("repro/config.py",)
 
 #: ``random`` module functions that read or write the *global* MT state.
 _GLOBAL_RANDOM_FNS = frozenset(
@@ -86,7 +82,7 @@ class GlobalRandomState(Rule):
         "stream bank).  Module-level random.* / numpy.random.* calls "
         "share one hidden global state, so results depend on call order "
         "across the whole process — the exact hazard the serial==mp and "
-        "thread-invariance suites exist to rule out.  There is no "
+        "cross-kernel differential suites exist to rule out.  There is no "
         "legitimate use in src/; construct a seeded generator instead."
     )
 
@@ -315,24 +311,22 @@ class UnstableTracePayload(Rule):
 
 
 @register
-class EnvOutsideSeam(Rule):
-    """D105: ``os.environ`` touched outside the :mod:`repro.config` seam."""
+class EnvAccess(Rule):
+    """D105: ``os.environ`` / ``os.getenv`` anywhere in ``src/``."""
 
     rule_id = "D105"
-    title = "environment read outside the config seam"
+    title = "environment access"
     rationale = (
-        "Environment knobs may steer wall-clock strategy only, never "
-        "results — and auditing that contract is only possible when "
-        "every read lives in one place.  repro/config.py is that seam: "
-        "it validates, documents, and types each REPRO_* knob.  Add a "
-        "reader there instead of touching os.environ in feature code "
-        "(scattered reads are a re-creation of the pre-centralization "
-        "hazard this rule was written against)."
+        "A run is a function of its command line, its spec and its "
+        "seed; an environment variable is an input that no row, "
+        "scenario file or replay records, and a knob that every "
+        "differential suite would have to cover.  Nothing in src/ reads "
+        "or writes the environment: a value that must vary per run "
+        "becomes a CLI flag or a spec field, and a tuning value becomes "
+        "a module constant next to the measurement that chose it."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[LintViolation]:
-        if any(ctx.path.endswith(seam) for seam in CONFIG_SEAM):
-            return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue
@@ -347,6 +341,6 @@ class EnvOutsideSeam(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"{dotted} outside repro/config.py; add a typed "
-                    "reader to the config seam instead",
+                    f"{dotted}: take the value as a parameter or a "
+                    "constant, not from the environment",
                 )

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.search.schedule import Schedule
+from repro.search.schedule import Schedule, expect
 from repro.sim.batch import AdversarySpec, TrialResult, TrialSpec
 
 #: Serialized scenario format marker (the ``format`` key of every file).
@@ -136,6 +136,9 @@ class Scenario:
         The adversary is rebuilt from the ``schedule`` block when one is
         present — the perturb-and-replay contract: edits to the event
         list win over whatever adversary spec was serialized alongside.
+        Every field is type-checked and the schedule must be for the
+        spec's ``n``, so a bad hand edit raises
+        :class:`ConfigurationError` naming the field.
         """
         if data.get("format") != SCENARIO_FORMAT:
             raise ConfigurationError(
@@ -145,44 +148,71 @@ class Scenario:
         raw_spec = data.get("spec")
         if not isinstance(raw_spec, dict):
             raise ConfigurationError("scenario document has no 'spec' block")
+
+        def spec_field(
+            key: str, kind: type, default: Any = None, optional: bool = False
+        ) -> Any:
+            value = raw_spec.get(key, default)
+            return expect(value, kind, f"spec.{key}", optional=optional)
+
+        n = spec_field("n", int)
+        if n < 1:
+            raise ConfigurationError(f"spec.n must be >= 1, got {n}")
         schedule = None
         raw_schedule = data.get("schedule")
         if raw_schedule is not None:
             schedule = Schedule.from_dict(raw_schedule)
-        raw_adversary = raw_spec.get("adversary") or {"name": "none"}
+            if schedule.n != n:
+                raise ConfigurationError(
+                    f"schedule.n={schedule.n} does not match spec.n={n}"
+                )
+        raw_adversary = spec_field("adversary", dict, optional=True) or {
+            "name": "none"
+        }
+        label = expect(
+            raw_adversary.get("label"), str, "spec.adversary.label", optional=True
+        )
         if schedule is not None:
-            label = raw_adversary.get("label")
             if label is not None and label.startswith("schedule:"):
                 # Auto-generated digest label; regenerate so a hand-edit
                 # to the event list is not mislabeled with the old hash.
                 label = None
             adversary = schedule.spec(label)
         else:
+            name = raw_adversary.get("name", "none")
+            params = raw_adversary.get("params")
             adversary = AdversarySpec.of(
-                raw_adversary.get("name", "none"),
-                label=raw_adversary.get("label"),
-                **(raw_adversary.get("params") or {}),
+                expect(name, str, "spec.adversary.name"),
+                label=label,
+                **(
+                    expect(params, dict, "spec.adversary.params", optional=True)
+                    or {}
+                ),
             )
         spec = TrialSpec(
-            algorithm=raw_spec["algorithm"],
-            n=int(raw_spec["n"]),
-            seed=int(raw_spec["seed"]),
+            algorithm=spec_field("algorithm", str),
+            n=n,
+            seed=spec_field("seed", int),
             adversary=adversary,
-            halt_on_name=bool(raw_spec.get("halt_on_name", False)),
-            crash_budget=raw_spec.get("crash_budget"),
-            check=bool(raw_spec.get("check", True)),
-            kernel=raw_spec.get("kernel", "auto"),
-            capture_errors=bool(raw_spec.get("capture_errors", False)),
-            monitor=raw_spec.get("monitor", "off"),
-            trace=raw_spec.get("trace", "off"),
+            halt_on_name=spec_field("halt_on_name", bool, False),
+            crash_budget=spec_field("crash_budget", int, optional=True),
+            check=spec_field("check", bool, True),
+            kernel=spec_field("kernel", str, "auto"),
+            capture_errors=spec_field("capture_errors", bool, False),
+            monitor=spec_field("monitor", str, "off"),
+            trace=spec_field("trace", str, "off"),
         )
-        trace_pointer = data.get("trace") or {}
+        pointer = expect(data.get("trace"), dict, "trace", optional=True) or {}
         return cls(
             spec=spec,
             schedule=schedule,
-            trace_path=trace_pointer.get("path"),
-            trace_digest=trace_pointer.get("digest"),
-            meta=dict(data.get("meta") or {}),
+            trace_path=expect(
+                pointer.get("path"), str, "trace.path", optional=True
+            ),
+            trace_digest=expect(
+                pointer.get("digest"), str, "trace.digest", optional=True
+            ),
+            meta=dict(expect(data.get("meta"), dict, "meta", optional=True) or {}),
         )
 
     def to_json(self) -> str:

@@ -48,6 +48,40 @@ from repro.ids import ProcessId
 #: hears the broadcast" (empty tuple = fully silent).
 EVENT_KINDS = ("crash", "omit")
 
+#: How :func:`expect` names each JSON type in its errors.
+_TYPE_NAMES = {
+    int: "an integer",
+    str: "a string",
+    bool: "a boolean",
+    dict: "an object",
+    list: "a list",
+}
+
+
+def expect(value: Any, kind: type, field: str, *, optional: bool = False) -> Any:
+    """``value``, checked to be of JSON type ``kind`` (None passes when
+    ``optional``); otherwise a :class:`ConfigurationError` naming
+    ``field``.
+
+    Schedule and scenario documents are edited by hand, so their
+    decoders check every field before using it.  A ``bool`` is not an
+    integer here, and a tuple counts as a list (the
+    :meth:`Schedule.spec` parameter encoding).
+    """
+    if value is None and optional:
+        return None
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind is list:
+        ok = isinstance(value, (list, tuple))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigurationError(
+            f"{field} must be {_TYPE_NAMES[kind]}, got {value!r}"
+        )
+    return value
+
 
 @dataclass(frozen=True)
 class CrashEvent:
@@ -175,8 +209,13 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Schedule":
-        events = [_decode_event(entry) for entry in data.get("events", [])]
-        return cls.of(int(data["n"]), events)
+        expect(data, dict, "schedule")
+        entries = expect(data.get("events", []), list, "schedule.events")
+        events = [
+            _decode_event(entry, f"schedule.events[{i}]")
+            for i, entry in enumerate(entries)
+        ]
+        return cls.of(expect(data.get("n"), int, "schedule.n"), events)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
@@ -259,13 +298,21 @@ class Schedule:
         return cls.of(int(n), [_decode_event(entry) for entry in events])
 
 
-def _decode_event(entry: Sequence) -> CrashEvent:
+def _decode_event(entry: Sequence, field: str = "event") -> CrashEvent:
     """Decode a 3-element (crash) or 4-element (kinded) event entry."""
-    if len(entry) == 3:
-        r, v, receivers = entry
-        kind = "crash"
-    else:
-        r, v, receivers, kind = entry
+    if len(expect(entry, list, field)) not in (3, 4):
+        raise ConfigurationError(
+            f"{field} must be [round, victim, receivers] or "
+            f"[round, victim, receivers, kind], got {entry!r}"
+        )
+    r, v, receivers = entry[:3]
+    kind = entry[3] if len(entry) == 4 else "crash"
     return CrashEvent(
-        int(r), int(v), tuple(int(x) for x in receivers), str(kind)
+        expect(r, int, f"{field} round"),
+        expect(v, int, f"{field} victim"),
+        tuple(
+            expect(x, int, f"{field} receiver")
+            for x in expect(receivers, list, f"{field} receivers")
+        ),
+        expect(kind, str, f"{field} kind"),
     )

@@ -57,7 +57,6 @@ from typing import (
     Union,
 )
 
-from repro import config as repro_config
 from repro.adversary.base import Adversary
 from repro.adversary.corruption import CorruptingAdversary
 from repro.adversary.delay import BoundedDelayAdversary
@@ -538,11 +537,8 @@ Task = Union[TrialSpec, Tuple[TrialSpec, ...]]
 
 #: Stream budget (trials x n) of one stacked call; bounds the resident
 #: MT state (~2.5 KB per stream) while leaving whole cells intact at
-#: sweep sizes.  Override with the REPRO_VEC_MAX_STREAMS environment
-#: variable (read through the :mod:`repro.config` seam).
-DEFAULT_MAX_STREAMS = repro_config.DEFAULT_MAX_STREAMS
-
-_max_streams = repro_config.vec_max_streams
+#: sweep sizes.
+MAX_STREAMS = 1 << 17
 
 #: Minimum stream count (trials x n) below which an ``auto`` cell,
 #: failure-free or crash, stays on the per-trial columnar path.  A stack
@@ -557,10 +553,7 @@ _max_streams = repro_config.vec_max_streams
 #: early-terminating stacks win from ~128 streams, but one floor costs
 #: its small cells under 3 ms each.  Pinning ``kernel`` bypasses the
 #: floor: ``vectorized`` always stacks, ``columnar`` never does.
-#: Override with REPRO_VEC_MIN_STREAMS (0 = always stack).
-DEFAULT_MIN_STREAMS = repro_config.DEFAULT_MIN_STREAMS
-
-_min_streams = repro_config.min_streams
+MIN_STREAMS = 1 << 10
 
 
 def _cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
@@ -635,7 +628,7 @@ def plan_tasks(
 
     ``parts`` splits large stacks (one per worker, roughly) so a single
     big cell still spreads across a pool; every stack additionally
-    respects the :data:`DEFAULT_MAX_STREAMS` memory budget.  Specs the
+    respects the :data:`MAX_STREAMS` memory budget.  Specs the
     vectorized engine cannot stack stay individual trials.
 
     ``mixed`` groups on :func:`_mixed_cell_config` instead — trials of
@@ -643,7 +636,7 @@ def plan_tasks(
     (the hunt batching hint), provided every adversary in the run shares
     a name (so one certification answer covers the group).
 
-    ``auto`` groups additionally respect the :data:`DEFAULT_MIN_STREAMS`
+    ``auto`` groups additionally respect the :data:`MIN_STREAMS`
     floor: below it a stack's fixed seeding and per-round costs outweigh
     the amortization, so small cells keep the per-trial columnar path (a
     pure scheduling choice — the engines are bit-identical).  A pinned
@@ -651,7 +644,6 @@ def plan_tasks(
     """
     tasks: List[Task] = []
     specs = list(specs)
-    max_streams = _max_streams()
     config_of = _mixed_cell_config if mixed else _cell_config
     i = 0
     while i < len(specs):
@@ -669,12 +661,12 @@ def plan_tasks(
         stacks = (
             len(group) >= 2
             and (
-                spec.kernel != "auto" or len(group) * spec.n >= _min_streams()
+                spec.kernel != "auto" or len(group) * spec.n >= MIN_STREAMS
             )
             and _stackable(spec)
         )
         if stacks:
-            chunk = max(1, max_streams // max(1, spec.n))
+            chunk = max(1, MAX_STREAMS // max(1, spec.n))
             if parts > 1:
                 chunk = max(1, min(chunk, -(-len(group) // parts)))
             # Split pieces stay stacked even when a remainder has one

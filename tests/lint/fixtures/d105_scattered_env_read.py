@@ -1,8 +1,8 @@
-"""Golden violation: env reads outside the config seam (D105).
+"""Golden violation: environment reads (D105).
 
-A re-creation of the real pre-centralization hazard: before
-``repro/config.py``, this exact knob-read pattern was scattered across
-``sim/batch.py``, ``core/mt19937.py``, and ``core/sha256.py``.
+The knob-read pattern ``sim/batch.py``, ``core/mt19937.py`` and
+``core/sha256.py`` once carried; ``src/`` now reads no environment
+variable at all.
 """
 
 import os

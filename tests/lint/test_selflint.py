@@ -54,7 +54,7 @@ class TestLintCli:
     def test_rules_catalogue_lists_every_family(self, capsys):
         assert main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("D101", "K201", "T301", "S001", "S002"):
+        for rule_id in ("D101", "K201", "S001", "S002"):
             assert rule_id in out
 
     def test_out_file(self, tmp_path, capsys):

@@ -22,7 +22,6 @@ REPO = Path(__file__).resolve().parents[2]
 STRICT_TREES = [
     REPO / "src" / "repro" / "core",
     REPO / "src" / "repro" / "lint",
-    REPO / "src" / "repro" / "config.py",
 ]
 
 

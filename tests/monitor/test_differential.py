@@ -88,13 +88,12 @@ class TestDifferentialGrid:
     @pytest.mark.parametrize("adversary", ["random:rate=0.15", "sandwich"])
     @pytest.mark.parametrize("halt_on_name", [False, True])
     def test_monitored_stacked_crash_cell_matches_per_trial_kernels(
-        self, monkeypatch, adversary, halt_on_name
+        self, adversary, halt_on_name
     ):
         from dataclasses import replace
 
         from repro.sim.batch import AdversarySpec, TrialSpec, run_batch, run_trial
 
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
         specs = [
             TrialSpec(
                 algorithm="balls-into-leaves",
@@ -103,6 +102,7 @@ class TestDifferentialGrid:
                 adversary=AdversarySpec.parse(adversary),
                 halt_on_name=halt_on_name,
                 monitor="cheap",
+                kernel="vectorized",
             )
             for seed in range(4)
         ]

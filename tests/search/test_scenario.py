@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import re
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.search.scenario import (
     SCENARIO_FORMAT,
@@ -16,6 +19,7 @@ from repro.search.scenario import (
 )
 from repro.search.schedule import CrashEvent, Schedule
 from repro.sim.batch import AdversarySpec, TrialSpec, run_trial
+from repro.sim.trace import trace_filename, write_trace
 
 
 def _schedule():
@@ -39,6 +43,69 @@ def _spec(schedule=None, **overrides):
     )
     fields.update(overrides)
     return TrialSpec(**fields)
+
+
+#: Hand edits the loader must reject, each as {document path: new
+#: value}, with the field its error names.  The base document is
+#: ``_document()``: n=9, events [[1, 0, [2]], [2, 3, [], "omit"]].
+BAD_EDITS = [
+    pytest.param(
+        {("schedule", "events", 0, 0): "1"}, "schedule.events[0] round",
+        id="event-round-string",
+    ),
+    pytest.param(
+        {("schedule", "events", 0): 1}, "schedule.events[0]",
+        id="event-not-a-list",
+    ),
+    pytest.param(
+        {("schedule", "events"): "1,0,[2]"}, "schedule.events",
+        id="events-not-a-list",
+    ),
+    pytest.param(
+        {("schedule",): [[1, 0, [2]]]}, "schedule", id="schedule-not-an-object"
+    ),
+    pytest.param(
+        {("schedule", "events", 0, 2): 2}, "schedule.events[0] receivers",
+        id="receivers-not-a-list",
+    ),
+    pytest.param({("spec", "n"): "9"}, "spec.n", id="n-string"),
+    pytest.param({("spec", "n"): -3}, "spec.n", id="n-negative"),
+    pytest.param({("spec", "seed"): "4"}, "spec.seed", id="seed-string"),
+    pytest.param(
+        {("spec", "crash_budget"): "3"}, "spec.crash_budget",
+        id="crash-budget-string",
+    ),
+    pytest.param(
+        {("spec", "adversary"): "schedule"}, "spec.adversary",
+        id="adversary-not-an-object",
+    ),
+    pytest.param(
+        {("trace",): "trace-x.jsonl"}, "trace", id="trace-not-an-object"
+    ),
+    pytest.param({("meta",): ["rounds", 11]}, "meta", id="meta-not-an-object"),
+    pytest.param(
+        # Victim 12 exists at n=16 but not in the n=9 run.
+        {("schedule", "n"): 16, ("schedule", "events"): [[2, 12, []]]},
+        "schedule.n=16 does not match spec.n=9",
+        id="schedule-n-mismatch",
+    ),
+]
+
+
+def _document():
+    return Scenario.from_trial(
+        _spec(), schedule=_schedule(), trace_path="trace-x.jsonl", rounds=11
+    ).to_dict()
+
+
+def _edited(document, edits):
+    document = copy.deepcopy(document)
+    for path, value in edits.items():
+        node = document
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return document
 
 
 class TestRoundTrip:
@@ -178,3 +245,69 @@ class TestValidation:
         text = Scenario(spec=_spec(), schedule=_schedule()).to_json()
         assert text.startswith("{\n")
         assert json.loads(text)["format"] == SCENARIO_FORMAT
+
+    @pytest.mark.parametrize("edits, field", BAD_EDITS)
+    def test_bad_hand_edit_rejected_naming_the_field(self, edits, field):
+        with pytest.raises(ConfigurationError, match=re.escape(field)):
+            Scenario.from_dict(_edited(_document(), edits))
+
+
+class TestExploreHandEdits:
+    """``repro explore`` turns a bad hand edit into exit 2 and an
+    ``error:`` line, with or without ``--replay``."""
+
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        """A scenario file and its cheap trace, laid out as a hunt
+        writes them."""
+        spec, schedule = _spec(), _schedule()
+        result = run_trial(spec)
+        trace_name = trace_filename(spec.digest())
+        write_trace(result.trace, str(tmp_path / trace_name), digest=spec.digest())
+        path = tmp_path / "scenario.json"
+        write_scenario(
+            Scenario.from_trial(
+                spec, result, schedule=schedule, trace_path=trace_name
+            ),
+            str(path),
+        )
+        return path
+
+    def _explore(self, path, edits, capsys, *extra):
+        document = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(_edited(document, edits)), encoding="utf-8")
+        code = main(
+            ["explore", str(path), "--out", str(path.parent / "t.html"), *extra]
+        )
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("replay", [[], ["--replay"]], ids=["stored", "replay"])
+    @pytest.mark.parametrize("edits, field", BAD_EDITS)
+    def test_bad_edit_exits_2(self, scenario, capsys, edits, field, replay):
+        code, err = self._explore(scenario, edits, capsys, *replay)
+        assert code == 2
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and field in last
+        assert "Traceback" not in err
+
+    def test_trace_digest_disagreeing_with_the_trace_exits_2(
+        self, scenario, capsys
+    ):
+        digest = _spec().digest()
+        code, err = self._explore(
+            scenario, {("trace", "digest"): "000000000000"}, capsys
+        )
+        assert code == 2
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ")
+        assert "000000000000" in last and digest in last
+        assert "Traceback" not in err
+
+    def test_edited_events_replay_with_a_note(self, scenario, capsys):
+        """Perturb-and-replay: the spec digest moves while the pointer
+        and the trace header still agree."""
+        code, err = self._explore(
+            scenario, {("schedule", "events", 0, 0): 3}, capsys
+        )
+        assert code == 0
+        assert "replaying instead" in err

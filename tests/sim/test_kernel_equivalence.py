@@ -324,14 +324,14 @@ class TestBatchEquivalence:
             assert ref.names == col.names
             assert ref.kernel != col.kernel  # both pinned, different engines
 
-    def test_auto_matrix_mixes_kernels_per_cell(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
+    def test_auto_matrix_mixes_kernels_per_cell(self):
+        # Cells at the stream floor: 128 trials x n=8 is 1024 streams.
         matrix = ScenarioMatrix.build(
-            ["balls-into-leaves", "flood"], [8], ["none"], trials=2, base_seed=0
+            ["balls-into-leaves", "flood"], [8], ["none"], trials=128, base_seed=0
         )
         batch = run_batch(matrix)
         kernels = {trial.spec.algorithm: trial.kernel for trial in batch.trials}
-        # With the stream floor off, failure-free BiL cells stack on the
+        # At the stream floor, failure-free BiL cells stack on the
         # vectorized engine when NumPy is available and fall back to
         # columnar otherwise; flood is not BiL-based and stays on the
         # reference engine either way.

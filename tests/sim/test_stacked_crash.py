@@ -9,11 +9,6 @@ inherited unchanged: every trial of a stacked crash cell must be
 **bit-for-bit identical** to running it alone on the columnar (and
 hence reference) kernel — same rounds, names, failures, message
 counts, error strings, and metrics rows.
-
-Thread-count invariance rides along: the seeding/twist fanout
-partitions stream columns contiguously and never shares one, so any
-``REPRO_VEC_THREADS`` produces byte-identical draws and therefore
-byte-identical trials.
 """
 
 from __future__ import annotations
@@ -26,6 +21,7 @@ from repro.errors import RoundLimitExceeded
 from repro.ids import sparse_ids
 from repro.search.schedule import CrashEvent, Schedule
 from repro.sim.batch import (
+    MIN_STREAMS,
     AdversarySpec,
     TrialSpec,
     plan_tasks,
@@ -203,34 +199,29 @@ class TestCrashCellPlanning:
         "algorithm", ["balls-into-leaves", "early-terminating"]
     )
     @pytest.mark.parametrize("adversary", ["none", "random:rate=0.25"])
-    def test_auto_cells_respect_the_stream_floor(
-        self, monkeypatch, algorithm, adversary
-    ):
-        """Failure-free or crash, an ``auto`` cell stacks from 1024
-        streams (trials x n) up and stays per-trial below."""
-        monkeypatch.delenv("REPRO_VEC_MIN_STREAMS", raising=False)
+    def test_auto_cells_respect_the_stream_floor(self, algorithm, adversary):
+        """Failure-free or crash, an ``auto`` cell stacks from
+        ``MIN_STREAMS`` (trials x n) up and stays per-trial below."""
+        assert 31 * 33 == MIN_STREAMS - 1 and 32 * 32 == MIN_STREAMS
         below = _crash_specs(algorithm, 31, range(33), adversary)
-        assert plan_tasks(below) == below  # 1023 streams
+        assert plan_tasks(below) == below
         at = _crash_specs(algorithm, 32, range(32), adversary)
-        assert plan_tasks(at) == [tuple(at)]  # 1024 streams
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "1023")
-        assert plan_tasks(below) == [tuple(below)]
+        assert plan_tasks(at) == [tuple(at)]
 
     @pytest.mark.parametrize("adversary", ["none", "random:rate=0.25"])
-    def test_pinned_vectorized_cells_take_no_floor(self, monkeypatch, adversary):
+    def test_pinned_vectorized_cells_take_no_floor(self, adversary):
         """Pinning ``kernel="vectorized"`` stacks a cell far below the
         floor as one task, not as one-trial stacks."""
-        monkeypatch.delenv("REPRO_VEC_MIN_STREAMS", raising=False)
         specs = _crash_specs(
             "balls-into-leaves", 9, [40 + k for k in range(8)], adversary,
             kernel="vectorized",
         )
         assert plan_tasks(specs) == [tuple(specs)]  # 72 streams
 
-    def test_run_batch_auto_stacks_crash_cells(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
+    def test_run_batch_auto_stacks_crash_cells(self):
+        # A cell at the stream floor: 32 trials x n=32 is 1024 streams.
         specs = _crash_specs(
-            "balls-into-leaves", 9, [40 + k for k in range(8)],
+            "balls-into-leaves", 32, [40 + k for k in range(32)],
             "random:rate=0.25",
         )
         tasks = plan_tasks(specs)
@@ -242,20 +233,22 @@ class TestCrashCellPlanning:
             for field in COMPARED_FIELDS:
                 assert getattr(got, field) == getattr(want, field)
 
-    def test_mixed_cells_stack_distinct_schedules(self, monkeypatch):
-        """The hunt's batching hint: same cell shape, different plans."""
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
+    def test_mixed_cells_stack_distinct_schedules(self):
+        """The hunt's batching hint: same cell shape, different plans.
+
+        A generation at the stream floor: 64 trials x n=16 is 1024
+        streams."""
         specs = []
-        for k in range(6):
-            schedule = Schedule.of(10, [CrashEvent(2 + (k % 3), k, ())])
+        for k in range(64):
+            schedule = Schedule.of(16, [CrashEvent(2 + (k % 3), k % 16, ())])
             specs.append(
                 TrialSpec(
-                    algorithm="balls-into-leaves", n=10, seed=5000 + k,
+                    algorithm="balls-into-leaves", n=16, seed=5000 + k,
                     adversary=schedule.spec(), check=False, kernel="auto",
                     capture_errors=True,
                 )
             )
-        assert len(plan_tasks(specs)) == 6  # six one-trial cells...
+        assert len(plan_tasks(specs)) == 64  # one-trial cells...
         mixed = plan_tasks(specs, mixed=True)
         assert len(mixed) == 1 and isinstance(mixed[0], tuple)  # ...one stack
         batch = run_batch(specs, mixed_cells=True)
@@ -264,37 +257,6 @@ class TestCrashCellPlanning:
         for want, got in zip(per_trial, batch.trials):
             for field in COMPARED_FIELDS:
                 assert getattr(got, field) == getattr(want, field)
-
-
-@needs_numpy
-class TestThreadInvariance:
-    def test_thread_count_cannot_change_bits(self, monkeypatch):
-        """REPRO_VEC_THREADS in {1, 2, 8}: byte-identical cells.
-
-        The fanout floor is lowered so a 16-ball cell actually splits
-        across workers; column partitioning is contiguous and disjoint,
-        so every thread count must reproduce the serial stream bank.
-        """
-        import repro.core.mt19937 as mt19937
-
-        monkeypatch.setattr(mt19937, "MIN_STREAMS_PER_THREAD", 4)
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
-        outcomes = []
-        for threads in ("1", "2", "8"):
-            monkeypatch.setenv("REPRO_VEC_THREADS", threads)
-            specs = _crash_specs(
-                "balls-into-leaves", 16, [7 + k for k in range(5)],
-                "random:rate=0.2", halt_on_name=True,
-            )
-            batch = run_batch(specs)
-            assert {trial.kernel for trial in batch.trials} == {"vectorized"}
-            outcomes.append(
-                [
-                    tuple(getattr(trial, field) for field in COMPARED_FIELDS)
-                    for trial in batch.trials
-                ]
-            )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 @pytest.mark.tier2

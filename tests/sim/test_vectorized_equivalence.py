@@ -23,6 +23,7 @@ import pytest
 from repro.adversary.random_crash import RandomCrashAdversary
 from repro.errors import KernelUnsupported
 from repro.ids import sparse_ids, string_ids
+from repro.sim import batch
 from repro.sim.batch import (
     ScenarioMatrix,
     TrialSpec,
@@ -142,30 +143,29 @@ class TestStackedCellEquivalence:
             assert _strip_kernel(result) == straight[result.spec.seed]
 
     def test_stream_budget_chunking_is_invisible(self, monkeypatch):
-        """Tiny REPRO_VEC_MAX_STREAMS splits stacks without changing bits."""
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
-        specs = _cell_specs("balls-into-leaves", 16, range(10), kernel="auto")
+        """A tiny stream budget splits stacks without changing bits."""
+        specs = _cell_specs("balls-into-leaves", 16, range(10))
         whole = run_batch(specs).trials
-        monkeypatch.setenv("REPRO_VEC_MAX_STREAMS", "48")  # 3 trials per stack
+        monkeypatch.setattr(batch, "MAX_STREAMS", 48)  # 3 trials per stack
         tasks = plan_tasks(specs)
         assert len(tasks) == 4 and all(isinstance(t, tuple) for t in tasks[:3])
         chunked = run_batch(specs).trials
         assert chunked == whole
 
-    def test_batch_auto_upgrade_matches_pinned_columnar_batch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
+    def test_batch_auto_upgrade_matches_pinned_columnar_batch(self):
+        # Cells at the stream floor: 64 trials x n=16 is 1024 streams.
         matrix = ScenarioMatrix.build(
-            ["balls-into-leaves", "early-terminating"], [8, 33],
-            trials=5, base_seed=3,
+            ["balls-into-leaves", "early-terminating"], [16, 33],
+            trials=64, base_seed=3,
         )
         auto = run_batch(matrix)
         columnar = run_batch(
             ScenarioMatrix.build(
-                ["balls-into-leaves", "early-terminating"], [8, 33],
-                trials=5, base_seed=3, kernel="columnar",
+                ["balls-into-leaves", "early-terminating"], [16, 33],
+                trials=64, base_seed=3, kernel="columnar",
             )
         )
-        assert len(auto) == len(columnar) == 20
+        assert len(auto) == len(columnar) == 256
         for upgraded, pinned in zip(auto.trials, columnar.trials):
             assert upgraded.kernel == "vectorized"
             assert pinned.kernel == "columnar"
@@ -174,19 +174,19 @@ class TestStackedCellEquivalence:
         # exactly, so the upgrade cannot move a published number.
         assert auto.cell_stats() == columnar.cell_stats()
 
-    def test_mixed_matrix_stacks_only_eligible_cells(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
+    def test_mixed_matrix_stacks_only_eligible_cells(self):
+        # Cells at the stream floor: 128 trials x n=8 is 1024 streams.
         matrix = ScenarioMatrix.build(
             ["balls-into-leaves", "flood"], [8],
-            ["none", "random:rate=0.2"], trials=3, base_seed=0,
+            ["none", "random:rate=0.2"], trials=128, base_seed=0,
         )
         batch = run_batch(matrix)
         kernels = {
             (trial.spec.algorithm, trial.spec.adversary.key): trial.kernel
             for trial in batch.trials
         }
-        # With the stream floor off, certified crash cells stack too
-        # (the crash engine); non-BiL algorithms keep the scalar path
+        # At the stream floor, certified crash cells stack too (the
+        # crash engine); non-BiL algorithms keep the scalar path
         # outright.
         assert kernels == {
             ("balls-into-leaves", "none"): "vectorized",
@@ -195,12 +195,10 @@ class TestStackedCellEquivalence:
             ("flood", "random:rate=0.2"): "reference",
         }
 
-    def test_serial_and_process_backends_agree_on_stacked_cells(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
+    def test_serial_and_process_backends_agree_on_stacked_cells(self):
         matrix = ScenarioMatrix.build(
-            ["balls-into-leaves"], [16], trials=8, base_seed=1
+            ["balls-into-leaves"], [16], trials=8, base_seed=1,
+            kernel="vectorized",
         )
         serial = run_batch(matrix, executor="serial")
         process = run_batch(matrix, executor="process", workers=2)
@@ -220,11 +218,10 @@ class TestTaskPlanning:
             specs = _cell_specs("balls-into-leaves", 8, range(4), kernel=kernel)
             assert plan_tasks(specs) == specs
 
-    def test_parts_split_large_stacks_for_worker_spread(self, monkeypatch):
+    def test_parts_split_large_stacks_for_worker_spread(self):
         if not vectorized_available():
             pytest.skip("grouping requires the vectorized engine")
-        monkeypatch.setenv("REPRO_VEC_MIN_STREAMS", "0")
-        specs = _cell_specs("balls-into-leaves", 8, range(12), kernel="auto")
+        specs = _cell_specs("balls-into-leaves", 8, range(12))
         tasks = plan_tasks(specs, parts=3)
         assert [len(task) for task in tasks] == [4, 4, 4]
         assert [spec.seed for task in tasks for spec in task] == list(range(12))

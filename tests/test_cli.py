@@ -61,8 +61,10 @@ class TestCli:
             ["batch", "--sizes", "8", "--trials", "4"],
             ["hunt", "--n", "8", "--budget", "4", "--baseline-trials", "1"],
             ["tail", "--n", "16", "--trials", "4"],
+            ["run", "EXP-F4", "--scale", "smoke"],
+            ["all", "--scale", "smoke"],
         ],
-        ids=["batch", "hunt", "tail"],
+        ids=["batch", "hunt", "tail", "run", "all"],
     )
     def test_workers_below_one_fail_cleanly(
         self, verb, workers, executor, capsys, tmp_path, monkeypatch
@@ -72,6 +74,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: workers must be >= 1" in err.splitlines()[-1]
         assert "Traceback" not in err
+        # The check comes before any work: `all` starts no experiment.
+        assert "... running" not in err
 
 
 class TestBatchCli:
