@@ -18,17 +18,13 @@ Strategies provided:
 * :class:`HalfSplitAdversary` — Section 6's example: the lowest-label ball
   delivers to every second process and crashes, forcing ~n/2 collisions.
 
-Beyond crashes, the :class:`FaultPlan` protocol composes three more
-injectable fault families (see :mod:`repro.adversary.base`):
+Beyond crashes, the :class:`FaultPlan` protocol composes one more
+injectable fault family, per-link message omission (see
+:mod:`repro.adversary.base`):
 
 * :class:`IIDOmissionAdversary` / :class:`TargetedOmissionAdversary` /
-  :class:`ScheduledFaultAdversary` — per-link message omission (drop
-  victim -> receiver edges without crashing the sender).
-* :class:`BoundedDelayAdversary` — partial synchrony: messages deferred
-  up to Δ rounds and delivered late (reference engine only).
-* :class:`CorruptingAdversary` — Byzantine-lite value corruption of at
-  most ``b`` senders' payloads, within the message schema (reference
-  engine only).
+  :class:`ScheduledFaultAdversary` — drop victim -> receiver edges
+  without crashing the sender.
 """
 
 from repro.adversary.base import (
@@ -45,8 +41,6 @@ from repro.adversary.certification import (
     certified,
     is_certified,
 )
-from repro.adversary.corruption import CorruptingAdversary
-from repro.adversary.delay import BoundedDelayAdversary
 from repro.adversary.none import NoFailures
 from repro.adversary.omission import (
     IIDOmissionAdversary,
@@ -79,8 +73,6 @@ __all__ = [
     "TargetedOmissionAdversary",
     "ScheduledFaultAdversary",
     "ScheduledOmission",
-    "BoundedDelayAdversary",
-    "CorruptingAdversary",
     "TargetedPriorityAdversary",
     "SandwichAdversary",
     "HalfSplitAdversary",

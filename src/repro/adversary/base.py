@@ -4,20 +4,17 @@ Two layers of plan:
 
 * :data:`CrashPlan` — the original crash-only protocol: victim pid ->
   receivers that still get its broadcast.
-* :class:`FaultPlan` — the generalized protocol composing four fault
-  families: ``crash`` (the plan above), ``omission`` (per-link delivery
-  masks: the sender stays alive, some links drop), ``delay`` (a link's
-  message deferred up to Δ rounds and delivered late), and ``corruption``
-  (a bounded set of senders whose payloads the adversary rewrites within
-  the message schema).  Crash-only adversaries keep implementing
-  :meth:`Adversary.plan`; fault adversaries override
-  :meth:`Adversary.plan_faults` and declare their families and budgets.
+* :class:`FaultPlan` — the generalized protocol composing two fault
+  families: ``crash`` (the plan above) and ``omission`` (per-link
+  delivery masks: the sender stays alive, some links drop).  Crash-only
+  adversaries keep implementing :meth:`Adversary.plan`; omission
+  adversaries override :meth:`Adversary.plan_faults` and declare their
+  families and budgets.
 
 Both engines clamp through the same :func:`clamp_fault_plan`, so the
-fault semantics — crash wins over omission for the same sender, omission
-wins over delay for the same link, no self-links, no resurrecting a
-crashed sender, deterministic budget truncation — are identical on the
-reference and columnar kernels.
+fault semantics — crash wins over omission for the same sender, no
+self-links, no resurrecting a crashed sender, deterministic budget
+truncation — are identical on the reference and columnar kernels.
 """
 
 from __future__ import annotations
@@ -37,16 +34,8 @@ CrashPlan = Dict[ProcessId, FrozenSet[ProcessId]]
 #: broadcast this round (the sender itself is never maskable).
 OmissionPlan = Dict[ProcessId, FrozenSet[ProcessId]]
 
-#: A round's delay plan: (sender, receiver) link -> rounds of deferral
-#: (clamped to 1..Δ); the message arrives late into the receiver's merge.
-DelayPlan = Dict[Tuple[ProcessId, ProcessId], int]
-
-#: A round's corruption plan: sender pid -> replacement payload (must
-#: stay within the message schema; the sender itself keeps the original).
-CorruptionPlan = Dict[ProcessId, Any]
-
 #: The canonical fault-family vocabulary, in engine-support order.
-FAULT_FAMILIES: Tuple[str, ...] = ("crash", "omission", "delay", "corruption")
+FAULT_FAMILIES: Tuple[str, ...] = ("crash", "omission")
 
 
 @dataclass(frozen=True)
@@ -55,15 +44,11 @@ class FaultBudget:
 
     ``crashes`` is informational (the model's ``t`` is enforced by the
     engine's crash budget); ``omissions`` bounds the total dropped links
-    over the run (None = unbounded, 0 = none); ``delay_bound`` is the
-    partial-synchrony Δ (0 = fully synchronous, delays disabled);
-    ``corruptions`` bounds the number of *distinct* corrupted senders.
+    over the run (None = unbounded, 0 = none).
     """
 
     crashes: Optional[int] = None
     omissions: Optional[int] = None
-    delay_bound: int = 0
-    corruptions: int = 0
 
     def describe(self) -> str:
         """Compact ``key=value`` rendering for jsonl rows ("" = default)."""
@@ -72,26 +57,15 @@ class FaultBudget:
             parts.append(f"crashes={self.crashes}")
         if self.omissions is not None:
             parts.append(f"omissions={self.omissions}")
-        if self.delay_bound:
-            parts.append(f"delay_bound={self.delay_bound}")
-        if self.corruptions:
-            parts.append(f"corruptions={self.corruptions}")
         return ",".join(parts)
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """One round's composed fault injection across all four families."""
+    """One round's composed fault injection across both families."""
 
     crashes: CrashPlan = field(default_factory=dict)
     omissions: OmissionPlan = field(default_factory=dict)
-    delays: DelayPlan = field(default_factory=dict)
-    corruptions: CorruptionPlan = field(default_factory=dict)
-
-    @property
-    def crash_only(self) -> bool:
-        """True when only the crash family is exercised this round."""
-        return not (self.omissions or self.delays or self.corruptions)
 
     @classmethod
     def of_crashes(cls, plan: Optional[CrashPlan]) -> "FaultPlan":
@@ -107,9 +81,8 @@ class AdversaryContext:
     processes' random choices for the round — realizing the "strong"
     adversary of the paper.  ``processes`` gives read access to process
     objects for fully adaptive strategies; adversaries must treat them as
-    read-only.  The trailing fields carry the fault-family budget state:
-    ``omission_budget_remaining`` (None = unbounded), the partial-synchrony
-    ``delay_bound`` Δ, and the senders corrupted so far.
+    read-only.  ``omission_budget_remaining`` carries the omission
+    family's budget state (None = unbounded).
     """
 
     round_no: int
@@ -120,8 +93,6 @@ class AdversaryContext:
     budget_remaining: int
     processes: Mapping[ProcessId, Any]
     omission_budget_remaining: Optional[int] = None
-    delay_bound: int = 0
-    corrupted_so_far: FrozenSet[ProcessId] = frozenset()
 
 
 class Adversary(ABC):
@@ -217,7 +188,6 @@ def clamp_fault_plan(
     budget_remaining: int,
     budget: FaultBudget,
     omissions_used: int = 0,
-    corrupted_so_far: FrozenSet[ProcessId] = frozenset(),
 ) -> FaultPlan:
     """Validate one round's fault plan against budgets and liveness.
 
@@ -225,17 +195,13 @@ def clamp_fault_plan(
     are bit-for-bit comparable across kernels):
 
     * crashes clamp exactly as :func:`clamp_plan`;
-    * an omitting / delaying / corrupting sender must be alive and not
-      crashing this round (**crash wins** over the other families for
-      the same sender — a dead sender has no links to mask);
-    * self-links are never maskable or delayable (a process always knows
-      its own message), and links to dead receivers are dropped;
-    * a link both omitted and delayed is omitted (**omission wins**);
+    * an omitting sender must be alive and not crashing this round
+      (**crash wins** over omission for the same sender — a dead sender
+      has no links to mask);
+    * self-links are never maskable (a process always knows its own
+      message), and links to dead receivers are dropped;
     * the omission budget counts dropped links over the whole run, with
-      deterministic repr-sorted truncation when a plan exceeds it;
-    * delays clamp into ``1..delay_bound`` (Δ = 0 disables the family);
-    * the corruption budget bounds *distinct* corrupted senders over the
-      run; already-corrupted senders stay corruptible for free.
+      deterministic repr-sorted truncation when a plan exceeds it.
     """
     crashes = clamp_plan(plan.crashes, alive=alive, budget_remaining=budget_remaining)
     alive_set = set(alive)
@@ -260,32 +226,4 @@ def clamp_fault_plan(
             om_remaining -= len(dropped)
         omissions[sender] = dropped
 
-    delays: DelayPlan = {}
-    if budget.delay_bound > 0:
-        for link in sorted(plan.delays, key=repr):
-            sender, receiver = link
-            if sender == receiver:
-                continue
-            if sender not in alive_set or receiver not in alive_set:
-                continue
-            if sender in crashes or receiver in omissions.get(sender, ()):
-                continue
-            deferral = int(plan.delays[link])
-            if deferral < 1:
-                continue
-            delays[link] = min(deferral, budget.delay_bound)
-
-    corruptions: CorruptionPlan = {}
-    distinct = set(corrupted_so_far)
-    for sender in sorted(plan.corruptions, key=repr):
-        if sender not in alive_set or sender in crashes:
-            continue
-        if sender not in distinct:
-            if len(distinct) >= budget.corruptions:
-                continue
-            distinct.add(sender)
-        corruptions[sender] = plan.corruptions[sender]
-
-    return FaultPlan(
-        crashes=crashes, omissions=omissions, delays=delays, corruptions=corruptions
-    )
+    return FaultPlan(crashes=crashes, omissions=omissions)

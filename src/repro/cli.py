@@ -886,6 +886,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                     "replaying instead",
                     file=sys.stderr,
                 )
+        else:
+            print(
+                f"note: {scenario.trace_path} not found; replaying instead",
+                file=sys.stderr,
+            )
     if trace is None:
         replay_spec = dataclasses.replace(
             spec, trace="cheap", capture_errors=True

@@ -284,9 +284,8 @@ class ColumnarCrashEngine:
         self._live: List[_ClassView] = []
         self._crashed_count = 0
         self.running_count = n
-        # Fault-plan state beyond crashes (omission is the only extra
-        # family this engine applies; delay/corruption are rejected at
-        # kernel selection and guarded against defensively below).
+        # Omission state: the adversary's declared budget and the links
+        # dropped so far (for clamping).
         self._fault_budget = (
             self._adversary.fault_budget()
             if self._adversary is not None
@@ -690,7 +689,7 @@ class ColumnarCrashEngine:
         ):
             # Crash-only adversaries are never consulted past the budget
             # (preserving the original engine's RNG consumption exactly);
-            # fault adversaries still plan their other families.
+            # omission adversaries still plan their omissions.
             return FaultPlan()
         labels = self.labels
         nodes = self._arr.nodes
@@ -727,8 +726,6 @@ class ColumnarCrashEngine:
                 if budget.omissions is None
                 else max(0, budget.omissions - self._omissions_used)
             ),
-            delay_bound=budget.delay_bound,
-            corrupted_so_far=frozenset(),
         )
         plan = self._adversary.plan_faults(ctx) or FaultPlan()
         clamped = clamp_fault_plan(
@@ -737,15 +734,7 @@ class ColumnarCrashEngine:
             budget_remaining=max(0, remaining),
             budget=budget,
             omissions_used=self._omissions_used,
-            corrupted_so_far=frozenset(),
         )
-        if clamped.delays or clamped.corruptions:
-            family = "delay" if clamped.delays else "corruption"
-            raise SimulationError(
-                f"the columnar engine cannot apply fault family {family!r}; "
-                "kernel selection should have routed this adversary to the "
-                "reference engine"
-            )
         self._omissions_used += sum(
             len(dropped) for dropped in clamped.omissions.values()
         )

@@ -38,9 +38,8 @@ exact:
 Supported grid: the BiL-family policies on the shared view store, with
 no adversary or a certified crash adversary per trial, matching
 :func:`vectorized_rejections` and the kernel's certification gate.
-Everything else (omission and other fault families, faithful views,
-full traces, ...) stays on the columnar or reference engines via kernel
-fallback.
+Everything else (omission faults, faithful views, full traces, ...)
+stays on the columnar or reference engines via kernel fallback.
 """
 
 from __future__ import annotations

@@ -1,31 +1,15 @@
-"""EXP-FAULT — degradation beyond the crash model: omission, delay, corruption.
+"""EXP-FAULT — degradation beyond the crash model: message omission.
 
 The paper's guarantees are proved for crash faults only.  This
-experiment measures what each *stronger* fault family does to
-Balls-into-Leaves on the same rails the crash results use, one sub-table
-per family:
-
-* **omission** — i.i.d. per-link loss at rate ``p``.  Loss is not
-  graceful: an asymmetric drop of a round-1 hello partitions the
-  membership picture (peers purge the silenced ball; its own view never
-  learns), which can wedge the run past the round limit or produce
-  duplicate names.  The table reports both failure modes honestly —
-  wedged runs are captured as error rows, duplicate names are counted
-  against the survivors — alongside the round/message degradation of the
-  runs that do terminate.
-* **bounded delay** — every message arrives within ``Δ`` rounds.  The
-  synchronous algorithm treats a late message as silence followed by a
-  re-announcement, so delays cost rounds but (unlike omission) every
-  view eventually hears every survivor.  The table sweeps the *rate*,
-  not the bound: every sender re-broadcasts its current state each
-  round and the simulator supersedes a buffered late message with any
-  fresher one from the same sender, so a link delayed by Δ=1 and Δ=4
-  behave identically — the stale copy is discarded either way.  The
-  lineup keeps one Δ=4 row as an executable witness of that
-  insensitivity.  Reference engine only: the columnar kernel rejects
-  the family by name at selection.
-* **corruption** — up to ``b`` Byzantine-lite senders whose payloads are
-  rewritten schema-preservingly.  Also reference-only.
+experiment measures what i.i.d. per-link loss at rate ``p`` (and a
+targeted silencing of one sender) does to Balls-into-Leaves on the same
+rails the crash results use.  Loss is not graceful: an asymmetric drop
+of a round-1 hello partitions the membership picture (peers purge the
+silenced ball; its own view never learns), which can wedge the run past
+the round limit or produce duplicate names.  The table reports both
+failure modes honestly — wedged runs are captured as error rows,
+duplicate names are counted against the survivors — alongside the
+round/message degradation of the runs that do terminate.
 
 Every trial runs with ``check=False`` and ``capture_errors=True``: the
 point is to *measure* violations, not raise on the first one.
@@ -41,7 +25,7 @@ from repro.experiments.common import ExecutorLike, ExperimentResult, scaled
 from repro.sim.batch import AdversarySpec, TrialResult, TrialSpec, run_batch
 
 EXPERIMENT_ID = "EXP-FAULT"
-TITLE = "Fault injection beyond crashes: omission, delay, corruption"
+TITLE = "Fault injection beyond crashes: omission"
 
 ALGORITHM = "balls-into-leaves"
 
@@ -80,10 +64,7 @@ def _row(
         else 0.0
     )
     rounds = summarize([r.rounds for r in finished]) if finished else None
-    injected = (
-        sum(r.omissions + r.delayed + r.corrupted for r in results)
-        / len(results)
-    )
+    injected = sum(r.omissions for r in results) / len(results)
     return (
         label,
         rounds.mean if rounds else float("nan"),
@@ -100,98 +81,50 @@ def run(
     executor: ExecutorLike = None,
     workers: Optional[int] = None,
 ) -> ExperimentResult:
-    """Measure each fault family's degradation at a fixed n."""
+    """Measure omission's degradation at a fixed n."""
     n = scaled(scale, 16, 64)
     trials = scaled(scale, 5, 25)
     result = ExperimentResult(EXPERIMENT_ID, TITLE, scale)
 
-    families: List[Tuple[str, List[AdversarySpec]]] = [
-        (
-            "omission",
-            [
-                AdversarySpec.of("none", label="none"),
-                AdversarySpec.of("omission", p=0.02, label="iid p=0.02"),
-                AdversarySpec.of("omission", p=0.05, label="iid p=0.05"),
-                AdversarySpec.of("omission", p=0.1, label="iid p=0.10"),
-                AdversarySpec.of("omission", p=0.2, label="iid p=0.20"),
-                AdversarySpec.of(
-                    "omission",
-                    p=0.2,
-                    first=3,
-                    last=6,
-                    label="iid p=0.20 rounds 3-6",
-                ),
-                AdversarySpec.of(
-                    "omission-targeted", count=1, label="targeted 1"
-                ),
-            ],
+    lineup = [
+        AdversarySpec.of("none", label="none"),
+        AdversarySpec.of("omission", p=0.02, label="iid p=0.02"),
+        AdversarySpec.of("omission", p=0.05, label="iid p=0.05"),
+        AdversarySpec.of("omission", p=0.1, label="iid p=0.10"),
+        AdversarySpec.of("omission", p=0.2, label="iid p=0.20"),
+        AdversarySpec.of(
+            "omission", p=0.2, first=3, last=6, label="iid p=0.20 rounds 3-6"
         ),
-        (
-            "delay",
-            [
-                AdversarySpec.of(
-                    "delay", d=2, rate=0.05, label="delay rate=0.05"
-                ),
-                AdversarySpec.of(
-                    "delay", d=2, rate=0.1, label="delay rate=0.10"
-                ),
-                AdversarySpec.of(
-                    "delay", d=2, rate=0.2, label="delay rate=0.20"
-                ),
-                AdversarySpec.of(
-                    "delay", d=4, rate=0.2, label="delay rate=0.20 Δ=4"
-                ),
-            ],
-        ),
-        (
-            "corruption",
-            [
-                AdversarySpec.of("corrupt", b=1, label="corrupt b=1"),
-                AdversarySpec.of("corrupt", b=2, label="corrupt b=2"),
-            ],
-        ),
+        AdversarySpec.of("omission-targeted", count=1, label="targeted 1"),
     ]
-
-    for family, lineup in families:
-        specs: List[TrialSpec] = []
-        for adversary in lineup:
-            specs.extend(_specs_for(adversary, n, trials, seed))
-        batch = run_batch(specs, executor=executor, workers=workers)
-        table = Table(
-            f"{family} faults on {ALGORITHM} (n={n}, {trials} trials each)",
-            [
-                "adversary",
-                "mean rounds",
-                "p95",
-                "wedged %",
-                "dup-name %",
-                "mean injected",
-            ],
-            notes=(
-                "wedged = runs captured at the round limit; dup-name = "
-                "terminating runs whose survivors share a name; injected "
-                "= dropped + delayed + corrupted messages per trial"
-            ),
-        )
-        for i, adversary in enumerate(lineup):
-            results = batch.trials[i * trials : (i + 1) * trials]
-            table.add_row(*_row(adversary.key, results))
-        result.tables.append(table)
-
-    result.notes.append(
-        "omission is the only extra family the columnar fast path "
-        "certifies; delay and corruption rows ran on the reference "
-        "engine (rejected by family name at kernel selection)"
+    specs: List[TrialSpec] = []
+    for adversary in lineup:
+        specs.extend(_specs_for(adversary, n, trials, seed))
+    batch = run_batch(specs, executor=executor, workers=workers)
+    table = Table(
+        f"omission faults on {ALGORITHM} (n={n}, {trials} trials each)",
+        [
+            "adversary",
+            "mean rounds",
+            "p95",
+            "wedged %",
+            "dup-name %",
+            "mean injected",
+        ],
+        notes=(
+            "wedged = runs captured at the round limit; dup-name = "
+            "terminating runs whose survivors share a name; injected "
+            "= dropped messages per trial"
+        ),
     )
+    for i, adversary in enumerate(lineup):
+        results = batch.trials[i * trials : (i + 1) * trials]
+        table.add_row(*_row(adversary.key, results))
+    result.tables.append(table)
+
     result.notes.append(
         "wedged omission runs are the hello-partition livelock the "
         "omission hunt mines deliberately (see repro hunt "
         "--fault-family omission)"
-    )
-    result.notes.append(
-        "delay degradation tracks the delay *rate*, not the bound: "
-        "every round's fresh re-broadcast supersedes a buffered late "
-        "message, so the Δ=4 row matches Δ=2 at the same rate by "
-        "construction"
     )
     return result

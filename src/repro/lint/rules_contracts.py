@@ -18,17 +18,17 @@ from repro.lint.engine import LintViolation, ModuleContext, Rule, register
 
 #: The ``AdversaryContext`` surface the columnar crash engine
 #: materializes (see ``repro.core.columnar``'s AdversaryContext
-#: reproduction).  Includes the FaultPlan budget fields
-#: (``omission_budget_remaining``, ``delay_bound``,
-#: ``corrupted_so_far``) the fault generalization added — the fast path
-#: materializes them for certified omission plans.  ``processes`` is
-#: deliberately absent: it exposes reference-engine process objects that
-#: the fast path never builds, so a certified plan reading it is
-#: *mis*certified — it would produce different plans on the two engines.
+#: reproduction).  Includes the omission budget field
+#: (``omission_budget_remaining``) — the fast path materializes it for
+#: certified omission plans.  ``processes`` is deliberately absent: it
+#: exposes reference-engine process objects that the fast path never
+#: builds, so a certified plan reading it is *mis*certified — it would
+#: produce different plans on the two engines.  (Mirrors the
+#: ``AdversaryContext`` fields minus ``processes``; kept literal so the
+#: linter needs no runtime import of the adversary layer.)
 CERTIFIED_CTX_FIELDS = frozenset(
     {"round_no", "running", "alive", "outbox", "crashed_so_far",
-     "budget_remaining", "omission_budget_remaining", "delay_bound",
-     "corrupted_so_far"}
+     "budget_remaining", "omission_budget_remaining"}
 )
 
 #: The ``@certified`` methods that plan against an ``AdversaryContext``
@@ -42,7 +42,7 @@ KERNEL_NAME_VOCAB = ("reference", "columnar", "vectorized")
 #: The fault-family vocabulary a kernel's ``supported=`` tuple may draw
 #: from (mirrors ``repro.adversary.base.FAULT_FAMILIES``; kept literal so
 #: the linter needs no runtime import of the adversary layer).
-FAULT_FAMILY_VOCAB = ("crash", "omission", "delay", "corruption")
+FAULT_FAMILY_VOCAB = ("crash", "omission")
 
 #: The spec/result dataclasses whose fields must reach the jsonl
 #: serializer, and the method that serializes them.
@@ -70,12 +70,12 @@ class CertifiedContextSurface(Rule):
     rationale = (
         "The columnar crash engine reproduces exactly the public "
         "AdversaryContext fields (round_no, running, alive, outbox, "
-        "crashed_so_far, budget_remaining, plus the FaultPlan budget "
-        "state: omission_budget_remaining, delay_bound, "
-        "corrupted_so_far).  A @certified plan or plan_faults reading "
-        "anything else — ctx.processes above all — produces different "
-        "plans on the reference and fast paths, breaking the bit-for-bit "
-        "kernel equivalence the certification asserts.  Either stay on "
+        "crashed_so_far, budget_remaining, plus the omission budget "
+        "state omission_budget_remaining).  A @certified plan or "
+        "plan_faults reading anything else — ctx.processes above all — "
+        "produces different plans on the reference and fast paths, "
+        "breaking the bit-for-bit kernel equivalence the certification "
+        "asserts.  Either stay on "
         "the surface or drop the decorator (the run falls back to the "
         "reference engine with an explicit rejection)."
     )
@@ -139,7 +139,7 @@ class KernelRejectionVocabulary(Rule):
         "and tests matching rejection text silently stop covering them.  "
         "The same contract covers the fault families a kernel declares: "
         "a certification_failure(supported=...) tuple outside the "
-        "crash/omission/delay/corruption vocabulary would make the "
+        "crash/omission vocabulary would make the "
         "rejection name a family no adversary can declare."
     )
 

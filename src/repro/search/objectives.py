@@ -175,11 +175,11 @@ class DisruptionObjective(Objective):
     the most with the least interference.
 
     The numerator is the :class:`InvariantObjective` score; the
-    denominator counts every fault the run actually absorbed (crashes,
-    dropped links, deferred links, corrupted senders), so a two-link
-    omission forcing a duplicate name outranks a blanket loss pattern
-    achieving the same — the natural fitness for mining *minimal* fault
-    schedules before :func:`repro.search.shrink.shrink` even runs.
+    denominator counts every fault the run actually absorbed (crashes
+    and dropped links), so a two-link omission forcing a duplicate name
+    outranks a blanket loss pattern achieving the same — the natural
+    fitness for mining *minimal* fault schedules before
+    :func:`repro.search.shrink.shrink` even runs.
     """
 
     name = "disruption"
@@ -189,13 +189,7 @@ class DisruptionObjective(Objective):
 
     def score(self, result: TrialResult) -> float:
         damage = self._invariant.score(result)
-        injected = (
-            result.failures
-            + result.omissions
-            + result.delayed
-            + result.corrupted
-        )
-        return damage / (1.0 + injected)
+        return damage / (1.0 + result.failures + result.omissions)
 
 
 #: The built-in objectives by CLI name.

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.search.schedule import Schedule, expect
 from repro.sim.batch import AdversarySpec, TrialResult, TrialSpec
+from repro.sim.kernel import check_kernel_name, check_monitor_mode
+from repro.sim.trace import check_trace_mode
 
 #: Serialized scenario format marker (the ``format`` key of every file).
 SCENARIO_FORMAT = "repro-scenario/1"
@@ -136,9 +138,10 @@ class Scenario:
         The adversary is rebuilt from the ``schedule`` block when one is
         present — the perturb-and-replay contract: edits to the event
         list win over whatever adversary spec was serialized alongside.
-        Every field is type-checked and the schedule must be for the
-        spec's ``n``, so a bad hand edit raises
-        :class:`ConfigurationError` naming the field.
+        Every field is type-checked, the kernel, monitor and trace modes
+        must be valid choices, and the schedule must be for the spec's
+        ``n``, so a bad hand edit raises :class:`ConfigurationError`
+        naming the field.
         """
         if data.get("format") != SCENARIO_FORMAT:
             raise ConfigurationError(
@@ -154,6 +157,13 @@ class Scenario:
         ) -> Any:
             value = raw_spec.get(key, default)
             return expect(value, kind, f"spec.{key}", optional=optional)
+
+        def choice_field(key: str, default: str, check: Callable[[str], str]) -> str:
+            value = spec_field(key, str, default)
+            try:
+                return check(value)
+            except ConfigurationError as error:
+                raise ConfigurationError(f"spec.{key}: {error}") from None
 
         n = spec_field("n", int)
         if n < 1:
@@ -197,10 +207,10 @@ class Scenario:
             halt_on_name=spec_field("halt_on_name", bool, False),
             crash_budget=spec_field("crash_budget", int, optional=True),
             check=spec_field("check", bool, True),
-            kernel=spec_field("kernel", str, "auto"),
+            kernel=choice_field("kernel", "auto", check_kernel_name),
             capture_errors=spec_field("capture_errors", bool, False),
-            monitor=spec_field("monitor", str, "off"),
-            trace=spec_field("trace", str, "off"),
+            monitor=choice_field("monitor", "off", check_monitor_mode),
+            trace=choice_field("trace", "off", check_trace_mode),
         )
         pointer = expect(data.get("trace"), dict, "trace", optional=True) or {}
         return cls(

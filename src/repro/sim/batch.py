@@ -58,8 +58,6 @@ from typing import (
 )
 
 from repro.adversary.base import Adversary
-from repro.adversary.corruption import CorruptingAdversary
-from repro.adversary.delay import BoundedDelayAdversary
 from repro.adversary.omission import (
     IIDOmissionAdversary,
     TargetedOmissionAdversary,
@@ -77,7 +75,7 @@ from repro.errors import (
     SpecViolation,
 )
 from repro.ids import Name, ProcessId, sparse_ids
-from repro.sim.kernel import KERNEL_CHOICES, KernelRequest, check_monitor_mode
+from repro.sim.kernel import KernelRequest, check_kernel_name, check_monitor_mode
 from repro.sim.rng import derive_seed
 from repro.sim.runner import ALGORITHMS, default_round_limit, run_renaming
 from repro.sim.trace import Trace, check_trace_mode
@@ -191,18 +189,6 @@ def _build_omission_targeted(
     return TargetedOmissionAdversary(count=count, rounds=rounds, seed=seed)
 
 
-def _build_delay(seed: int, d: int = 1, rate: float = 0.2) -> Adversary:
-    """Bounded-delay partial synchrony (``delay:d=2,rate=0.3``)."""
-    return BoundedDelayAdversary(d, rate=rate, seed=seed)
-
-
-def _build_corrupt(
-    seed: int, b: int = 1, mode: str = "stall", rate: float = 0.25
-) -> Adversary:
-    """Byzantine-lite value corruption (``corrupt:b=1,mode=replay``)."""
-    return CorruptingAdversary(b, mode=mode, rate=rate, seed=seed)
-
-
 ADVERSARY_BUILDERS: Dict[str, AdversaryBuilder] = {
     "none": _build_none,
     "random": _build_random,
@@ -212,8 +198,6 @@ ADVERSARY_BUILDERS: Dict[str, AdversaryBuilder] = {
     "schedule": _build_schedule,
     "omission": _build_omission,
     "omission-targeted": _build_omission_targeted,
-    "delay": _build_delay,
-    "corrupt": _build_corrupt,
 }
 
 
@@ -407,14 +391,11 @@ class TrialResult:
     #: Rendered invariant-monitor findings ("round R [invariant] ...");
     #: always empty when monitoring was off or every invariant held.
     violations: Tuple[str, ...] = ()
-    #: Fault-family counters, zero on crash-only runs: sender->receiver
-    #: links dropped by omission, links deferred by bounded delay, and
-    #: per-round corrupted-sender events.
+    #: Sender->receiver links dropped by omission (zero on crash-only
+    #: runs).
     omissions: int = 0
-    delayed: int = 0
-    corrupted: int = 0
     #: The adversary's declared :class:`~repro.adversary.base.FaultBudget`
-    #: rendered compactly ("omissions=48,delay_bound=2"; "" = default).
+    #: rendered compactly ("omissions=48"; "" = default).
     fault_budget: str = ""
     #: The recorded event trace when the spec asked for one (None under
     #: ``trace="off"``; captured-error rows keep the events recorded up
@@ -455,8 +436,6 @@ class TrialResult:
             "monitor": self.monitor,
             "violations": list(self.violations),
             "omissions": self.omissions,
-            "delayed": self.delayed,
-            "corrupted": self.corrupted,
             "fault_budget": self.fault_budget,
             "trace": self.spec.trace,
         }
@@ -522,8 +501,6 @@ def run_trial(spec: TrialSpec) -> TrialResult:
         monitor=run.monitor,
         violations=tuple(v.render() for v in run.violations),
         omissions=run.metrics.total_omissions,
-        delayed=run.metrics.total_delayed,
-        corrupted=run.metrics.total_corruptions,
         fault_budget=fault_budget,
         trace=run.trace,
     )
@@ -918,10 +895,7 @@ class ScenarioMatrix:
             raise ConfigurationError(
                 f"unknown seed mode {seed_mode!r}; choose from {SEED_MODES}"
             )
-        if kernel not in KERNEL_CHOICES:
-            raise ConfigurationError(
-                f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
-            )
+        check_kernel_name(kernel)
         check_monitor_mode(monitor)
         check_trace_mode(trace)
         return cls(

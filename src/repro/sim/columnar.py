@@ -14,11 +14,10 @@ adversary reproduces partial deliveries, receiver equivalence classes,
 and the announced-termination lifecycle (halt-on-name) as per-ball
 status columns and per-round crash masks.
 
-Of the fault families (:data:`~repro.adversary.base.FAULT_FAMILIES`),
-this kernel applies ``crash`` and ``omission`` — an omitting sender folds
-into the same partial-delivery camp machinery as a crash victim, without
-being marked crashed.  ``delay`` and ``corruption`` adversaries are
-rejected by name here and run on the reference engine.
+This kernel applies both fault families
+(:data:`~repro.adversary.base.FAULT_FAMILIES`), ``crash`` and
+``omission`` — an omitting sender folds into the same partial-delivery
+camp machinery as a crash victim, without being marked crashed.
 
 Certified adversaries are the strategies whose plans are a pure function
 of the public :class:`~repro.adversary.base.AdversaryContext` fields

@@ -50,6 +50,16 @@ from repro.sim.trace import Trace
 #: engine, and the CLI.
 KERNEL_CHOICES = ("auto", "reference", "columnar", "vectorized")
 
+
+def check_kernel_name(name: str) -> str:
+    """Validate a kernel name (returns it for chaining)."""
+    if name not in KERNEL_CHOICES:
+        raise ConfigurationError(
+            f"unknown kernel {name!r}; choose from {KERNEL_CHOICES}"
+        )
+    return name
+
+
 #: Monitor modes accepted by ``run_renaming``, the batch engine, and the
 #: CLI: "off" (no checking), "cheap" (per-round flat-array predicates on
 #: any kernel), "full" (cheap predicates plus the instrumented reference
@@ -147,10 +157,7 @@ def select_kernel(name: str, request: KernelRequest) -> SimulationKernel:
     kernels pull in the process machinery and the array engines (the
     vectorized one NumPy), which themselves import from repro.sim.
     """
-    if name not in KERNEL_CHOICES:
-        raise ConfigurationError(
-            f"unknown kernel {name!r}; choose from {KERNEL_CHOICES}"
-        )
+    check_kernel_name(name)
     if name == "vectorized":
         from repro.sim.vectorized import VectorizedKernel
 

@@ -16,12 +16,9 @@ class RoundMetrics:
     crashes: int = 0
     alive_after: int = 0
     running_after: int = 0
-    #: Fault-family counters (0 on crash-only rounds): sender->receiver
-    #: links dropped by omission, links deferred by bounded delay, and
-    #: senders whose payload the adversary rewrote this round.
+    #: Sender->receiver links dropped by omission (0 on crash-only
+    #: rounds).
     omissions: int = 0
-    delayed: int = 0
-    corruptions: int = 0
 
 
 @dataclass
@@ -58,13 +55,3 @@ class SimulationMetrics:
     def total_omissions(self) -> int:
         """Links dropped by omission over the run."""
         return sum(r.omissions for r in self.rounds)
-
-    @property
-    def total_delayed(self) -> int:
-        """Links deferred by bounded delay over the run."""
-        return sum(r.delayed for r in self.rounds)
-
-    @property
-    def total_corruptions(self) -> int:
-        """Per-round corrupted-sender events over the run."""
-        return sum(r.corruptions for r in self.rounds)

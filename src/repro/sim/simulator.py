@@ -5,25 +5,33 @@ One :meth:`Simulation.step` executes a full round of the Section 3 model:
 1. every *running* process (alive, not halted) composes its broadcast;
 2. the adversary inspects the round (including the outbox) and returns a
    fault plan, which the engine validates and clamps against the crash
-   budget and the per-family fault budgets;
+   budget and the omission budget;
 3. inboxes are built: a healthy sender reaches every alive process, a
    crashing sender reaches only the receivers the adversary chose (crash
-   while broadcasting), an omitted link drops, a delayed link arrives up
-   to Δ rounds late, a corrupted sender's payload is rewritten for every
-   receiver but itself; senders always know their own message;
+   while broadcasting), and an omitted link drops; senders always know
+   their own message;
 4. every surviving, non-halted process consumes its inbox.
 
 Halted processes stay silent but remain "alive" — distinguishing a
 terminated peer from a crashed one is the algorithm's problem, exactly as
-in the paper.  Crash-only rounds take the original delivery path
-unchanged; the generalized path only runs when a round actually carries
-omission/delay/corruption faults or late arrivals.
+in the paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.adversary.base import (
     Adversary,
@@ -98,18 +106,14 @@ class Simulation:
         self._crashed: Set[ProcessId] = set()
         self._round = 0
         self._metrics = SimulationMetrics()
-        # Fault-plan state beyond crashes: the adversary's declared
-        # per-family budget, run totals for clamping, the first round
-        # each sender was silenced by omission (monitor annotation), and
-        # the pending-delivery buffer of delayed messages, keyed by
-        # arrival round -> receiver -> [(sender, payload), ...].
+        # Omission state: the adversary's declared budget, the links
+        # dropped so far (for clamping), and the first round each sender
+        # was silenced by omission (monitor annotation).
         self._fault_budget: FaultBudget = (
             adversary.fault_budget() if adversary is not None else FaultBudget()
         )
         self._omissions_used = 0
-        self._corrupted: Set[ProcessId] = set()
         self._silenced_round: Dict[ProcessId, int] = {}
-        self._pending: Dict[int, Dict[ProcessId, List[Any]]] = {}
 
     # ------------------------------------------------------------- inspection
     @property
@@ -136,11 +140,6 @@ class Simulation:
     def silenced_rounds(self) -> Dict[ProcessId, int]:
         """First round each sender was silenced by omission (not crashed)."""
         return dict(self._silenced_round)
-
-    @property
-    def corrupted(self) -> FrozenSet[ProcessId]:
-        """Senders whose payloads the adversary has corrupted so far."""
-        return frozenset(self._corrupted)
 
     def alive(self) -> List[ProcessId]:
         """Pids that have not crashed (halted processes included)."""
@@ -180,45 +179,9 @@ class Simulation:
 
         alive_now = [pid for pid in self._procs if pid not in self._crashed]
         receivers = [pid for pid in alive_now if not self._procs[pid].halted]
-        pending_now = self._pending.pop(round_no, None)
-
-        omitted = delayed = corrupted = 0
-        if fault.crash_only and not pending_now:
-            # Crash-only rounds keep the original delivery path verbatim.
-            # Receivers with the same delivery signature (the set of
-            # crashing senders whose broadcast still reaches them) share
-            # one inbox dict.  This keeps delivery O(n + crashes * n) per
-            # round instead of O(n^2), and lets the shared-view store key
-            # its memo on inbox object identity.  Inboxes are shared:
-            # processes must treat them as read-only, which SyncProcess
-            # implementations do.
-            base_inbox: Dict[ProcessId, Any] = {
-                sender: payload for sender, payload in outbox.items() if sender not in plan
-            }
-            inbox_by_signature: Dict[FrozenSet[ProcessId], Dict[ProcessId, Any]] = {}
-            delivered = 0
-            deliveries: List[Any] = []  # (receiver, inbox) pairs
-            for receiver in receivers:
-                signature = frozenset(
-                    victim
-                    for victim, kept in plan.items()
-                    if receiver in kept and victim in outbox
-                )
-                inbox = inbox_by_signature.get(signature)
-                if inbox is None:
-                    if signature:
-                        inbox = dict(base_inbox)
-                        for victim in signature:
-                            inbox[victim] = outbox[victim]
-                    else:
-                        inbox = base_inbox
-                    inbox_by_signature[signature] = inbox
-                deliveries.append((receiver, inbox))
-                delivered += len(inbox)
-        else:
-            deliveries, delivered, omitted, delayed, corrupted = self._deliver_faulty(
-                round_no, outbox, receivers, fault, pending_now
-            )
+        deliveries, delivered, omitted = self._deliver(
+            round_no, outbox, receivers, fault
+        )
 
         for receiver, inbox in deliveries:
             proc = self._procs[receiver]
@@ -239,8 +202,6 @@ class Simulation:
                 alive_after=len(alive_now),
                 running_after=running_after,
                 omissions=omitted,
-                delayed=delayed,
-                corruptions=corrupted,
             )
         )
         if self._trace is not None:
@@ -287,7 +248,7 @@ class Simulation:
         if remaining <= 0 and tuple(self._adversary.fault_families()) == ("crash",):
             # Crash-only adversaries are never consulted past the budget
             # (preserving the original engine's RNG consumption exactly);
-            # fault adversaries still plan their other families.
+            # omission adversaries still plan their omissions.
             return FaultPlan()
         budget = self._fault_budget
         ctx = AdversaryContext(
@@ -303,8 +264,6 @@ class Simulation:
                 if budget.omissions is None
                 else max(0, budget.omissions - self._omissions_used)
             ),
-            delay_bound=budget.delay_bound,
-            corrupted_so_far=frozenset(self._corrupted),
         )
         plan = self._adversary.plan_faults(ctx) or FaultPlan()
         clamped = clamp_fault_plan(
@@ -313,146 +272,78 @@ class Simulation:
             budget_remaining=max(0, remaining),
             budget=budget,
             omissions_used=self._omissions_used,
-            corrupted_so_far=frozenset(self._corrupted),
         )
         self._omissions_used += sum(len(d) for d in clamped.omissions.values())
-        self._corrupted.update(clamped.corruptions)
         return clamped
 
-    def _deliver_faulty(
+    def _deliver(
         self,
         round_no: int,
         outbox: Mapping[ProcessId, Any],
         receivers: Sequence[ProcessId],
         fault: FaultPlan,
-        pending_now: Optional[Dict[ProcessId, List[Any]]],
-    ) -> Any:
-        """Build inboxes for a round with non-crash faults or late arrivals.
+    ) -> Tuple[List[Tuple[ProcessId, Dict[ProcessId, Any]]], int, int]:
+        """Build the round's inboxes: ``(deliveries, delivered, omitted)``.
 
-        Semantics, per (sender, receiver) link:
+        A sender is *special* if it crashes or omits this round.  A
+        healthy sender reaches every receiver; a special sender reaches a
+        receiver when its crash plan (if any) kept that receiver and the
+        link is not omitted.  The clamp never masks a self-link, so an
+        omitting sender always hears itself.
 
-        * a crash victim reaches only the receivers its plan kept;
-        * an omitted link delivers nothing — the receiver sees silence,
-          exactly as for a crash, but the sender stays alive (and always
-          hears itself: self-links are never maskable);
-        * a delayed link delivers nothing now; the payload (corrupted
-          form included) arrives ``d`` rounds later, unless a fresher
-          same-sender message lands in the arrival round's inbox first;
-        * a corrupted sender's payload is rewritten for every receiver
-          except the sender itself, which keeps the original.
-
-        Inboxes are still shared by delivery signature; only corrupt
-        senders' own inboxes and late-arrival receivers get private
-        copies.
+        Receivers with the same delivery signature (the special senders
+        that reach them) share one inbox dict.  This keeps delivery
+        O(n + special * n) per round instead of O(n^2), and lets the
+        shared-view store key its memo on inbox object identity.
+        Inboxes are shared: processes must treat them as read-only,
+        which SyncProcess implementations do.
         """
         plan = fault.crashes
         omissions = fault.omissions
-        delays = fault.delays
-        corruptions = fault.corruptions
         receiver_set = set(receivers)
-
-        corrupted = 0
-        for sender in corruptions:
-            if sender in outbox:
-                corrupted += 1
-                if self._trace is not None:
-                    self._trace.record(round_no, "corrupt", pid=sender)
 
         omitted = 0
         for sender in sorted(omissions, key=repr):
             if sender not in outbox:
                 continue
-            drops = len(omissions[sender] & receiver_set)
-            if drops:
-                omitted += drops
+            dropped = omissions[sender] & receiver_set
+            if dropped:
+                omitted += len(dropped)
                 self._silenced_round.setdefault(sender, round_no)
                 if self._trace is not None:
                     self._trace.record(
-                        round_no,
-                        "omit",
-                        pid=sender,
-                        dropped=sorted(omissions[sender] & receiver_set, key=repr),
+                        round_no, "omit", pid=sender, dropped=sorted(dropped, key=repr)
                     )
 
-        delayed = 0
-        for link in sorted(delays, key=repr):
-            sender, target = link
-            if sender not in outbox or target not in receiver_set:
-                continue
-            payload = corruptions[sender] if sender in corruptions else outbox[sender]
-            self._pending.setdefault(round_no + delays[link], {}).setdefault(
-                target, []
-            ).append((sender, payload))
-            delayed += 1
-            if self._trace is not None:
-                self._trace.record(
-                    round_no,
-                    "delay",
-                    pid=sender,
-                    receiver=target,
-                    until=round_no + delays[link],
-                )
-
-        special = set()
-        for sender in plan:
-            if sender in outbox:
-                special.add(sender)
-        for sender in omissions:
-            if sender in outbox:
-                special.add(sender)
-        for sender, _target in delays:
-            if sender in outbox:
-                special.add(sender)
-
-        base_inbox: Dict[ProcessId, Any] = {}
-        for sender, payload in outbox.items():
-            if sender in special:
-                continue
-            base_inbox[sender] = (
-                corruptions[sender] if sender in corruptions else payload
-            )
-
-        def reaches(sender: ProcessId, receiver: ProcessId) -> bool:
-            if sender in plan and receiver not in plan[sender]:
-                return False
-            if receiver in omissions.get(sender, ()):
-                return False
-            if (sender, receiver) in delays:
-                return False
-            return True
-
+        # Crash victims in plan order, then omitting senders (the clamp
+        # keeps the two disjoint: crash wins).
+        special = dict.fromkeys(
+            sender for sender in (*plan, *omissions) if sender in outbox
+        )
+        base_inbox: Dict[ProcessId, Any] = {
+            sender: payload
+            for sender, payload in outbox.items()
+            if sender not in special
+        }
         inbox_by_signature: Dict[FrozenSet[ProcessId], Dict[ProcessId, Any]] = {}
-        deliveries: List[Any] = []
+        deliveries: List[Tuple[ProcessId, Dict[ProcessId, Any]]] = []
         delivered = 0
         for receiver in receivers:
-            signature = frozenset(s for s in special if reaches(s, receiver))
+            signature = frozenset(
+                sender
+                for sender in special
+                if (sender not in plan or receiver in plan[sender])
+                and receiver not in omissions.get(sender, ())
+            )
             inbox = inbox_by_signature.get(signature)
             if inbox is None:
                 if signature:
                     inbox = dict(base_inbox)
                     for sender in signature:
-                        inbox[sender] = (
-                            corruptions[sender]
-                            if sender in corruptions
-                            else outbox[sender]
-                        )
+                        inbox[sender] = outbox[sender]
                 else:
                     inbox = base_inbox
                 inbox_by_signature[signature] = inbox
-            private: Optional[Dict[ProcessId, Any]] = None
-            if receiver in corruptions and receiver in outbox:
-                # The sender keeps its own original payload.
-                private = dict(inbox)
-                private[receiver] = outbox[receiver]
-            if pending_now:
-                for sender, payload in pending_now.get(receiver, ()):
-                    current = private if private is not None else inbox
-                    if sender in current:
-                        continue  # a fresher same-round message wins
-                    if private is None:
-                        private = dict(inbox)
-                    private[sender] = payload
-            final = private if private is not None else inbox
-            deliveries.append((receiver, final))
-            delivered += len(final)
-        return deliveries, delivered, omitted, delayed, corrupted
+            deliveries.append((receiver, inbox))
+            delivered += len(inbox)
+        return deliveries, delivered, omitted

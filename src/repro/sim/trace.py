@@ -62,8 +62,7 @@ class TraceEvent:
     """One recorded event.
 
     ``kind`` is ``'round'``, ``'crash'``, ``'omit'``, ``'halt'`` (the
-    shared schema), a reference-only message event (``'corrupt'``,
-    ``'delay'``), or a cheap-only delta (``'name'``, ``'pos'``).
+    shared schema) or a cheap-only delta (``'name'``, ``'pos'``).
     """
 
     round_no: int

@@ -31,11 +31,9 @@ class PeekingOmissionAdversary(Adversary):
         return {}
 
     def plan_faults(self, ctx):
-        # The FaultPlan budget fields ARE on the materialized surface:
-        # reading them must stay clean.
-        if ctx.omission_budget_remaining == 0 or ctx.delay_bound:
-            return None
-        if ctx.corrupted_so_far:
+        # The omission budget field IS on the materialized surface:
+        # reading it must stay clean.
+        if ctx.omission_budget_remaining == 0:
             return None
         inboxes = ctx.processes  # expect: K201
         sender = min(inboxes, key=repr)

@@ -19,9 +19,8 @@ def reject_briefly():
 
 
 def reject_with_made_up_family(adversary, failure):
-    # "byzantine" is not in the crash/omission/delay/corruption
-    # vocabulary, so the rejection would name a family no adversary
-    # can declare.
+    # "byzantine" is not in the crash/omission vocabulary, so the
+    # rejection would name a family no adversary can declare.
     failure = certification_failure(
         adversary, supported=("crash", "byzantine")  # expect: K202
     )
@@ -31,6 +30,4 @@ def reject_with_made_up_family(adversary, failure):
 
 def reject_with_real_families(adversary):
     # The full declarable vocabulary is clean.
-    return certification_failure(
-        adversary, supported=("crash", "omission", "delay", "corruption")
-    )
+    return certification_failure(adversary, supported=("crash", "omission"))

@@ -84,6 +84,15 @@ BAD_EDITS = [
     ),
     pytest.param({("meta",): ["rounds", 11]}, "meta", id="meta-not-an-object"),
     pytest.param(
+        {("spec", "kernel"): "quantum"}, "spec.kernel", id="kernel-not-a-choice"
+    ),
+    pytest.param(
+        {("spec", "monitor"): "bogus"}, "spec.monitor", id="monitor-not-a-choice"
+    ),
+    pytest.param(
+        {("spec", "trace"): "bogus"}, "spec.trace", id="trace-mode-not-a-choice"
+    ),
+    pytest.param(
         # Victim 12 exists at n=16 but not in the n=9 run.
         {("schedule", "n"): 16, ("schedule", "events"): [[2, 12, []]]},
         "schedule.n=16 does not match spec.n=9",
@@ -302,6 +311,15 @@ class TestExploreHandEdits:
         assert last.startswith("error: ")
         assert "000000000000" in last and digest in last
         assert "Traceback" not in err
+
+    def test_missing_trace_file_replays_with_a_note(self, scenario, capsys):
+        """Replay is the documented fallback, so a dangling trace
+        pointer still exits 0 — but says why it replayed."""
+        trace_name = trace_filename(_spec().digest())
+        (scenario.parent / trace_name).unlink()
+        code, err = self._explore(scenario, {}, capsys)
+        assert code == 0
+        assert f"note: {trace_name} not found; replaying instead" in err
 
     def test_edited_events_replay_with_a_note(self, scenario, capsys):
         """Perturb-and-replay: the spec digest moves while the pointer

@@ -6,15 +6,12 @@ Three contracts, one file:
   reference engine and the columnar fast path across the
   algorithm x n x seed grid — same rounds, names, crash sets, and
   per-run omission counts;
-* **delay** and **corruption** adversaries are rejected *by family
-  name* when the fast path is pinned, and behave correctly on the
-  reference engine (messages actually deferred / payloads actually
-  rewritten);
+* a kernel that does not apply a declared family rejects the run *by
+  family name* (omission on the crash-only vectorized kernel);
 * :func:`~repro.adversary.base.clamp_fault_plan` — the shared rulebook
-  both engines apply — can never exceed a per-family budget, resurrect
-  a crashed sender, mask a self-link, or emit a delay outside
-  ``1..delay_bound``, no matter what plan an adversary returns
-  (seeded-random property sweep).
+  both engines apply — can never exceed the omission budget, resurrect
+  a crashed sender, or mask a self-link, no matter what plan an
+  adversary returns (seeded-random property sweep).
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ from repro.adversary.base import (
     FaultPlan,
     clamp_fault_plan,
 )
-from repro.adversary.corruption import CorruptingAdversary
-from repro.adversary.delay import BoundedDelayAdversary
 from repro.adversary.omission import (
     IIDOmissionAdversary,
     ScheduledFaultAdversary,
@@ -139,26 +134,6 @@ class TestOmissionBitIdentical:
 
 
 class TestUnsupportedFamiliesRejectByName:
-    def test_delay_rejected_on_columnar(self):
-        with pytest.raises(KernelUnsupported, match="'delay'"):
-            run_renaming(
-                "balls-into-leaves",
-                sparse_ids(8),
-                seed=0,
-                adversary=BoundedDelayAdversary(2, seed=0),
-                kernel="columnar",
-            )
-
-    def test_corruption_rejected_on_columnar(self):
-        with pytest.raises(KernelUnsupported, match="'corruption'"):
-            run_renaming(
-                "balls-into-leaves",
-                sparse_ids(8),
-                seed=0,
-                adversary=CorruptingAdversary(b=1, seed=0),
-                kernel="columnar",
-            )
-
     def test_omission_rejected_on_vectorized_by_name(self):
         # The vectorized batch kernel supports the crash family only.
         with pytest.raises(KernelUnsupported, match="'omission'"):
@@ -170,29 +145,6 @@ class TestUnsupportedFamiliesRejectByName:
                 kernel="vectorized",
             )
 
-    def test_auto_falls_back_to_reference_for_delay(self):
-        run = run_renaming(
-            "balls-into-leaves",
-            sparse_ids(8),
-            seed=0,
-            adversary=BoundedDelayAdversary(2, rate=0.2, seed=0),
-            kernel="auto",
-            check=False,
-        )
-        assert run.kernel == "reference"
-        assert run.metrics.total_delayed > 0
-
-    def test_corruption_applies_on_the_reference_engine(self):
-        run = run_renaming(
-            "balls-into-leaves",
-            sparse_ids(8),
-            seed=1,
-            adversary=CorruptingAdversary(b=1, seed=1),
-            kernel="reference",
-            check=False,
-        )
-        assert run.metrics.total_corruptions == 1
-
 
 def _random_fault_plan(rng, pids):
     crashes = {
@@ -203,20 +155,7 @@ def _random_fault_plan(rng, pids):
         pid: frozenset(rng.sample(pids, rng.randrange(1, len(pids))))
         for pid in rng.sample(pids, rng.randrange(len(pids) // 2 + 1))
     }
-    delays = {
-        (rng.choice(pids), rng.choice(pids)): rng.randrange(-1, 9)
-        for _ in range(rng.randrange(8))
-    }
-    corruptions = {
-        pid: {"forged": True}
-        for pid in rng.sample(pids, rng.randrange(len(pids) // 2 + 1))
-    }
-    return FaultPlan(
-        crashes=crashes,
-        omissions=omissions,
-        delays=delays,
-        corruptions=corruptions,
-    )
+    return FaultPlan(crashes=crashes, omissions=omissions)
 
 
 class TestClampFaultPlanProperties:
@@ -227,11 +166,7 @@ class TestClampFaultPlanProperties:
     def _clamped(self, seed):
         rng = random.Random(seed)
         alive = sorted(rng.sample(self.PIDS, rng.randrange(2, len(self.PIDS))))
-        budget = FaultBudget(
-            omissions=rng.choice([None, 0, 1, 3, 5]),
-            delay_bound=rng.choice([0, 1, 2, 4]),
-            corruptions=rng.choice([0, 1, 2]),
-        )
+        budget = FaultBudget(omissions=rng.choice([None, 0, 1, 3, 5]))
         omissions_used = rng.randrange(3)
         plan = _random_fault_plan(rng, self.PIDS)
         clamped = clamp_fault_plan(
@@ -240,7 +175,6 @@ class TestClampFaultPlanProperties:
             budget_remaining=rng.randrange(4),
             budget=budget,
             omissions_used=omissions_used,
-            corrupted_so_far=frozenset(rng.sample(self.PIDS, rng.randrange(3))),
         )
         return plan, clamped, alive, budget, omissions_used
 
@@ -252,14 +186,9 @@ class TestClampFaultPlanProperties:
         # Crash clamp: victims alive, budget respected.
         assert set(clamped.crashes) <= alive_set
 
-        # A crashed sender is dead for every other family (no
-        # resurrection: crash wins for the same sender).
+        # A crashing sender cannot also omit (no resurrection: crash
+        # wins for the same sender).
         for sender in clamped.omissions:
-            assert sender not in clamped.crashes
-            assert sender in alive_set
-        for sender, _receiver in clamped.delays:
-            assert sender not in clamped.crashes
-        for sender in clamped.corruptions:
             assert sender not in clamped.crashes
             assert sender in alive_set
 
@@ -267,41 +196,11 @@ class TestClampFaultPlanProperties:
         for sender, dropped in clamped.omissions.items():
             assert sender not in dropped
             assert dropped <= alive_set
-        for sender, receiver in clamped.delays:
-            assert sender != receiver
-            assert {sender, receiver} <= alive_set
 
         # Omission budget: dropped links never exceed what remains.
         if budget.omissions is not None:
             total = sum(len(d) for d in clamped.omissions.values())
             assert total <= max(0, budget.omissions - used)
-
-        # Delay bound: clamped into 1..Δ, family disabled at Δ=0.
-        if budget.delay_bound == 0:
-            assert not clamped.delays
-        for deferral in clamped.delays.values():
-            assert 1 <= deferral <= budget.delay_bound
-
-        # Omission wins over delay for the same link.
-        for sender, receiver in clamped.delays:
-            assert receiver not in clamped.omissions.get(sender, ())
-
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_corruption_counts_distinct_senders(self, seed):
-        rng = random.Random(seed)
-        already = frozenset(rng.sample(self.PIDS, rng.randrange(3)))
-        budget = FaultBudget(corruptions=rng.choice([0, 1, 2]))
-        plan = _random_fault_plan(rng, self.PIDS)
-        clamped = clamp_fault_plan(
-            FaultPlan(corruptions=plan.corruptions),
-            alive=self.PIDS,
-            budget_remaining=0,
-            budget=budget,
-            corrupted_so_far=already,
-        )
-        fresh = set(clamped.corruptions) - already
-        assert len(already | fresh) <= max(len(already), budget.corruptions)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_clamp_is_deterministic(self, seed):

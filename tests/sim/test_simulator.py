@@ -1,11 +1,20 @@
-"""Unit tests for the lock-step engine and crash semantics."""
+"""Unit tests for the lock-step engine, its crash semantics and its one
+delivery path for crash and omission faults."""
 
 from __future__ import annotations
 
+import itertools
+import random
 from typing import Any, Mapping
 
 import pytest
 
+from repro.adversary.base import (
+    Adversary,
+    FaultBudget,
+    FaultPlan,
+    clamp_fault_plan,
+)
 from repro.adversary.scheduled import ScheduledAdversary, ScheduledCrash
 from repro.errors import ConfigurationError, RoundLimitExceeded
 from repro.sim.process import SyncProcess
@@ -138,6 +147,155 @@ class TestCrashSemantics:
         _, sim = make_sim(n=4, life=2, adversary=adversary)
         result = sim.run()
         assert result.correct == frozenset({0, 1, 3})
+
+
+class CountingAdversary(Adversary):
+    """Silently crashes ``victim`` in round 1 and records every round it
+    is consulted in."""
+
+    def __init__(self, victim, families=("crash",)):
+        super().__init__(seed=0)
+        self._victim = victim
+        self._families = families
+        self.consulted = []
+
+    def plan(self, ctx):
+        self.consulted.append(ctx.round_no)
+        return self.silent([self._victim]) if ctx.round_no == 1 else {}
+
+    def fault_families(self):
+        return self._families
+
+
+class TestBudgetExhaustion:
+    """Past the crash budget only adversaries with another family to
+    exercise are consulted; the cross-kernel RNG contract relies on
+    crash-only ones drawing nothing more."""
+
+    def test_crash_only_adversary_is_not_consulted_past_the_budget(self):
+        adversary = CountingAdversary(victim=0)
+        _, sim = make_sim(n=3, life=3, adversary=adversary, crash_budget=1)
+        sim.run()
+        assert adversary.consulted == [1]
+
+    def test_omission_adversary_is_consulted_past_the_budget(self):
+        adversary = CountingAdversary(victim=0, families=("crash", "omission"))
+        _, sim = make_sim(n=3, life=3, adversary=adversary, crash_budget=1)
+        result = sim.run()
+        assert adversary.consulted == [1, 2, 3]
+        assert result.crashed == frozenset({0})
+
+
+class ScriptedFaults(Adversary):
+    """Returns one fixed fault plan in round 1 and declares both families."""
+
+    def __init__(self, plan, omission_budget=None):
+        super().__init__(seed=0)
+        self._plan = plan
+        self._budget = FaultBudget(omissions=omission_budget)
+
+    def plan(self, ctx):
+        return {}
+
+    def plan_faults(self, ctx):
+        return self._plan if ctx.round_no == 1 else FaultPlan()
+
+    def fault_families(self):
+        return ("crash", "omission")
+
+    def fault_budget(self):
+        return self._budget
+
+
+class KeepingProcess(SyncProcess):
+    """Broadcasts (or stays silent) for one round and keeps the inbox
+    object it was handed, not a copy."""
+
+    def __init__(self, pid, speaks):
+        super().__init__(pid)
+        self.speaks = speaks
+        self.inbox = None
+
+    def compose(self, round_no):
+        return ("msg", self.pid) if self.speaks else None
+
+    def deliver(self, round_no, inbox):
+        self.inbox = inbox
+        self.decide(self.pid)
+        self.halt()
+
+
+class TestOneDeliveryPath:
+    """Crash and omission faults share one delivery rule, link by link.
+
+    Seeded-random sweep over one-round fault plans: whatever plan the
+    adversary returns, once the shared clamp has applied the budgets,
+    every receiver's inbox is exactly the per-link model — a crashing
+    sender reaches only the receivers its crash plan kept, an omitted
+    link drops, every other message arrives — and two receivers share
+    one inbox dict exactly when they heard from the same senders (the
+    shared-view store memoizes on inbox identity).
+    """
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_inboxes_follow_the_per_link_rule(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 10)
+        pids = list(range(n))
+        procs = [KeepingProcess(pid, speaks=rng.random() < 0.8) for pid in pids]
+        crash_budget = rng.randrange(n)
+        omission_budget = rng.choice([None, 0, 2, 5])
+        drawn = FaultPlan(
+            crashes={
+                victim: frozenset(rng.sample(pids, rng.randrange(n + 1)))
+                for victim in rng.sample(pids, rng.randrange(n))
+            },
+            omissions={
+                sender: frozenset(rng.sample(pids, rng.randrange(1, n + 1)))
+                for sender in rng.sample(pids, rng.randrange(n + 1))
+            },
+        )
+        sim = Simulation(
+            procs,
+            adversary=ScriptedFaults(drawn, omission_budget),
+            crash_budget=crash_budget,
+        )
+        sim.step()
+
+        fault = clamp_fault_plan(
+            drawn,
+            alive=pids,
+            budget_remaining=crash_budget,
+            budget=FaultBudget(omissions=omission_budget),
+        )
+        crashes, omissions = fault.crashes, fault.omissions
+        assert sim.crashed == frozenset(crashes)
+        senders = [proc.pid for proc in procs if proc.speaks]
+        receivers = [pid for pid in pids if pid not in crashes]
+
+        def reaches(sender, receiver):
+            kept = sender not in crashes or receiver in crashes[sender]
+            return kept and receiver not in omissions.get(sender, ())
+
+        inboxes = {pid: procs[pid].inbox for pid in receivers}
+        for receiver, inbox in inboxes.items():
+            expected = {s: ("msg", s) for s in senders if reaches(s, receiver)}
+            assert inbox == expected
+            # The clamp never masks a self-link.
+            assert procs[receiver].speaks == (receiver in inbox)
+        for a, b in itertools.combinations(receivers, 2):
+            same_senders = inboxes[a].keys() == inboxes[b].keys()
+            assert (inboxes[a] is inboxes[b]) == same_senders
+        for victim in crashes:
+            assert procs[victim].inbox is None
+
+        (metrics,) = sim.metrics.rounds
+        dropped = {s: omissions[s] & set(receivers) for s in senders if s in omissions}
+        assert metrics.messages_sent == len(senders)
+        assert metrics.messages_delivered == sum(map(len, inboxes.values()))
+        assert metrics.omissions == sum(map(len, dropped.values()))
+        assert metrics.crashes == len(crashes)
+        assert sim.silenced_rounds == {s: 1 for s, links in dropped.items() if links}
 
 
 class TestObservers:
