@@ -12,6 +12,7 @@ do and where did the time go" view without re-running anything.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.stats import summarize
@@ -37,6 +38,11 @@ def load_rows(path: str) -> List[Dict[str, Any]]:
                     rows.append(row)
     except OSError as error:
         raise ReproError(f"cannot read {path}: {error}") from None
+    except UnicodeDecodeError as error:
+        raise ReproError(
+            f"{path}: not a UTF-8 text file ({error.reason} at byte "
+            f"{error.start})"
+        ) from None
     return rows
 
 
@@ -60,11 +66,17 @@ def _group_key(row: Dict[str, Any]) -> Tuple[str, ...]:
     return tuple(parts) or ("(rows)",)
 
 
+def _is_number(value: Any) -> bool:
+    """Is ``value`` a finite JSON number?  Rows are edited by hand, so a
+    field of any other type is skipped rather than summed."""
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def trial_table(rows: Sequence[Dict[str, Any]]) -> Table:
     """Per-cell summary of rows that carry a numeric ``rounds`` field."""
     groups: Dict[Tuple[str, ...], List[Dict[str, Any]]] = {}
     for row in rows:
-        if isinstance(row.get("rounds"), (int, float)):
+        if _is_number(row.get("rounds")):
             groups.setdefault(_group_key(row), []).append(row)
     table = Table(
         "trial rows",
@@ -76,7 +88,11 @@ def trial_table(rows: Sequence[Dict[str, Any]]) -> Table:
         rounds = [float(row["rounds"]) for row in cell_rows]
         stats = summarize(rounds)
         errors = sum(1 for row in cell_rows if row.get("error"))
-        violations = sum(len(row.get("violations") or ()) for row in cell_rows)
+        violations = sum(
+            len(row["violations"])
+            for row in cell_rows
+            if isinstance(row.get("violations"), list)
+        )
         table.add_row(
             " ".join(key), len(cell_rows), errors, violations,
             stats.mean, stats.p95, stats.maximum,
@@ -89,12 +105,18 @@ def telemetry_table(telemetry_rows: Sequence[Dict[str, Any]]) -> Table:
     stages: Dict[str, Dict[str, float]] = {}
     order: List[str] = []
     for row in telemetry_rows:
-        for stage, stats in (row.get("stages") or {}).items():
+        row_stages = row.get("stages")
+        if not isinstance(row_stages, dict):
+            continue
+        for stage, stats in row_stages.items():
+            if not isinstance(stats, dict):
+                continue
             if stage not in stages:
                 stages[stage] = {"calls": 0, "seconds": 0.0}
                 order.append(stage)
-            stages[stage]["calls"] += stats.get("calls", 0)
-            stages[stage]["seconds"] += stats.get("seconds", 0.0)
+            for key in ("calls", "seconds"):
+                if _is_number(stats.get(key)):
+                    stages[stage][key] += stats[key]
     total = sum(stats["seconds"] for stats in stages.values()) or 1.0
     table = Table(
         "telemetry stages",
@@ -136,7 +158,7 @@ def render_stats(paths: Sequence[str]) -> str:
         elapsed = [
             row["elapsed"]
             for row in all_telemetry
-            if isinstance(row.get("elapsed"), (int, float))
+            if _is_number(row.get("elapsed"))
         ]
         if elapsed:
             sections.append(f"total run elapsed: {sum(elapsed):.2f}s")

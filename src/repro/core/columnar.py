@@ -34,8 +34,8 @@ signatures or merge keys.
 
 Bit-for-bit equivalence with the reference engine — same round counts,
 same names, same per-round metrics — is asserted by the differential
-suite in ``tests/sim/test_kernel_equivalence.py``; any behavioural change
-here must keep that suite green.
+oracle in ``tests/test_oracle.py``; any behavioural change here must
+keep it green.
 
 Runs the fast path cannot model (full traces, phase statistics, invariant
 checking, uncertified adversary types) are rejected up front by

@@ -15,10 +15,8 @@ machinery entirely.
 
 Exactness is the design constraint, not a best effort: every trial's
 :class:`~repro.sim.simulator.SimulationResult` is bit-for-bit the
-columnar/reference kernels' (asserted by
-``tests/sim/test_vectorized_equivalence.py`` and
-``tests/sim/test_stacked_crash.py``).  Three ideas make the stacking
-exact:
+columnar/reference kernels' (asserted by the differential oracle in
+``tests/test_oracle.py``).  Three ideas make the stacking exact:
 
 * **RNG** — per-ball Mersenne-Twister streams are reproduced by
   :class:`repro.core.mt19937.MTStreamBank` (vectorized CPython-MT), so a

@@ -250,6 +250,11 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigurationError(
             f"cannot read scenario file {path}: {error}"
         ) from None
+    except UnicodeDecodeError as error:
+        raise ConfigurationError(
+            f"{path}: not a UTF-8 text file ({error.reason} at byte "
+            f"{error.start})"
+        ) from None
     except json.JSONDecodeError as error:
         raise ConfigurationError(
             f"{path}: not valid JSON ({error})"

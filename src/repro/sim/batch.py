@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import multiprocessing
 import operator
 import os
@@ -611,7 +612,9 @@ def plan_tasks(
     ``mixed`` groups on :func:`_mixed_cell_config` instead — trials of
     one cell shape stack even when each carries its own adversary spec
     (the hunt batching hint), provided every adversary in the run shares
-    a name (so one certification answer covers the group).
+    a name.  A name does not settle certification (``schedule`` covers
+    crash-only and omit genotypes), so each adversary spec is probed on
+    its own, and only runs of consecutive stackable specs stack.
 
     ``auto`` groups additionally respect the :data:`MIN_STREAMS`
     floor: below it a stack's fixed seeding and per-round costs outweigh
@@ -632,28 +635,47 @@ def plan_tasks(
                 break
             j += 1
         group = specs[i:j]
+        i = j
         # The floor is checked before the stacking probe, which builds an
-        # adversary and loads NumPy and the vectorized kernel.  A pinned
-        # ``vectorized`` cell asked to stack, so it takes no floor.
-        stacks = (
-            len(group) >= 2
-            and (
-                spec.kernel != "auto" or len(group) * spec.n >= MIN_STREAMS
-            )
-            and _stackable(spec)
+        # adversary and loads NumPy and the vectorized kernel.
+        if not _clears_floor(group):
+            tasks.extend(group)
+            continue
+        # One probe per run of equal adversary specs; adjacent runs with
+        # the same verdict merge, so a group stacks in as few pieces as
+        # its mix of certifiable adversaries allows.
+        pieces: List[Tuple[bool, List[TrialSpec]]] = []
+        by_adversary = itertools.groupby(
+            group, key=operator.attrgetter("adversary")
         )
-        if stacks:
+        for _, same in by_adversary:
+            same_specs = list(same)
+            stacks = _stackable(same_specs[0])
+            if pieces and pieces[-1][0] == stacks:
+                pieces[-1][1].extend(same_specs)
+            else:
+                pieces.append((stacks, same_specs))
+        for stacks, run in pieces:
+            if not (stacks and _clears_floor(run)):
+                tasks.extend(run)
+                continue
             chunk = max(1, MAX_STREAMS // max(1, spec.n))
             if parts > 1:
-                chunk = max(1, min(chunk, -(-len(group) // parts)))
+                chunk = max(1, min(chunk, -(-len(run) // parts)))
             # Split pieces stay stacked even when a remainder has one
             # trial: chunking must never change the executing kernel.
-            for k in range(0, len(group), chunk):
-                tasks.append(tuple(group[k : k + chunk]))
-        else:
-            tasks.extend(group)
-        i = j
+            for k in range(0, len(run), chunk):
+                tasks.append(tuple(run[k : k + chunk]))
     return tasks
+
+
+def _clears_floor(group: Sequence[TrialSpec]) -> bool:
+    """Is a same-config ``group`` big enough to stack?  A pinned
+    ``vectorized`` group asked to stack, so it takes no stream floor."""
+    spec = group[0]
+    return len(group) >= 2 and (
+        spec.kernel != "auto" or len(group) * spec.n >= MIN_STREAMS
+    )
 
 
 def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
@@ -708,6 +730,8 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
     spec_ok = cell.spec_ok() if spec.check else None
     results = []
     for t, trial_spec in enumerate(specs):
+        # A failed trial keeps its partial trace, as run_trial's rows do.
+        trace = cell.trace(t) if trial_spec.trace == "cheap" else None
         error = cell.error(t)
         if error is None and spec_ok is not None and not bool(spec_ok[t]):
             try:
@@ -737,6 +761,7 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
                     violations=tuple(
                         v.render() for v in getattr(error, "violations", ())
                     ),
+                    trace=trace,
                 )
             )
             continue
@@ -763,9 +788,7 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
                 kernel="vectorized",
                 monitor=trial_spec.monitor,
                 violations=tuple(v.render() for v in cell.violations(t)),
-                trace=(
-                    cell.trace(t) if trial_spec.trace == "cheap" else None
-                ),
+                trace=trace,
             )
         )
     return results

@@ -136,7 +136,6 @@ class ColumnarKernel(SimulationKernel):
                 timer_started = TIMERS.start()
                 observe_crash_engine(monitor, engine, round_no)
                 TIMERS.stop("monitor", timer_started)
-                _abort_on_deadlock(monitor)
             metrics.record(
                 RoundMetrics(
                     round_no=round_no,
@@ -158,6 +157,11 @@ class ColumnarKernel(SimulationKernel):
                     running=engine.last_running,
                     omitters=engine.last_omitters,
                 )
+            # The stopping round is recorded first, as on the reference
+            # and stacked engines, so a stalled run's partial trace ends
+            # on the same round everywhere.
+            if monitor is not None:
+                _abort_on_deadlock(monitor)
         labels = engine.labels
         decisions = {
             pid: engine.decision[j] for j, pid in enumerate(labels)

@@ -10,10 +10,10 @@ executions — representing the whole population as flat arrays (see
 :mod:`repro.core.columnar`).
 
 The two are differentially checked to be bit-identical on every run the
-fast path supports (``tests/sim/test_kernel_equivalence.py``), in the
-spirit of spec-vs-implementation runtime checking: the reference engine
-stays the ground truth, the columnar engine earns its speed by agreeing
-with it.
+fast path supports (the generated-spec oracle in ``tests/test_oracle.py``),
+in the spirit of spec-vs-implementation runtime checking: the reference
+engine stays the ground truth, the columnar engine earns its speed by
+agreeing with it.
 
 The **vectorized** kernel (:mod:`repro.sim.vectorized`) is the
 trial-stacked NumPy engine: it executes a whole cell of trials —

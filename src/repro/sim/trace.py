@@ -11,19 +11,19 @@ bounded overhead.
 
 The two modes deliberately share a projection — :func:`shared_events`
 maps any trace onto the kernel-independent event schema (``round``,
-``crash``, ``omit``, ``halt``) — and the differential suite
-(``tests/sim/test_trace_modes.py``) pins that a ``full`` reference trace
-and a ``cheap`` columnar trace of the same run project identically.
+``crash``, ``omit``, ``halt``) — and the differential oracle
+(``tests/test_oracle.py``) pins that a ``full`` reference trace and a
+``cheap`` fast-path trace of the same run project identically.
 Cheap traces additionally carry ``name`` events (ball → decided name,
 with the round it was decided) and, on the columnar kernel, per-round
 ``pos`` snapshots of every ball's tree position; those extras are
 outside the shared schema because the reference engine records finer
 message-level events instead.
 
-Traces persist as jsonl (always) or npz (NumPy installs), content-
-addressed by the trial's spec digest: ``trace-<digest>.jsonl`` names the
-execution it came from, so a scenario file can point at its trace and a
-re-run can verify it landed on the same bytes.
+Traces persist as jsonl, content-addressed by the trial's spec digest:
+``trace-<digest>.jsonl`` names the execution it came from, so a scenario
+file can point at its trace and a re-run can verify it landed on the
+same bytes.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class Trace:
             builder(self)
         return self._events
 
-    def record(self, round_no: int, kind: str, **data: Any) -> None:
-        """Append an event."""
+    def record(self, round_no: int, kind: str, /, **data: Any) -> None:
+        """Append an event; every keyword argument is event data."""
         self._all().append(TraceEvent(round_no, kind, data))
 
     def events(self, kind: Optional[str] = None) -> List[TraceEvent]:
@@ -171,9 +171,9 @@ def shared_events(trace: Trace) -> List[SharedEvent]:
 # --------------------------------------------------------------- file formats
 
 
-def trace_filename(digest: str, *, fmt: str = "jsonl") -> str:
+def trace_filename(digest: str) -> str:
     """Canonical content-addressed trace file name for a spec digest."""
-    return f"trace-{digest}.{fmt}"
+    return f"trace-{digest}.jsonl"
 
 
 def _header(digest: str, meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
@@ -183,7 +183,7 @@ def _header(digest: str, meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     return header
 
 
-def write_trace_jsonl(
+def write_trace(
     trace: Trace,
     path: str,
     *,
@@ -211,115 +211,83 @@ def _json_object(path: str, lineno: int, line: str) -> Dict[str, Any]:
     return row
 
 
-def read_trace_jsonl(path: str) -> Tuple[Dict[str, Any], Trace]:
-    """Read a jsonl trace file back into ``(header, Trace)``.
+#: The fields the timeline explorer reads from each event kind;
+#: :func:`read_trace` checks them so a hand-edited trace fails on its
+#: line instead of inside the renderer.
+_EVENT_FIELDS = {
+    "crash": ("pid",),
+    "omit": ("pid",),
+    "name": ("pid", "name"),
+    "halt": ("pid", "decision"),
+    "round": ("sent", "crashes", "running"),
+}
 
-    Trace files are edited by hand, so a truncated line or an event
-    without an integer ``r`` or a string ``kind`` raises
-    :class:`~repro.errors.ConfigurationError` with its line number.
-    """
-    trace = Trace()
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.strip():
-            raise ConfigurationError(f"empty trace file: {path}")
-        header = _json_object(path, 1, first)
-        if header.get("format") != TRACE_FORMAT:
+
+def _check_event(path: str, lineno: int, kind: str, row: Dict[str, Any]) -> None:
+    """Raise a ConfigurationError naming the line for a malformed event."""
+    for key in _EVENT_FIELDS.get(kind, ()):
+        if key not in row:
             raise ConfigurationError(
-                f"{path}: not a {TRACE_FORMAT} file "
-                f"(format={header.get('format')!r})"
+                f"{path}:{lineno}: {kind!r} event has no {key!r} field"
             )
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            row = _json_object(path, lineno, line)
-            round_no = row.pop("r", None)
-            kind = row.pop("kind", None)
-            if type(round_no) is not int:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: event round 'r' must be an integer, "
-                    f"got {round_no!r}"
-                )
-            if not isinstance(kind, str):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: event 'kind' must be a string, got {kind!r}"
-                )
-            trace.record(round_no, kind, **row)
-    return header, trace
-
-
-def write_trace_npz(
-    trace: Trace,
-    path: str,
-    *,
-    digest: str = "",
-    meta: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write a trace as npz (columnar arrays; requires NumPy)."""
-    from repro.core.mt19937 import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        raise ConfigurationError(
-            "npz trace output requires numpy (pip install .[fast]); "
-            "use the jsonl format instead"
-        )
-    import numpy as np
-
-    rounds = np.array([event.round_no for event in trace], dtype=np.int64)
-    kinds = np.array([event.kind for event in trace])
-    payloads = np.array(
-        [json.dumps(event.data, sort_keys=True, separators=(",", ":"))
-         for event in trace]
-    )
-    header = np.array(json.dumps(_header(digest, meta), sort_keys=True))
-    np.savez_compressed(
-        path, header=header, rounds=rounds, kinds=kinds, payloads=payloads
-    )
-
-
-def read_trace_npz(path: str) -> Tuple[Dict[str, Any], Trace]:
-    """Read an npz trace file back into ``(header, Trace)``."""
-    from repro.core.mt19937 import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        raise ConfigurationError(
-            "reading npz traces requires numpy (pip install .[fast])"
-        )
-    import numpy as np
-
-    with np.load(path, allow_pickle=False) as archive:
-        header = json.loads(str(archive["header"]))
-        if header.get("format") != TRACE_FORMAT:
+        value = row[key]
+        if key == "pid" and type(value) not in (int, str):
             raise ConfigurationError(
-                f"{path}: not a {TRACE_FORMAT} file "
-                f"(format={header.get('format')!r})"
+                f"{path}:{lineno}: event 'pid' must be an integer or a "
+                f"string, got {value!r}"
             )
-        trace = Trace()
-        for round_no, kind, payload in zip(
-            archive["rounds"].tolist(),
-            archive["kinds"].tolist(),
-            archive["payloads"].tolist(),
-        ):
-            trace.record(int(round_no), str(kind), **json.loads(payload))
-    return header, trace
-
-
-def write_trace(
-    trace: Trace,
-    path: str,
-    *,
-    digest: str = "",
-    meta: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write a trace, dispatching on the path's extension (jsonl/npz)."""
-    if path.endswith(".npz"):
-        write_trace_npz(trace, path, digest=digest, meta=meta)
-    else:
-        write_trace_jsonl(trace, path, digest=digest, meta=meta)
+        if kind == "round" and type(value) is not int:
+            raise ConfigurationError(
+                f"{path}:{lineno}: round event {key!r} must be an integer, "
+                f"got {value!r}"
+            )
 
 
 def read_trace(path: str) -> Tuple[Dict[str, Any], Trace]:
-    """Read a trace file, dispatching on the path's extension."""
-    if path.endswith(".npz"):
-        return read_trace_npz(path)
-    return read_trace_jsonl(path)
+    """Read a jsonl trace file back into ``(header, Trace)``.
+
+    Trace files are edited by hand, so an unreadable or non-UTF-8 file,
+    a truncated line, an event without an integer ``r`` or a string
+    ``kind``, or an event missing a field the timeline reads raises
+    :class:`~repro.errors.ConfigurationError` naming the file (and the
+    line, where there is one).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as error:
+        raise ConfigurationError(
+            f"cannot read trace file {path}: {error}"
+        ) from None
+    except UnicodeDecodeError as error:
+        raise ConfigurationError(
+            f"{path}: not a UTF-8 text file ({error.reason} at byte "
+            f"{error.start})"
+        ) from None
+    if not lines or not lines[0].strip():
+        raise ConfigurationError(f"empty trace file: {path}")
+    header = _json_object(path, 1, lines[0])
+    if header.get("format") != TRACE_FORMAT:
+        raise ConfigurationError(
+            f"{path}: not a {TRACE_FORMAT} file "
+            f"(format={header.get('format')!r})"
+        )
+    trace = Trace()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        row = _json_object(path, lineno, line)
+        round_no = row.pop("r", None)
+        kind = row.pop("kind", None)
+        if type(round_no) is not int:
+            raise ConfigurationError(
+                f"{path}:{lineno}: event round 'r' must be an integer, "
+                f"got {round_no!r}"
+            )
+        if not isinstance(kind, str):
+            raise ConfigurationError(
+                f"{path}:{lineno}: event 'kind' must be a string, got {kind!r}"
+            )
+        _check_event(path, lineno, kind, row)
+        trace.record(round_no, kind, **row)
+    return header, trace

@@ -35,7 +35,12 @@ from repro.adversary.certification import certification_failure
 from repro.core.config import BallsIntoLeavesConfig
 from repro.core.instrumentation import TIMERS
 from repro.core.mt19937 import HAVE_NUMPY
-from repro.errors import ConfigurationError, MonitorViolation, RoundLimitExceeded
+from repro.errors import (
+    ConfigurationError,
+    KernelUnsupported,
+    MonitorViolation,
+    RoundLimitExceeded,
+)
 from repro.sim.checker import RenamingSpec, check_renaming
 from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
 from repro.sim.metrics import RoundMetrics, SimulationMetrics
@@ -261,12 +266,19 @@ def run_stacked_cell(
     Entry ``t`` of ``adversaries`` is the already-built instance driving
     trial ``t`` (the caller owns seed-faithful construction, exactly
     like the scalar kernels); None or :class:`NoFailures` entries, or no
-    ``adversaries`` at all, run failure-free.  ``monitor="cheap"``
-    attaches the stacked invariant monitor, which also stops a trial
-    whose state has frozen (see :meth:`StackedCellRun.error`).
+    ``adversaries`` at all, run failure-free.  An adversary the engine
+    cannot apply (uncertified, or planning a family beyond ``crash``)
+    raises :class:`~repro.errors.KernelUnsupported` instead of running
+    without its faults.  ``monitor="cheap"`` attaches the stacked
+    invariant monitor, which also stops a trial whose state has frozen
+    (see :meth:`StackedCellRun.error`).
     """
     from repro.core.vectorized import VectorizedCrashEngine
 
+    for adversary in adversaries or ():
+        failure = certification_failure(adversary, supported=("crash",))
+        if failure is not None:
+            raise KernelUnsupported("vectorized", failure)
     n = len(ids)
     if crash_budget is not None and not 0 <= crash_budget < n:
         raise ConfigurationError(
@@ -373,11 +385,13 @@ class VectorizedKernel(SimulationKernel):
             monitor=request.monitor,
             adversaries=[request.adversary],
         )
+        # Decode before raising: a failed run's partial trace rides on
+        # the error, as on the scalar kernels.
+        if request.trace is not None:
+            cell.trace(0, sink=request.trace)
         error = cell.error(0)
         if error is not None:
             raise error
-        if request.trace is not None:
-            cell.trace(0, sink=request.trace)
         return KernelRun(
             result=cell.result(0),
             last_round_named=cell.last_round_named(0),

@@ -1,14 +1,16 @@
 """The vectorized MT19937 bank against CPython's ``random.Random``.
 
-Everything downstream (the trial-stacked kernel's differential identity)
-rests on :class:`repro.core.mt19937.MTStreamBank` reproducing CPython's
-generator bit for bit: seeding (``init_by_array`` over the seed's 32-bit
-words), the twist, the tempering, and the two-word double assembly.
-These tests pin each of those against the C implementation directly.
+Everything downstream (the trial-stacked kernel's identity with the
+per-trial kernels, which the differential oracle in
+``tests/test_oracle.py`` checks) rests on
+:class:`repro.core.mt19937.MTStreamBank` reproducing CPython's generator
+bit for bit: seeding (``init_by_array`` over the seed's 32-bit words),
+the twist, the tempering, and the two-word double assembly.  These tests
+pin each of those against the C implementation directly.
 
 The whole module skips when NumPy is absent (the bank is part of the
 ``.[fast]`` extra); the no-NumPy CI leg instead asserts the fallback
-behavior in ``test_vectorized_equivalence.py``.
+behavior in ``tests/sim/test_vectorized_equivalence.py``.
 """
 
 from __future__ import annotations

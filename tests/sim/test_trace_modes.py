@@ -1,13 +1,13 @@
-"""Differential suite for the ``trace={off,cheap,full}`` knob.
+"""The ``trace={off,cheap,full}`` knob beyond plain kernel equality.
 
-The contract under test: a ``full`` reference trace and a ``cheap``
-fast-path trace of the *same* execution project identically onto the
-shared event schema (:func:`repro.sim.trace.shared_events`), and turning
-tracing on never perturbs the run itself — ``trace="off"`` and
-``trace="cheap"`` produce byte-identical results on every kernel.
-Plus the persistence layer: jsonl (and npz, NumPy installs) round-trips
-preserve every event, and a run that dies mid-flight still hands its
-partial trace to ``capture_errors`` rows.
+That a ``full`` reference trace and a ``cheap`` fast-path trace of the
+*same* execution project identically onto the shared event schema
+(:func:`repro.sim.trace.shared_events`), and that tracing never
+perturbs the run, is the differential oracle's job
+(``tests/test_oracle.py``).  This file keeps the cheap-only extras, mode
+selection, the jsonl persistence layer (round trips preserve every
+event), lazy stacked traces, and the partial trace a run that dies
+mid-flight hands to ``capture_errors`` rows.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from repro.errors import ConfigurationError, RoundLimitExceeded
 from repro.ids import sparse_ids
 from repro.search.schedule import CrashEvent, Schedule
 from repro.sim.batch import TrialSpec, run_trial
-from repro.sim.runner import ALGORITHMS, run_renaming
+from repro.sim.runner import run_renaming
 from repro.sim.trace import (
-    SHARED_EVENT_KINDS,
     TRACE_MODES,
     Trace,
     check_trace_mode,
@@ -31,8 +30,6 @@ from repro.sim.trace import (
     trace_filename,
     write_trace,
 )
-
-BIL_ALGORITHMS = sorted(name for name, policy in ALGORITHMS.items() if policy)
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
 
@@ -53,8 +50,8 @@ def _omit_schedule(n):
     )
 
 
-#: The grid's adversary axis: the empty cell, both scheduled fault
-#: families (columnar-certified), and a seeded random crasher.
+#: Adversaries by key: the empty cell, both scheduled fault families
+#: (columnar-certified), and a seeded random crasher.
 ADVERSARIES = {
     "none": lambda n, seed: None,
     "random-crash": lambda n, seed: RandomCrashAdversary(0.15, seed=seed),
@@ -77,34 +74,6 @@ def _run(algorithm, n, seed, kernel, adversary_key="none", **kwargs):
 class TestSharedSchemaEquivalence:
     """Reference ``full`` == columnar ``cheap`` under ``shared_events``."""
 
-    @pytest.mark.parametrize("algorithm", BIL_ALGORITHMS)
-    @pytest.mark.parametrize("adversary_key", sorted(ADVERSARIES))
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_full_vs_cheap_grid(self, algorithm, adversary_key, seed):
-        for n in (2, 9, 16):
-            # check=False: omission cells can legitimately violate the
-            # spec (that finding is the point of the fault family); this
-            # suite compares event streams, not correctness.
-            full = _run(algorithm, n, seed, "reference", adversary_key,
-                        trace="full", check=False)
-            cheap = _run(algorithm, n, seed, "columnar", adversary_key,
-                         trace="cheap", check=False)
-            assert full.trace_mode == "full" and full.kernel == "reference"
-            assert cheap.trace_mode == "cheap" and cheap.kernel == "columnar"
-            projected = shared_events(full.trace)
-            assert projected == shared_events(cheap.trace)
-            # The projection is substantive: one round row per round.
-            assert [e for e in projected if e[1] == "round"]
-            assert {kind for _, kind, _ in projected} <= SHARED_EVENT_KINDS
-
-    def test_halt_events_agree_under_halt_on_name(self):
-        full = _run("balls-into-leaves", 12, 1, "reference", "random-crash",
-                    trace="full", halt_on_name=True)
-        cheap = _run("balls-into-leaves", 12, 1, "columnar", "random-crash",
-                     trace="cheap", halt_on_name=True)
-        assert shared_events(full.trace) == shared_events(cheap.trace)
-        assert [e for e in shared_events(full.trace) if e[1] == "halt"]
-
     def test_omission_events_reach_both_traces(self):
         full = _run("balls-into-leaves", 8, 0, "reference",
                     "omission-schedule", trace="full", check=False)
@@ -115,17 +84,6 @@ class TestSharedSchemaEquivalence:
         assert omits == [
             e for e in shared_events(cheap.trace) if e[1] == "omit"
         ]
-
-    @needs_numpy
-    @pytest.mark.parametrize("adversary_key", ["none", "random-crash"])
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_full_vs_vectorized_cheap(self, adversary_key, seed):
-        full = _run("balls-into-leaves", 16, seed, "reference", adversary_key,
-                    trace="full")
-        cheap = _run("balls-into-leaves", 16, seed, "vectorized",
-                     adversary_key, trace="cheap")
-        assert cheap.kernel == "vectorized"
-        assert shared_events(full.trace) == shared_events(cheap.trace)
 
     @needs_numpy
     def test_columnar_vs_vectorized_cheap_extras(self):
@@ -149,43 +107,6 @@ class TestSharedSchemaEquivalence:
 
 class TestTraceNeverPerturbs:
     """Observation modes must not change what is observed."""
-
-    @pytest.mark.parametrize("kernel,mode", [
-        ("reference", "full"),
-        ("reference", "cheap"),
-        ("columnar", "cheap"),
-        pytest.param("vectorized", "cheap", marks=needs_numpy),
-    ])
-    def test_trace_on_off_bit_identical(self, kernel, mode):
-        off = _run("balls-into-leaves", 16, 5, kernel, "random-crash",
-                   trace="off", halt_on_name=True)
-        on = _run("balls-into-leaves", 16, 5, kernel, "random-crash",
-                  trace=mode, halt_on_name=True)
-        assert off.trace is None and off.trace_mode == "off"
-        assert on.trace is not None
-        assert on.names == off.names
-        assert on.rounds == off.rounds
-        assert on.crashed == off.crashed
-        assert on.failures == off.failures
-        assert on.last_round_named == off.last_round_named
-        assert on.metrics.rounds == off.metrics.rounds
-
-    def test_run_trial_trace_on_off_identical(self):
-        spec = TrialSpec(
-            algorithm="balls-into-leaves",
-            n=12,
-            seed=4,
-            adversary=_crash_schedule(12).spec(),
-        )
-        off = run_trial(spec)
-        on = run_trial(TrialSpec(**{**spec.__dict__, "trace": "cheap"}))
-        assert off.trace is None
-        assert on.trace is not None and len(on.trace)
-        for fieldname in (
-            "rounds", "failures", "messages_sent", "messages_delivered",
-            "last_round_named", "names", "kernel", "error", "violations",
-        ):
-            assert getattr(on, fieldname) == getattr(off, fieldname)
 
     def test_spec_digest_ignores_trace_mode(self):
         spec = TrialSpec(algorithm="balls-into-leaves", n=8, seed=0)
@@ -235,7 +156,6 @@ class TestTraceFiles:
     def test_filename_is_content_addressed(self):
         spec = TrialSpec(algorithm="balls-into-leaves", n=9, seed=2)
         assert trace_filename(spec.digest()) == f"trace-{spec.digest()}.jsonl"
-        assert trace_filename("abc", fmt="npz") == "trace-abc.npz"
 
     def test_jsonl_round_trip(self, tmp_path):
         run = self._sample_trace()
@@ -247,21 +167,21 @@ class TestTraceFiles:
         assert header["meta"] == {"n": 9}
         assert loaded == run.trace
 
-    @needs_numpy
-    def test_npz_round_trip(self, tmp_path):
-        run = self._sample_trace()
-        path = str(tmp_path / trace_filename("deadbeef", fmt="npz"))
-        write_trace(run.trace, path, digest="deadbeef")
-        header, loaded = read_trace(path)
-        assert header["digest"] == "deadbeef"
-        assert loaded == run.trace
-
     def test_non_trace_file_rejected(self, tmp_path):
         path = str(tmp_path / "not-a-trace.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write('{"format": "something-else"}\n')
         with pytest.raises(ConfigurationError, match="not a repro-trace/1"):
             read_trace(path)
+
+    def test_event_field_named_like_a_record_parameter_reads_back(self, tmp_path):
+        path = tmp_path / "edited.jsonl"
+        path.write_text(
+            '{"format":"repro-trace/1"}\n{"r":2,"kind":"note","round_no":7}\n',
+            encoding="utf-8",
+        )
+        _, trace = read_trace(str(path))
+        assert trace.events("note")[0].data == {"round_no": 7}
 
     def test_empty_trace_file_rejected(self, tmp_path):
         path = str(tmp_path / "empty.jsonl")

@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.instrumentation import TIMERS
@@ -210,3 +213,142 @@ class TestStatsAndTelemetry:
     def test_hunt_telemetry_smoke(self, capsys):
         assert _hunt("--telemetry", "--no-scenario") == 0
         assert "telemetry stages" in capsys.readouterr().err
+
+
+#: Replacement values for the fuzz's JSON edits.  Integers stay small:
+#: the fuzz checks that bad input fails cleanly, not how long a huge
+#: (but well-formed) run or timeline takes.
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(
+        st.sampled_from(["pid", "r", "kind", "n"]), st.integers(0, 3), max_size=2
+    ),
+)
+
+
+def _json_paths(node, prefix=()):
+    """Every position in a JSON document, as key/index paths."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _json_paths(child, prefix + (index,))
+
+
+def _mutate(data, text, jsonl):
+    """One hand edit of a valid file: raw bytes, or one JSON value
+    replaced or dropped (in one line of a jsonl file)."""
+    if data.draw(st.booleans(), label="edit bytes"):
+        raw = text.encode("utf-8")
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        cut = data.draw(st.integers(0, 4), label="cut")
+        patch = data.draw(st.binary(max_size=4), label="patch")
+        return raw[:at] + patch + raw[at + cut :]
+    lines = text.splitlines() if jsonl else [text]
+    line = data.draw(st.integers(0, len(lines) - 1), label="line")
+    document = json.loads(lines[line])
+    path = data.draw(st.sampled_from(list(_json_paths(document))), label="path")
+    value = data.draw(_JSON_VALUES, label="value")
+    if not path:
+        document = value
+    else:
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans(), label="drop"):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    lines[line] = json.dumps(document)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="class")
+def inputs(tmp_path_factory):
+    """Valid hand-editable inputs, made once: a mixed-family hunt's
+    scenario file and trace, and batch rows ending in a telemetry record.
+    Returns the trace file name and every file's text by name."""
+    home = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("inputs"))
+    try:
+        assert _hunt("--fault-family", "mixed", "--scenario-out", "s.json") == 0
+        assert main(
+            ["batch", "--sizes", "8", "--trials", "2", "--seed", "1",
+             "--adversary", "omission:p=0.2", "--no-check",
+             "--capture-errors", "--telemetry", "--out", "rows.jsonl"]
+        ) == 0
+        trace = json.loads(Path("s.json").read_text("utf-8"))["trace"]["path"]
+        names = ("s.json", trace, "rows.jsonl")
+        return trace, {name: Path(name).read_text("utf-8") for name in names}
+    finally:
+        TIMERS.disable()
+        TIMERS.reset()
+        os.chdir(home)
+
+
+class TestHandEditedInputs:
+    """A hand-edited scenario, trace or rows file makes ``explore`` and
+    ``stats`` exit 0 or 2 with an ``error:`` line, never a traceback."""
+
+    def test_fuzzed_inputs_exit_0_or_2(self, inputs, capsys):
+        _, files = inputs
+
+        @settings(max_examples=100, derandomize=True, database=None,
+                  deadline=None)
+        @given(st.data())
+        def edit_and_read(data):
+            target = data.draw(st.sampled_from(sorted(files)), label="file")
+            for name, text in files.items():
+                raw = text.encode("utf-8")
+                if name == target:
+                    raw = _mutate(data, text, name.endswith(".jsonl"))
+                Path(name).write_bytes(raw)
+            argv = ["explore", "s.json", "--out", "t.html"]
+            if target == "rows.jsonl":
+                argv = ["stats", target]
+            assert main(argv) in (0, 2)
+            assert "Traceback" not in capsys.readouterr().err
+
+        edit_and_read()
+
+    def _fails_naming(self, files, argv, path, capsys, edit):
+        for name, text in files.items():
+            Path(name).write_text(text, "utf-8")
+        edit()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ") and path in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["scenario", "trace", "rows"])
+    def test_non_utf8_bytes_exit_2(self, inputs, capsys, target):
+        trace, files = inputs
+        name = {"scenario": "s.json", "trace": trace, "rows": "rows.jsonl"}[target]
+        argv = ["explore", "s.json", "--out", "t.html"]
+        if target == "rows":
+            argv = ["stats", name]
+        bad = files[name].encode("utf-8") + b"\xff\xfe\n"
+        self._fails_naming(
+            files, argv, name, capsys, lambda: Path(name).write_bytes(bad)
+        )
+
+    def test_trace_path_naming_a_directory_exits_2(self, inputs, capsys):
+        trace, files = inputs
+
+        def edit():
+            os.remove(trace)
+            os.mkdir(trace)
+
+        self._fails_naming(files, ["explore", "s.json"], trace, capsys, edit)
+
+    def test_crash_event_without_pid_exits_2(self, inputs, capsys):
+        trace, files = inputs
+        lineno = len(files[trace].splitlines()) + 1
+        bad = files[trace] + '{"r":1,"kind":"crash"}\n'
+        self._fails_naming(
+            files, ["explore", "s.json"], f"{trace}:{lineno}: 'crash'",
+            capsys, lambda: Path(trace).write_text(bad, "utf-8"),
+        )
