@@ -109,8 +109,10 @@ def test_worker_chunking_beats_per_trial_submission():
     tasks = plan_tasks(matrix.expand(), parts=4)
     run_batch(_sweep_matrix(trials=4), executor="process", workers=4)  # warm pools
 
+    # Pool start-up and teardown are timed on both sides.
     started = time.perf_counter()
-    chunked = Executor("process", 4).map(_run_task, tasks)
+    with Executor("process", 4) as executor:
+        chunked = executor.map(_run_task, tasks)
     chunked_s = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -13,7 +13,8 @@ Subcommands::
 Every experiment prints the exact command reproducing it, and all
 randomness flows from ``--seed``.  ``--executor process --workers K``
 spreads batched sweeps, hunts and tail stages over ``K`` processes
-without changing a digit of the output.
+without changing a digit of the output; each command starts at most one
+pool and shares it across every call it makes.
 """
 
 from __future__ import annotations
@@ -485,13 +486,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.registry import run_experiment
     from repro.sim.batch import as_executor
 
-    result = run_experiment(
-        args.experiment_id,
-        scale=args.scale,
-        seed=args.seed,
-        executor=as_executor(args.executor, workers=args.workers),
-        kernel=args.kernel,
-    )
+    with as_executor(args.executor, workers=args.workers) as executor:
+        result = run_experiment(
+            args.experiment_id,
+            scale=args.scale,
+            seed=args.seed,
+            executor=executor,
+            kernel=args.kernel,
+        )
     _emit(result.render(), args.out, jsonl_rows=_experiment_rows([result], args.kernel))
     return 0
 
@@ -501,20 +503,21 @@ def _cmd_all(args: argparse.Namespace) -> int:
     from repro.sim.batch import as_executor
 
     # Resolved once, before the first experiment: a bad --workers fails
-    # here even though only the batched experiments use the executor.
-    executor = as_executor(args.executor, workers=args.workers)
+    # here even though only the batched experiments use the executor,
+    # and every experiment shares its one pool.
     results = []
-    for entry in all_experiments():
-        print(f"... running {entry.experiment_id}", file=sys.stderr)
-        results.append(
-            run_experiment(
-                entry.experiment_id,
-                scale=args.scale,
-                seed=args.seed,
-                executor=executor,
-                kernel=args.kernel,
+    with as_executor(args.executor, workers=args.workers) as executor:
+        for entry in all_experiments():
+            print(f"... running {entry.experiment_id}", file=sys.stderr)
+            results.append(
+                run_experiment(
+                    entry.experiment_id,
+                    scale=args.scale,
+                    seed=args.seed,
+                    executor=executor,
+                    kernel=args.kernel,
+                )
             )
-        )
     _emit(
         "\n\n".join(result.render() for result in results),
         args.out,
@@ -573,7 +576,7 @@ def _print_telemetry(
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.sim.batch import ScenarioMatrix, run_batch
+    from repro.sim.batch import ScenarioMatrix, as_executor, run_batch
 
     matrix = ScenarioMatrix.build(
         [name.strip() for name in args.algorithms.split(",") if name.strip()],
@@ -588,7 +591,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         monitor=args.monitor,
         trace=args.trace,
     )
-    batch = run_batch(matrix, executor=args.executor, workers=args.workers)
+    with as_executor(args.executor, workers=args.workers) as executor:
+        batch = run_batch(matrix, executor=executor)
     table = batch.to_table(
         f"scenario matrix: {len(matrix)} trials "
         f"({len(matrix.algorithms)} algorithms x {len(matrix.sizes)} sizes "
@@ -622,6 +626,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     from repro.search.baseline import evaluate_bundled, hunt_entry
     from repro.search.shrink import replay_identical, shrink, to_pytest
     from repro.search.strategies import HuntConfig, run_hunt
+    from repro.sim.batch import as_executor
 
     if args.baseline_trials < 1:
         raise ReproError(
@@ -642,15 +647,11 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         monitor=args.monitor,
         fault_family=args.fault_family,
     )
-    result = run_hunt(
-        config, args.strategy, executor=args.executor, workers=args.workers
-    )
-    baseline = evaluate_bundled(
-        config,
-        trials=args.baseline_trials,
-        executor=args.executor,
-        workers=args.workers,
-    )
+    with as_executor(args.executor, workers=args.workers) as executor:
+        result = run_hunt(config, args.strategy, executor=executor)
+        baseline = evaluate_bundled(
+            config, trials=args.baseline_trials, executor=executor
+        )
     entries = [hunt_entry(e) for e in result.top(max(1, args.top))] + baseline
     cell = f"{config.algorithm} n={config.n}"
     report = [
@@ -712,6 +713,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         repro_cmd += f" --max-crashes {config.max_crashes}"
     if config.max_round is not None:
         repro_cmd += f" --max-round {config.max_round}"
+    if config.monitor != "off":
+        repro_cmd += f" --monitor {config.monitor}"
     if args.no_shrink:
         repro_cmd += " --no-shrink"
     report.append(f"reproduce with: {repro_cmd}")
@@ -798,6 +801,7 @@ def _write_hunt_scenario(args, config, schedule, seed) -> str:
 
 def _cmd_tail(args: argparse.Namespace) -> int:
     from repro.monitor.splitting import TailConfig, default_levels, run_tail
+    from repro.sim.batch import as_executor
 
     if args.levels:
         try:
@@ -822,7 +826,8 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         growth=args.growth,
         max_trials=args.max_trials,
     )
-    result = run_tail(config, executor=args.executor, workers=args.workers)
+    with as_executor(args.executor, workers=args.workers) as executor:
+        result = run_tail(config, executor=executor)
     repro_cmd = (
         "python -m repro tail"
         f" --n {config.n} --algorithm {config.algorithm}"

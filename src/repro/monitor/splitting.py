@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.sim.batch import Executor, as_executor
+from repro.sim.batch import Executor, executor_scope
 from repro.sim.rng import derive_rng, derive_seed
 
 #: Kernel names the estimator accepts ("auto" resolves in the driver
@@ -330,9 +330,11 @@ def run_tail(
 ) -> TailResult:
     """Estimate P(rounds > L) for every level L of ``config``.
 
-    ``executor`` and ``workers`` resolve through
-    :func:`repro.sim.batch.as_executor`, exactly as for a batch; the
-    result is byte-identical across executors.
+    ``executor`` and ``workers`` resolve exactly as for
+    :func:`repro.sim.batch.run_batch`: every stage maps through one
+    executor, closed on return if it was built here from a name and left
+    open if it was passed in.  The result is byte-identical across
+    executors.
     """
     from repro.sim.runner import ALGORITHMS
 
@@ -358,60 +360,60 @@ def run_tail(
             f"max_trials ({config.max_trials}) must be >= trials "
             f"({config.trials})"
         )
-    backend = as_executor(executor, workers=workers)
-    kernel = _resolve_kernel(config.kernel)
-    levels = config.resolved_levels()
-    unit = loglog_unit(config.n)
-    stages: List[StageResult] = []
-    checkpoints: List[dict] = []
-    start_round = 0
-    for stage, level in enumerate(levels):
-        stage_trials = config.stage_trials(stage)
-        seeds = tuple(
-            derive_seed(config.seed, "tail", stage, i)
-            for i in range(stage_trials)
-        )
-        if stage == 0:
-            states: Optional[Tuple[dict, ...]] = None
-        else:
-            if not checkpoints:
-                break  # extinct: every deeper level keeps estimate 0.0
-            resample = derive_rng(config.seed, "tail", "resample", stage)
-            states = tuple(
-                checkpoints[resample.randrange(len(checkpoints))]
+    with executor_scope(executor, workers=workers) as backend:
+        kernel = _resolve_kernel(config.kernel)
+        levels = config.resolved_levels()
+        unit = loglog_unit(config.n)
+        stages: List[StageResult] = []
+        checkpoints: List[dict] = []
+        start_round = 0
+        for stage, level in enumerate(levels):
+            stage_trials = config.stage_trials(stage)
+            seeds = tuple(
+                derive_seed(config.seed, "tail", stage, i)
                 for i in range(stage_trials)
             )
-        tasks = []
-        seed_chunks = _chunks(seeds, config.chunk)
-        state_chunks = (
-            _chunks(states, config.chunk) if states is not None else None
-        )
-        for c, seed_chunk in enumerate(seed_chunks):
-            tasks.append(
-                (
-                    policy,
-                    config.n,
-                    config.halt_on_name,
-                    kernel,
-                    start_round,
-                    level,
-                    seed_chunk,
-                    state_chunks[c] if state_chunks is not None else None,
+            if stage == 0:
+                states: Optional[Tuple[dict, ...]] = None
+            else:
+                if not checkpoints:
+                    break  # extinct: every deeper level keeps estimate 0.0
+                resample = derive_rng(config.seed, "tail", "resample", stage)
+                states = tuple(
+                    checkpoints[resample.randrange(len(checkpoints))]
+                    for i in range(stage_trials)
+                )
+            tasks = []
+            seed_chunks = _chunks(seeds, config.chunk)
+            state_chunks = (
+                _chunks(states, config.chunk) if states is not None else None
+            )
+            for c, seed_chunk in enumerate(seed_chunks):
+                tasks.append(
+                    (
+                        policy,
+                        config.n,
+                        config.halt_on_name,
+                        kernel,
+                        start_round,
+                        level,
+                        seed_chunk,
+                        state_chunks[c] if state_chunks is not None else None,
+                    )
+                )
+            outcomes = backend.map(_run_tail_chunk, tasks)
+            checkpoints = [
+                state for chunk in outcomes for survived, state in chunk if survived
+            ]
+            stages.append(
+                StageResult(
+                    stage=stage,
+                    level=level,
+                    trials=stage_trials,
+                    survivors=len(checkpoints),
                 )
             )
-        outcomes = backend.map(_run_tail_chunk, tasks)
-        checkpoints = [
-            state for chunk in outcomes for survived, state in chunk if survived
-        ]
-        stages.append(
-            StageResult(
-                stage=stage,
-                level=level,
-                trials=stage_trials,
-                survivors=len(checkpoints),
-            )
-        )
-        start_round = level
+            start_round = level
     return TailResult(
         config=config, unit=unit, levels=levels, stages=tuple(stages)
     )

@@ -93,8 +93,8 @@ def evaluate_bundled(
         raise ConfigurationError(f"the baseline needs >= 1 trial, got {trials}")
     lineup = gauntlet_for(config) if gauntlet is None else gauntlet
     objective = as_objective(config.objective)
-    # One dispatch for the whole gauntlet: all specs are independent, and
-    # a single run_batch call costs one worker-pool spin-up, not seven.
+    # One dispatch for the whole gauntlet: all specs are independent, so
+    # one map spreads them over every worker instead of seven small maps.
     specs = [
         TrialSpec(
             algorithm=config.algorithm,

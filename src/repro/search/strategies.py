@@ -39,7 +39,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 from repro.errors import ConfigurationError
 from repro.search.objectives import Objective, as_objective
 from repro.search.schedule import CrashEvent, Schedule
-from repro.sim.batch import TrialResult, TrialSpec, as_executor, run_batch
+from repro.sim.batch import (
+    Executor,
+    TrialResult,
+    TrialSpec,
+    executor_scope,
+    run_batch,
+)
 from repro.sim.kernel import check_monitor_mode
 from repro.sim.rng import derive_rng, derive_seed
 from repro.sim.runner import ALGORITHMS
@@ -167,20 +173,21 @@ class Evaluator:
     The budget counts *trials*: a candidate consumes
     ``seeds_per_schedule`` units.  Requests beyond the budget are
     truncated (deterministically, from the end), so every strategy stops
-    at exactly the same evaluation count on every backend.
+    at exactly the same evaluation count on every backend.  Every batch
+    maps through ``executor`` (serial by default), which the caller
+    owns and closes.
     """
 
     def __init__(
         self,
         config: HuntConfig,
         *,
-        executor=None,
-        workers: Optional[int] = None,
+        executor: Optional[Executor] = None,
         mixed_cells: bool = False,
     ) -> None:
         self.config = config
         self.objective: Objective = as_objective(config.objective)
-        self._backend = as_executor(executor, workers=workers)
+        self._backend = executor if executor is not None else Executor()
         #: Stack same-cell generations with per-candidate adversaries
         #: (set from the strategy's batching hint by :func:`run_hunt`).
         self.mixed_cells = mixed_cells
@@ -196,10 +203,6 @@ class Evaluator:
     def exhausted(self) -> bool:
         """True once no further candidate fits in the budget."""
         return self.trials_remaining < self.config.seeds_per_schedule
-
-    @property
-    def executor_name(self) -> str:
-        return self._backend.name
 
     # ------------------------------------------------------------- evaluation
     def _spec(self, schedule: Schedule, trial: int) -> TrialSpec:
@@ -549,18 +552,21 @@ def run_hunt(
     executor=None,
     workers: Optional[int] = None,
 ) -> HuntResult:
-    """Search one cell for worst-case schedules.  The main search API."""
+    """Search one cell for worst-case schedules.  The main search API.
+
+    ``executor`` and ``workers`` resolve as for
+    :func:`repro.sim.batch.run_batch`: every generation maps through one
+    executor, closed on return if it was built here from a name.
+    """
     search = as_strategy(strategy)
-    evaluator = Evaluator(
-        config,
-        executor=executor,
-        workers=workers,
-        mixed_cells=search.same_cell_batches,
-    )
-    search.run(evaluator)
+    with executor_scope(executor, workers=workers) as backend:
+        evaluator = Evaluator(
+            config, executor=backend, mixed_cells=search.same_cell_batches
+        )
+        search.run(evaluator)
     return HuntResult(
         config=config,
         strategy=search.name,
         evaluations=evaluator.history,
-        executor=evaluator.executor_name,
+        executor=backend.name,
     )

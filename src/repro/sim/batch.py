@@ -9,9 +9,10 @@ makes those sweeps first-class:
 * :class:`ScenarioMatrix` — expands an algorithm x size x adversary x
   seed grid into trial specs with deterministic per-trial seeds;
 * :class:`Executor` — the one place work meets worker processes: an
-  order-preserving ``map``, in-process or across a fresh process pool,
-  so results are independent of the backend (the splitting estimator
-  in :mod:`repro.monitor.splitting` maps its chunks through it too);
+  order-preserving ``map``, in-process or across one process pool that
+  lives as long as the executor (its workers' caches with it), so
+  results are independent of the backend (the splitting estimator in
+  :mod:`repro.monitor.splitting` maps its chunks through it too);
 * :class:`BatchResult` — the aggregated outcome, grouped into per-cell
   round/failure/message statistics ready for :mod:`repro.analysis.tables`.
 
@@ -37,6 +38,7 @@ NumPy) keep the per-trial path and its ``auto`` kernel selection.
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
 import itertools
 import multiprocessing
@@ -49,6 +51,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -812,30 +815,56 @@ _R = TypeVar("_R")
 
 @dataclass(frozen=True)
 class Executor:
-    """Where work items run: in-process, or across a process pool.
+    """Where work items run: in-process, or across one process pool.
 
     ``Pool.map`` preserves input order, so results come back in exactly
     the order the in-process loop produces — determinism under
     parallelism.  Items ship in ~4 chunks per worker, so a worker runs a
-    stretch of same-``n`` tasks back to back and builds its process-local
-    :func:`~repro.tree.topology.cached_topology` once per size instead of
-    once per item.
+    stretch of same-``n`` tasks back to back.
+
+    The executor owns at most one pool for its whole lifetime: the first
+    parallel :meth:`map` starts it, every later ``map`` reuses it, and
+    :meth:`close` (or leaving a ``with`` block) ends it.  Workers are
+    forked at that first parallel ``map``, so they see the parent's
+    modules as they were then, and their process-local caches — the
+    :func:`~repro.tree.topology.cached_topology` shapes and the MT seeding
+    state — persist from one ``map`` to the next.  Equality is on
+    ``(name, workers)`` alone; whoever builds an executor closes it.
     """
 
     name: str = "serial"
     workers: int = 1
+    _pool: Any = field(default=None, init=False, repr=False, compare=False)
 
     def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
-        """``[fn(item) for item in items]``, spread over a fresh pool.
+        """``[fn(item) for item in items]``, spread over the pool.
 
         One worker, or fewer than two items, runs in-process: there is
-        nothing to spread, and pool start-up would dominate.
+        nothing to spread, and pool start-up would dominate.  Otherwise
+        the first call starts the pool and later calls reuse it, so the
+        workers' topology and MT seeding caches carry over between calls.
         """
         items = list(items)
         if self.workers == 1 or len(items) < 2:
             return [fn(item) for item in items]
-        with multiprocessing.Pool(self.workers) as pool:
-            return pool.map(fn, items, max(1, len(items) // (4 * self.workers)))
+        if self._pool is None:
+            # The pool is run-time state, not identity: set past the freeze.
+            object.__setattr__(self, "_pool", multiprocessing.Pool(self.workers))
+        return self._pool.map(fn, items, max(1, len(items) // (4 * self.workers)))
+
+    def close(self) -> None:
+        """End the pool, if one was started (safe to call twice)."""
+        pool = self._pool
+        if pool is not None:
+            object.__setattr__(self, "_pool", None)
+            pool.terminate()
+            pool.join()
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def as_executor(
@@ -857,6 +886,20 @@ def as_executor(
     if value == "process":
         return Executor("process", workers or os.cpu_count() or 1)
     raise ConfigurationError(f"unknown executor {value!r}; choose from {EXECUTORS}")
+
+
+@contextlib.contextmanager
+def executor_scope(
+    value: Union[None, str, Executor], *, workers: Optional[int] = None
+) -> Iterator[Executor]:
+    """:func:`as_executor` for one call: an executor built here from a
+    name is closed on exit; one passed in is used and left open."""
+    backend = as_executor(value, workers=workers)
+    if backend is value:
+        yield backend
+    else:
+        with backend:
+            yield backend
 
 
 # -------------------------------------------------------------- scenario matrix
@@ -1082,8 +1125,10 @@ def run_batch(
 ) -> BatchResult:
     """Expand (if needed) and execute a batch of trials.
 
-    ``executor`` may be an :class:`Executor`, a name from
-    :data:`EXECUTORS`, or None (serial; or process when ``workers > 1``).
+    ``executor`` may be an :class:`Executor` (used, and left open for
+    the caller's next call), a name from :data:`EXECUTORS`, or None
+    (serial; or process when ``workers > 1``) — a name builds an
+    executor that is closed before this returns.
     Eligible cells — failure-free and certified-crash alike, from the
     stream floor up — run trial-stacked on the vectorized engine (one
     call per cell, split across workers); results are bit-identical
@@ -1092,11 +1137,11 @@ def run_batch(
     per-trial adversary specs (hunt batches).
     """
     specs = source.expand() if isinstance(source, ScenarioMatrix) else list(source)
-    backend = as_executor(executor, workers=workers)
-    # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
-    started = time.perf_counter()
-    tasks = plan_tasks(specs, parts=backend.workers, mixed=mixed_cells)
-    results = [result for chunk in backend.map(_run_task, tasks) for result in chunk]
-    # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
-    elapsed = time.perf_counter() - started
+    with executor_scope(executor, workers=workers) as backend:
+        # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
+        started = time.perf_counter()
+        tasks = plan_tasks(specs, parts=backend.workers, mixed=mixed_cells)
+        results = [result for chunk in backend.map(_run_task, tasks) for result in chunk]
+        # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
+        elapsed = time.perf_counter() - started
     return BatchResult(trials=results, executor=backend.name, elapsed=elapsed)

@@ -10,6 +10,22 @@ from repro.tree.topology import Topology
 
 
 @pytest.fixture
+def pool_starts(monkeypatch) -> list:
+    """Every multiprocessing pool started while the test runs, in order."""
+    import multiprocessing.pool
+
+    started: list = []
+    init = multiprocessing.pool.Pool.__init__
+
+    def spy(pool, *args, **kwargs):
+        started.append(pool)
+        init(pool, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", spy)
+    return started
+
+
+@pytest.fixture
 def topo8() -> Topology:
     """An 8-leaf topology (depth 3)."""
     return Topology(8)

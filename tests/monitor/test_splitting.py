@@ -101,12 +101,17 @@ class TestDeterminism:
         b = run_tail(TailConfig(seed=4, **SMALL))
         assert rows_json(a) == rows_json(b)
 
-    def test_serial_equals_process_pool(self):
+    def test_serial_equals_process_pool(self, pool_starts):
         config = TailConfig(seed=4, **SMALL)
         serial = run_tail(config, executor="serial")
         pooled = run_tail(config, executor="process", workers=2)
         assert serial.stages == pooled.stages
         assert rows_json(serial) == rows_json(pooled)
+        # Every stage maps through one pool, ended before run_tail returns.
+        assert len(pooled.stages) == 3
+        assert len(pool_starts) == 1
+        with pytest.raises(ValueError, match="not running"):
+            pool_starts[0].map(abs, [1])
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="needs both fast engines")
     def test_columnar_equals_vectorized(self):
@@ -338,21 +343,13 @@ class TestExperimentRegistration:
         ]
         assert serial.notes == pooled.notes
 
-    def test_executor_objects_reach_the_pool(self, monkeypatch):
-        import multiprocessing.pool
-
+    def test_executor_objects_reach_the_pool(self, pool_starts):
         from repro.experiments import tail
         from repro.sim.batch import as_executor
 
         serial = tail.run(scale="smoke", executor="serial")
-        started = []
-        init = multiprocessing.pool.Pool.__init__
-
-        def spy(pool, *args, **kwargs):
-            started.append(pool)
-            init(pool, *args, **kwargs)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", spy)
-        pooled = tail.run(scale="smoke", executor=as_executor("process", workers=2))
-        assert started, "the process executor started no pool"
+        with as_executor("process", workers=2) as executor:
+            pooled = tail.run(scale="smoke", executor=executor)
+        # Every cell's stages share the one pool of the executor passed in.
+        assert len(pool_starts) == 1
         assert pooled.render() == serial.render()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 
 import pytest
 
@@ -49,7 +50,9 @@ class TestHuntCli:
         assert all(row["strategy"] == "hillclimb" for row in rows)
         assert all("schedule" in row and "score" in row for row in rows)
 
-    def test_hunt_jsonl_identical_across_executors(self, tmp_path, capsys):
+    def test_hunt_jsonl_identical_across_executors(
+        self, tmp_path, capsys, pool_starts
+    ):
         """The determinism satellite, via the CLI surface."""
         paths = []
         for name, extra in (
@@ -65,6 +68,25 @@ class TestHuntCli:
             paths.append(path)
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        # The search and the bundled baseline share the command's one pool.
+        assert len(pool_starts) == 1
+
+    def test_reproduce_line_reproduces_a_monitored_hunt(self, tmp_path, capsys):
+        # --monitor changes the rows (a monitored run can capture a
+        # SimulationError), so the printed command must carry it.
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        assert main(
+            ["hunt", "--n", "16", "--budget", "30", "--seed", "3",
+             "--fault-family", "omission", "--monitor", "full",
+             "--baseline-trials", "1", "--no-shrink", "--out", str(first)]
+        ) == 0
+        prefix = "reproduce with: python -m repro "
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(prefix)
+        ]
+        assert main(shlex.split(line[len(prefix):]) + ["--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
 
     def test_hunt_rejects_unknown_objective(self, capsys):
         with pytest.raises(SystemExit):

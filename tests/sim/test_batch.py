@@ -160,6 +160,25 @@ class TestExecutors:
                     importers.add(path.relative_to(root.parent).as_posix())
         assert importers == {"repro/sim/batch.py"}
 
+    def test_a_passed_executor_stays_open_across_calls(self, pool_starts):
+        matrix = ScenarioMatrix.build(["flood"], [4], trials=4)
+        with Executor("process", 2) as executor:
+            first = run_batch(matrix, executor=executor)
+            second = run_batch(matrix, executor=executor)
+            assert len(pool_starts) == 1
+            assert pool_starts[0].map(abs, [-1, -2]) == [1, 2]
+        assert first.trials == second.trials == run_batch(matrix).trials
+        with pytest.raises(ValueError, match="not running"):
+            pool_starts[0].map(abs, [1])
+        executor.close()  # closing twice is safe
+
+    def test_an_executor_built_from_a_name_is_closed_on_return(self, pool_starts):
+        matrix = ScenarioMatrix.build(["flood"], [4], trials=4)
+        run_batch(matrix, executor="process", workers=2)
+        assert len(pool_starts) == 1
+        with pytest.raises(ValueError, match="not running"):
+            pool_starts[0].map(abs, [1])
+
     def test_single_worker_falls_back_to_serial(self, monkeypatch):
         import multiprocessing
 

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestCli:
@@ -144,6 +150,12 @@ class TestBatchCli:
     def test_run_threads_workers_through_batched_experiments(self, capsys):
         assert main(["run", "EXP-T3", "--scale", "smoke", "--workers", "2"]) == 0
         assert "EXP-T3" in capsys.readouterr().out
+
+    def test_run_maps_every_sweep_through_one_pool(self, capsys, pool_starts):
+        # EXP-T2 runs two sweeps; both share the command's executor.
+        assert main(["run", "EXP-T2", "--scale", "smoke", "--workers", "2"]) == 0
+        assert "EXP-T2" in capsys.readouterr().out
+        assert len(pool_starts) == 1
 
 
 class TestKernelCli:
@@ -309,3 +321,34 @@ class TestFaultAdversaryCli:
         # the printed command must reproduce the *omission* hunt, not
         # fall back to the default crash family
         assert "--fault-family omission" in out
+
+
+class TestPoolLifetime:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tail", "--n", "64", "--trials", "32", "--k-min", "2",
+             "--k-max", "3", "--growth", "2", "--chunk", "8"],
+            ["hunt", "--n", "8", "--budget", "8", "--baseline-trials", "1",
+             "--no-shrink", "--no-scenario"],
+        ],
+        ids=["tail", "hunt"],
+    )
+    def test_process_commands_close_their_pool(self, argv, tmp_path):
+        # Under -X dev, a pool still running when it is collected prints
+        # "ResourceWarning: unclosed running multiprocessing pool".
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(SRC), env.get("PYTHONPATH")) if part
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "repro", *argv,
+             "--executor", "process", "--workers", "2"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
