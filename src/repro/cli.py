@@ -22,15 +22,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, List, Optional
+from typing import Callable, Collection, Dict, Iterable, List, NamedTuple, Optional
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.ids import sparse_ids
 
-# Each verb imports what it runs, and the parser takes its choices from
-# the modules that own them, none of which loads NumPy: `--version`,
-# `list`, `lint`, `stats` and `explore` never pay for an array engine.
+# Each verb imports what it runs.  `main` builds the options of the
+# invoked verb only, and a verb's `add_options` takes its choices from
+# the modules that own them, so `--version`, `lint` and `stats` load no
+# `repro.sim` or `repro.search` module, and serial commands load no
+# `multiprocessing` (only a process pool's start imports it).
 
 
 def _add_executor_options(parser: argparse.ArgumentParser) -> None:
@@ -100,69 +102,57 @@ def _add_telemetry_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    from repro.search.objectives import OBJECTIVES
-    from repro.search.strategies import FAULT_FAMILY_CHOICES, STRATEGIES
-    from repro.sim.kernel import KERNEL_CHOICES
-    from repro.sim.runner import ALGORITHMS
-
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Balls-into-Leaves (PODC 2014) reproduction toolkit",
-    )
-    parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list the experiment suite")
-
-    run_parser = sub.add_parser("run", help="run one experiment")
-    run_parser.add_argument("experiment_id", help="e.g. EXP-T2")
-    run_parser.add_argument("--scale", default="paper", choices=("smoke", "paper", "deep"))
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument(
+def _run_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("experiment_id", help="e.g. EXP-T2")
+    parser.add_argument("--scale", default="paper", choices=("smoke", "paper", "deep"))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--out",
         help="also write the report to this file; a .jsonl path persists "
         "the per-cell table rows as JSON lines instead",
     )
-    _add_executor_options(run_parser)
+    _add_executor_options(parser)
 
-    all_parser = sub.add_parser("all", help="run every experiment")
-    all_parser.add_argument("--scale", default="smoke", choices=("smoke", "paper", "deep"))
-    all_parser.add_argument("--seed", type=int, default=0)
-    all_parser.add_argument(
+
+def _all_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scale", default="smoke", choices=("smoke", "paper", "deep"))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--out",
         help="also write the combined report to this file; a .jsonl path "
         "persists every experiment's table rows as JSON lines instead",
     )
-    _add_executor_options(all_parser)
+    _add_executor_options(parser)
 
-    demo_parser = sub.add_parser("demo", help="one quick renaming run")
-    demo_parser.add_argument("--n", type=int, default=32)
-    demo_parser.add_argument("--seed", type=int, default=0)
-    demo_parser.add_argument(
+
+def _demo_options(parser: argparse.ArgumentParser) -> None:
+    from repro.sim.kernel import KERNEL_CHOICES
+
+    parser.add_argument("--n", type=int, default=32)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--algorithm",
         default="balls-into-leaves",
         choices=("balls-into-leaves", "early-terminating", "rank-descent", "flood"),
     )
-    demo_parser.add_argument(
+    parser.add_argument(
         "--kernel",
         default="auto",
         choices=KERNEL_CHOICES,
         help="simulation kernel (auto = columnar fast path when supported)",
     )
 
-    batch_parser = sub.add_parser(
-        "batch", help="run a raw algorithm x adversary x n x seed matrix"
-    )
-    batch_parser.add_argument(
+
+def _batch_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--algorithms",
         default="balls-into-leaves",
         help="comma-separated algorithm names",
     )
-    batch_parser.add_argument(
+    parser.add_argument(
         "--sizes", default="32", help="comma-separated participant counts"
     )
-    batch_parser.add_argument(
+    parser.add_argument(
         "--adversary",
         action="append",
         dest="adversaries",
@@ -170,73 +160,74 @@ def _build_parser() -> argparse.ArgumentParser:
         help="adversary spec 'name[:key=value,...]', e.g. random:rate=0.2 "
         "(repeatable; default: none)",
     )
-    batch_parser.add_argument("--trials", type=int, default=10, help="seeds per cell")
-    batch_parser.add_argument("--seed", type=int, default=0)
-    batch_parser.add_argument(
+    parser.add_argument("--trials", type=int, default=10, help="seeds per cell")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--seed-mode",
         default="legacy",
         choices=("legacy", "derived"),
         help="per-trial seed schedule (derived = independent per-cell streams)",
     )
-    batch_parser.add_argument(
+    parser.add_argument(
         "--out",
         help="also write the report to this file; a .jsonl path persists "
         "one JSON row per trial instead",
     )
-    batch_parser.add_argument("--csv", help="write the per-cell table as CSV here")
-    batch_parser.add_argument(
+    parser.add_argument("--csv", help="write the per-cell table as CSV here")
+    parser.add_argument(
         "--no-check",
         action="store_true",
         help="skip the renaming spec check per trial (fault-injection "
         "cells measure violations instead of raising on the first one)",
     )
-    batch_parser.add_argument(
+    parser.add_argument(
         "--capture-errors",
         action="store_true",
         help="record simulation/spec failures as per-trial error rows "
         "instead of aborting the batch",
     )
-    _add_executor_options(batch_parser)
-    _add_monitor_option(batch_parser)
-    _add_trace_option(batch_parser)
-    _add_telemetry_option(batch_parser)
+    _add_executor_options(parser)
+    _add_monitor_option(parser)
+    _add_trace_option(parser)
+    _add_telemetry_option(parser)
 
-    hunt_parser = sub.add_parser(
-        "hunt",
-        help="search crash-schedule space for worst-case executions "
-        "(adversary synthesis / counterexample mining)",
-    )
-    hunt_parser.add_argument(
+
+def _hunt_options(parser: argparse.ArgumentParser) -> None:
+    from repro.search.objectives import OBJECTIVES
+    from repro.search.strategies import FAULT_FAMILY_CHOICES, STRATEGIES
+    from repro.sim.runner import ALGORITHMS
+
+    parser.add_argument(
         "--objective",
         default="rounds",
         choices=sorted(OBJECTIVES),
         help="what the search maximizes (higher = worse for the algorithm)",
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--strategy",
         default="hillclimb",
         choices=sorted(STRATEGIES),
         help="search strategy over the schedule genotype",
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--budget", type=int, default=200, help="trial evaluations to spend"
     )
-    hunt_parser.add_argument("--seed", type=int, default=0)
-    hunt_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--algorithm",
         default="balls-into-leaves",
         choices=sorted(ALGORITHMS),
     )
-    hunt_parser.add_argument("--n", type=int, default=16, help="cell size")
-    hunt_parser.add_argument(
+    parser.add_argument("--n", type=int, default=16, help="cell size")
+    parser.add_argument(
         "--halt-on-name",
         action="store_true",
         help="hunt under the per-ball termination extension",
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--crash-budget", type=int, default=None, help="the model's t (default n-1)"
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--fault-family",
         default="crash",
         choices=FAULT_FAMILY_CHOICES,
@@ -244,39 +235,39 @@ def _build_parser() -> argparse.ArgumentParser:
         "(link-drop) events only, or a mixed schedule of both; the "
         "baseline gauntlet follows the family",
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--seeds-per-schedule",
         type=int,
         default=1,
         help="trials per candidate; its score is the max over them",
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--max-crashes", type=int, default=None, help="genotype crash-count cap"
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--max-round", type=int, default=None, help="genotype round horizon"
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--baseline-trials",
         type=int,
         default=5,
         help="seeds per bundled adversary in the comparison baseline",
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--top", type=int, default=3, help="distinct hunted schedules to report"
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--no-shrink",
         action="store_true",
         help="skip delta-debugging minimization of the best schedule",
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--out",
         help="also write the report to this file; a .jsonl path persists "
         "one JSON row per evaluated schedule instead (byte-identical on "
         "every executor)",
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--scenario-out",
         default=None,
         metavar="PATH",
@@ -285,55 +276,54 @@ def _build_parser() -> argparse.ArgumentParser:
         "directory); its cheap trace lands alongside as "
         "trace-<digest>.jsonl",
     )
-    hunt_parser.add_argument(
+    parser.add_argument(
         "--no-scenario",
         action="store_true",
         help="skip writing the scenario + trace files for the winner",
     )
-    _add_executor_options(hunt_parser)
-    _add_monitor_option(hunt_parser)
-    _add_telemetry_option(hunt_parser)
+    _add_executor_options(parser)
+    _add_monitor_option(parser)
+    _add_telemetry_option(parser)
 
-    tail_parser = sub.add_parser(
-        "tail",
-        help="estimate the round-count tail P(rounds > k*ceil(loglog n)) "
-        "by multilevel importance splitting",
-    )
-    tail_parser.add_argument("--n", type=int, default=1024, help="cell size")
-    tail_parser.add_argument(
+
+def _tail_options(parser: argparse.ArgumentParser) -> None:
+    from repro.sim.runner import ALGORITHMS
+
+    parser.add_argument("--n", type=int, default=1024, help="cell size")
+    parser.add_argument(
         "--algorithm",
         default="balls-into-leaves",
         choices=sorted(name for name, p in ALGORITHMS.items() if p is not None),
     )
-    tail_parser.add_argument("--seed", type=int, default=0)
-    tail_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--trials", type=int, default=256, help="trials per splitting stage"
     )
-    tail_parser.add_argument(
+    parser.add_argument(
         "--k-min", type=int, default=2, help="first level, in loglog units"
     )
-    tail_parser.add_argument(
+    parser.add_argument(
         "--k-max", type=int, default=5, help="last level, in loglog units"
     )
-    tail_parser.add_argument(
+    parser.add_argument(
         "--levels",
         default=None,
         help="explicit comma-separated absolute round levels "
         "(overrides --k-min/--k-max)",
     )
-    tail_parser.add_argument(
+    parser.add_argument(
         "--halt-on-name",
         action="store_true",
         help="estimate under the per-ball termination extension",
     )
-    tail_parser.add_argument(
+    parser.add_argument(
         "--chunk",
         type=int,
         default=64,
         help="trials per work unit (fixed regardless of executor, so "
         "parallel runs replay the serial schedule)",
     )
-    tail_parser.add_argument(
+    parser.add_argument(
         "--growth",
         type=float,
         default=1.0,
@@ -341,67 +331,60 @@ def _build_parser() -> argparse.ArgumentParser:
         "decay with depth, so growth > 1 keeps deep (cheap, two-round) "
         "stages from going extinct",
     )
-    tail_parser.add_argument(
+    parser.add_argument(
         "--max-trials",
         type=int,
         default=65536,
         help="hard cap on any single stage's population",
     )
-    tail_parser.add_argument(
+    parser.add_argument(
         "--out",
         help="also write the report to this file; a .jsonl path persists "
         "one JSON row per stage plus the final estimate instead",
     )
-    _add_executor_options(tail_parser)
+    _add_executor_options(parser)
 
-    lint_parser = sub.add_parser(
-        "lint",
-        help="run the determinism & kernel-parity static analyzer "
-        "(the tier-1 CI gate; see LINTING.md)",
-    )
-    lint_parser.add_argument(
+
+def _lint_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "paths",
         nargs="*",
         default=["src"],
         help="files or directories to lint (default: src)",
     )
-    lint_parser.add_argument(
+    parser.add_argument(
         "--format",
         dest="fmt",
         default="text",
         choices=("text", "json"),
         help="report format",
     )
-    lint_parser.add_argument(
+    parser.add_argument(
         "--select",
         default=None,
         help="comma-separated rule ids to run (default: all)",
     )
-    lint_parser.add_argument(
+    parser.add_argument(
         "--rules",
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    lint_parser.add_argument(
+    parser.add_argument(
         "--out", help="also write the report to this file"
     )
 
-    explore_parser = sub.add_parser(
-        "explore",
-        help="render a scenario's execution as a self-contained HTML "
-        "process-lane timeline (rounds x processes, crash/omit/name/"
-        "halt markers)",
-    )
-    explore_parser.add_argument(
+
+def _explore_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "scenario",
         help="scenario JSON file (`repro hunt` writes one for its "
         "winner; hand-editable — the schedule block is authoritative)",
     )
-    explore_parser.add_argument(
+    parser.add_argument(
         "--out",
         help="HTML output path (default: timeline-<digest>.html)",
     )
-    explore_parser.add_argument(
+    parser.add_argument(
         "--replay",
         action="store_true",
         help="re-execute the (possibly hand-edited) scenario instead of "
@@ -410,23 +393,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "against the recorded meta block",
     )
 
-    stats_parser = sub.add_parser(
-        "stats",
-        help="summarize persisted .jsonl runs: per-cell trial rows plus "
-        "the --telemetry stage timers",
-    )
-    stats_parser.add_argument(
+
+def _stats_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "files",
         nargs="+",
         help="jsonl files written via --out rows.jsonl",
     )
-    stats_parser.add_argument(
+    parser.add_argument(
         "--out", help="also write the summary to this file"
     )
-    return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     from repro.experiments.registry import all_experiments
 
     for entry in all_experiments():
@@ -526,12 +505,16 @@ def _cmd_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_demo(n: int, seed: int, algorithm: str, kernel: str = "auto") -> int:
+def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.sim.runner import run_renaming
 
-    run = run_renaming(algorithm, sparse_ids(n), seed=seed, kernel=kernel)
+    if args.n < 1:
+        raise ConfigurationError(f"--n must be >= 1, got {args.n}")
+    run = run_renaming(
+        args.algorithm, sparse_ids(args.n), seed=args.seed, kernel=args.kernel
+    )
     print(
-        f"{algorithm}: renamed n={n} processes in {run.rounds} rounds "
+        f"{args.algorithm}: renamed n={args.n} processes in {run.rounds} rounds "
         f"({run.kernel} kernel)"
     )
     shown = sorted(run.names.items())[:8]
@@ -992,34 +975,94 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return EXIT_VIOLATIONS if violations else EXIT_CLEAN
 
 
+class Verb(NamedTuple):
+    """One subcommand: its help line, its options and what it runs."""
+
+    help: str
+    add_options: Optional[Callable[[argparse.ArgumentParser], None]]
+    run: Callable[[argparse.Namespace], int]
+
+
+#: Every verb, in the order ``repro --help`` lists them.
+VERBS: Dict[str, Verb] = {
+    "list": Verb("list the experiment suite", None, _cmd_list),
+    "run": Verb("run one experiment", _run_options, _cmd_run),
+    "all": Verb("run every experiment", _all_options, _cmd_all),
+    "demo": Verb("one quick renaming run", _demo_options, _cmd_demo),
+    "batch": Verb(
+        "run a raw algorithm x adversary x n x seed matrix",
+        _batch_options,
+        _cmd_batch,
+    ),
+    "hunt": Verb(
+        "search crash-schedule space for worst-case executions "
+        "(adversary synthesis / counterexample mining)",
+        _hunt_options,
+        _cmd_hunt,
+    ),
+    "tail": Verb(
+        "estimate the round-count tail P(rounds > k*ceil(loglog n)) "
+        "by multilevel importance splitting",
+        _tail_options,
+        _cmd_tail,
+    ),
+    "lint": Verb(
+        "run the determinism & kernel-parity static analyzer "
+        "(the tier-1 CI gate; see LINTING.md)",
+        _lint_options,
+        _cmd_lint,
+    ),
+    "explore": Verb(
+        "render a scenario's execution as a self-contained HTML "
+        "process-lane timeline (rounds x processes, crash/omit/name/"
+        "halt markers)",
+        _explore_options,
+        _cmd_explore,
+    ),
+    "stats": Verb(
+        "summarize persisted .jsonl runs: per-cell trial rows plus "
+        "the --telemetry stage timers",
+        _stats_options,
+        _cmd_stats,
+    ),
+}
+
+
+def _build_parser(verbs: Collection[str]) -> argparse.ArgumentParser:
+    """The ``repro`` parser with every verb registered and the options of
+    the ``verbs`` given (building them imports what owns their choices)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Balls-into-Leaves (PODC 2014) reproduction toolkit",
+    )
+    parser.add_argument("--version", action="version", version=f"repro {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, verb in VERBS.items():
+        verb_parser = sub.add_parser(name, help=verb.help)
+        if name in verbs and verb.add_options is not None:
+            verb.add_options(verb_parser)
+    return parser
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """Parse ``argv`` with only the invoked verb's options built.
+
+    No top-level option takes a value, so the first argument that is not
+    an option names the verb (or an unknown one, which argparse rejects
+    listing every verb)."""
+    invoked = [arg for arg in argv if not arg.startswith("-")][:1]
+    return _build_parser(invoked).parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     if getattr(args, "telemetry", False):
         from repro.core.instrumentation import TIMERS
 
         TIMERS.enable()
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "all":
-            return _cmd_all(args)
-        if args.command == "demo":
-            return _cmd_demo(args.n, args.seed, args.algorithm, args.kernel)
-        if args.command == "batch":
-            return _cmd_batch(args)
-        if args.command == "hunt":
-            return _cmd_hunt(args)
-        if args.command == "tail":
-            return _cmd_tail(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "explore":
-            return _cmd_explore(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
+        return VERBS[args.command].run(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1031,7 +1074,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

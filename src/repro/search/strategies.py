@@ -105,6 +105,10 @@ class HuntConfig:
                 f"budget ({self.budget}) cannot fit a single candidate at "
                 f"{self.seeds_per_schedule} seeds per schedule"
             )
+        for field_name in ("max_crashes", "max_round"):
+            bound = getattr(self, field_name)
+            if bound is not None and bound < 1:
+                raise ConfigurationError(f"{field_name} must be >= 1, got {bound}")
         as_objective(self.objective)  # validate eagerly
 
     @property
@@ -116,7 +120,7 @@ class HuntConfig:
     def effective_max_crashes(self) -> int:
         """Most crash events a sampled genotype may carry."""
         if self.max_crashes is not None:
-            return max(0, min(self.max_crashes, self.n - 1))
+            return min(self.max_crashes, self.n - 1)
         return min(self.effective_crash_budget, self.n - 1)
 
     @property
@@ -128,7 +132,7 @@ class HuntConfig:
         rounds, so sampling crash rounds far beyond that horizon wastes
         almost every event on a finished execution."""
         if self.max_round is not None:
-            return max(1, self.max_round)
+            return self.max_round
         depth = max(1, math.ceil(math.log2(self.n)))
         return 2 * depth + 6
 

@@ -41,7 +41,6 @@ import ast
 import contextlib
 import hashlib
 import itertools
-import multiprocessing
 import operator
 import os
 import time
@@ -848,6 +847,9 @@ class Executor:
         if self.workers == 1 or len(items) < 2:
             return [fn(item) for item in items]
         if self._pool is None:
+            # Imported here so serial commands never load it.
+            import multiprocessing
+
             # The pool is run-time state, not identity: set past the freeze.
             object.__setattr__(self, "_pool", multiprocessing.Pool(self.workers))
         return self._pool.map(fn, items, max(1, len(items) // (4 * self.workers)))

@@ -96,9 +96,14 @@ class TestHuntCli:
         assert main(["hunt", "--budget", "0"]) == 2
         assert main(["hunt", "--baseline-trials", "0"]) == 2
         assert main(["hunt", "--budget", "1", "--seeds-per-schedule", "2"]) == 2
+        assert main(["hunt", "--max-crashes", "0"]) == 2
+        assert main(["hunt", "--max-crashes", "-1"]) == 2
+        assert main(["hunt", "--max-round", "0"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+        assert "error: max_crashes must be >= 1, got -1" in err
+        assert "error: max_round must be >= 1, got 0" in err
 
     def test_hunt_flood_skips_columnar_replay_cleanly(self, capsys):
         assert main(

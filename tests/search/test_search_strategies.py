@@ -35,6 +35,12 @@ class TestHuntConfig:
             HuntConfig(objective="nope")
         with pytest.raises(ConfigurationError):
             HuntConfig(budget=1, seeds_per_schedule=2)  # fits no candidate
+        with pytest.raises(ConfigurationError, match="max_crashes must be >= 1"):
+            HuntConfig(max_crashes=0)
+        with pytest.raises(ConfigurationError, match="max_crashes must be >= 1"):
+            HuntConfig(max_crashes=-1)
+        with pytest.raises(ConfigurationError, match="max_round must be >= 1"):
+            HuntConfig(max_round=0)
 
     def test_genotype_bounds_default_from_the_model(self):
         config = HuntConfig(n=16)

@@ -4,15 +4,72 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import VERBS, _build_parser, _parse_args, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: What the profile workloads (``benchmarks/profile/run.py`` at seed 0,
+#: set-up included), the CI smoke steps and the EXPERIMENTS.md quick
+#: start run.
+COMMANDS = {
+    "sweep-ff": "batch --algorithms balls-into-leaves,early-terminating "
+    "--sizes 256,1024 --trials 24 --seed 0 --out rows.jsonl",
+    "sweep-faults": "batch --algorithms balls-into-leaves --sizes 32,256 "
+    "--adversary random:rate=0.1 --adversary sandwich --trials 16 --seed 0 "
+    "--out rows.jsonl",
+    "hunt": "hunt --n 16 --budget 200 --fault-family mixed "
+    "--baseline-trials 2 --seed 0 --no-scenario --out hunt.jsonl",
+    "tail": "tail --n 256 --trials 64 --k-min 2 --k-max 3 --chunk 32 "
+    "--executor process --workers 2 --seed 0 --out tail.jsonl",
+    "inspect-hunt": "hunt --n 16 --budget 200 --fault-family mixed "
+    "--baseline-trials 2 --seed 0 --out hunt.jsonl --scenario-out scenario.json",
+    "inspect-batch": "batch --algorithms balls-into-leaves --sizes 64 "
+    "--adversary random:rate=0.1 --trials 32 --seed 0 --out rows.jsonl",
+    "inspect-stats": "stats rows.jsonl hunt.jsonl --out stats.txt",
+    "inspect-explore": "explore scenario.json --out timeline.html",
+    "ci-stacked": "batch --algorithms balls-into-leaves --sizes 64 "
+    "--adversary none --adversary random:rate=0.2 --adversary sandwich "
+    "--trials 16 --seed 1 --monitor cheap",
+    "ci-omission": "batch --algorithms balls-into-leaves --sizes 16 "
+    "--adversary omission:p=0.2 "
+    "--adversary omission-targeted:count=1,first=2,last=5 "
+    "--trials 16 --seed 1 --no-check --capture-errors",
+    "ci-hunt": "hunt --objective rounds --strategy random --seed 1 "
+    "--budget 40 --n 8 --baseline-trials 2 --executor process --workers 2 "
+    "--out hunt_smoke_process.jsonl",
+    "ci-obs-hunt": "hunt --fault-family omission --seed 7 --budget 50 "
+    "--n 16 --baseline-trials 1 --no-shrink --telemetry "
+    "--scenario-out obs_scenario.json --out obs_hunt.jsonl",
+    "ci-obs-explore": "explore obs_scenario.json --out obs_timeline.html",
+    "ci-obs-stats": "stats obs_hunt.jsonl",
+    "ci-tail": "tail --n 64 --trials 32 --k-min 2 --k-max 3 --growth 2 "
+    "--seed 1 --chunk 8 --executor process --workers 2 "
+    "--out tail_smoke_process.jsonl",
+    "ci-lint": "lint src/",
+    "ci-lint-rules": "lint --rules",
+    "ci-fault": "run EXP-FAULT --scale smoke",
+    "list": "list",
+    "run": "run EXP-T2 --scale smoke --workers 8",
+    "all": "all --scale smoke",
+    "demo": "demo --n 32",
+}
+
+
+class TestVerbTable:
+    @pytest.mark.parametrize("command", list(COMMANDS.values()), ids=list(COMMANDS))
+    def test_the_invoked_verb_parses_as_with_every_verb_built(self, command):
+        argv = shlex.split(command)
+        assert _parse_args(argv) == _build_parser(VERBS).parse_args(argv)
+
+    def test_every_verb_is_covered(self):
+        assert {shlex.split(command)[0] for command in COMMANDS.values()} == set(VERBS)
 
 
 class TestCli:
@@ -56,6 +113,11 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_demo_rejects_n_below_one_cleanly(self, n, capsys):
+        assert main(["demo", "--n", n]) == 2
+        assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
 
     @pytest.mark.parametrize(
         "executor", [[], ["--executor", "process"]], ids=["default", "process"]

@@ -3,9 +3,11 @@
 Balls-into-Leaves renames in O(log log n) rounds, so at everyday sizes a
 ``python -m repro`` run spends as much time importing as simulating.
 Each verb imports only what it executes: one that never runs the
-trial-stacked engine must not load NumPy or :mod:`repro.core.vectorized`.
-Every case runs the verb in a fresh interpreter and inspects
-``sys.modules`` after ``main()`` returns.
+trial-stacked engine must not load NumPy or :mod:`repro.core.vectorized`,
+one that never runs a trial loads no simulation module, and one that
+starts no process pool loads no :mod:`multiprocessing`.  Every case runs
+the verb in a fresh interpreter and inspects ``sys.modules`` after
+``main()`` returns.
 """
 
 from __future__ import annotations
@@ -36,6 +38,30 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 ENGINE = {"numpy", "repro.core.vectorized"}
+#: The packages a verb that runs no trial leaves unloaded.
+SIMULATION = {"repro.sim", "repro.search", "repro.core", "repro.monitor",
+              "repro.adversary"}
+
+ARGV = {
+    "version": ["--version"],
+    "list": ["list"],
+    "lint-rules": ["lint", "--rules"],
+    "stats": ["stats", "rows.jsonl", "hunt.jsonl"],
+    "explore-stored": ["explore", "scenario.json", "--out", "t.html"],
+    "explore-replay": ["explore", "scenario.json", "--replay", "--out", "t.html"],
+    "demo": ["demo", "--n", "8"],
+    # Below the stacking floor (trials x n < 1024 streams), failure-free
+    # or crash, monitored or not: per-trial columnar, no probe.
+    "batch-below-floor": ["batch", "--sizes", "16", "--trials", "4"],
+    "crash-batch-below-floor": ["batch", "--sizes", "16", "--adversary",
+                                "random:rate=0.1", "--trials", "4"],
+    "monitored-batch-below-floor": ["batch", "--sizes", "16", "--adversary",
+                                    "random:rate=0.1", "--trials", "4",
+                                    "--monitor", "cheap"],
+    "hunt": ["hunt", "--n", "16", "--budget", "20", "--fault-family", "mixed",
+             "--baseline-trials", "2", "--no-scenario"],
+    "run-smoke": ["run", "EXP-T3", "--scale", "smoke"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +79,19 @@ def workdir(tmp_path_factory):
          "--out", str(path / "rows.jsonl")]
     ) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def modules_after(workdir):
+    """``sys.modules`` after one command of :data:`ARGV`, each run once."""
+    seen = {}
+
+    def probe(verb):
+        if verb not in seen:
+            seen[verb] = loaded_modules(ARGV[verb], workdir)
+        return seen[verb]
+
+    return probe
 
 
 def loaded_modules(argv, cwd):
@@ -74,34 +113,22 @@ def loaded_modules(argv, cwd):
     return set(report["modules"])
 
 
+@pytest.mark.parametrize("verb", list(ARGV))
+def test_verb_loads_no_array_engine(modules_after, verb):
+    assert not modules_after(verb) & ENGINE
+
+
+@pytest.mark.parametrize("verb", ["version", "lint-rules", "stats"])
+def test_verb_that_runs_no_trial_loads_no_simulation_module(modules_after, verb):
+    packages = {".".join(name.split(".")[:2]) for name in modules_after(verb)}
+    assert not packages & SIMULATION
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["--version"],
-        ["list"],
-        ["lint", "--rules"],
-        ["stats", "rows.jsonl", "hunt.jsonl"],
-        ["explore", "scenario.json", "--out", "t.html"],
-        ["explore", "scenario.json", "--replay", "--out", "t.html"],
-        ["demo", "--n", "8"],
-        # Below the stacking floor (trials x n < 1024 streams), failure-
-        # free or crash, monitored or not: per-trial columnar, no probe.
-        ["batch", "--sizes", "16", "--trials", "4"],
-        ["batch", "--sizes", "16", "--adversary", "random:rate=0.1",
-         "--trials", "4"],
-        ["batch", "--sizes", "16", "--adversary", "random:rate=0.1",
-         "--trials", "4", "--monitor", "cheap"],
-        ["hunt", "--n", "16", "--budget", "20", "--fault-family", "mixed",
-         "--baseline-trials", "2", "--no-scenario"],
-        ["run", "EXP-T3", "--scale", "smoke"],
-    ],
-    ids=["version", "list", "lint-rules", "stats", "explore-stored",
-         "explore-replay", "demo", "batch-below-floor",
-         "crash-batch-below-floor", "monitored-batch-below-floor", "hunt",
-         "run-smoke"],
+    "verb", ["explore-stored", "stats", "batch-below-floor", "hunt"]
 )
-def test_verb_loads_no_array_engine(workdir, argv):
-    assert not loaded_modules(argv, workdir) & ENGINE
+def test_serial_verb_loads_no_multiprocessing(modules_after, verb):
+    assert "multiprocessing" not in modules_after(verb)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
