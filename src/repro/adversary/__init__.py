@@ -10,7 +10,8 @@ Strategies provided:
 
 * :class:`NoFailures` — fault-free runs.
 * :class:`RandomCrashAdversary` — oblivious random crashes.
-* :class:`ScheduledAdversary` — scripted crash plans (tests, figures).
+* :class:`ScheduledAdversary` — scripted crash and omission plans
+  (tests, figures, compiled hunt genotypes).
 * :class:`TargetedPriorityAdversary` — adaptively crashes the highest
   ``<R``-priority-relevant ball mid-broadcast each phase, splitting views.
 * :class:`SandwichAdversary` — the order-equivalence crash pattern behind
@@ -22,9 +23,10 @@ Beyond crashes, the :class:`FaultPlan` protocol composes one more
 injectable fault family, per-link message omission (see
 :mod:`repro.adversary.base`):
 
-* :class:`IIDOmissionAdversary` / :class:`TargetedOmissionAdversary` /
-  :class:`ScheduledFaultAdversary` — drop victim -> receiver edges
-  without crashing the sender.
+* :class:`IIDOmissionAdversary` / :class:`TargetedOmissionAdversary` —
+  drop victim -> receiver edges without crashing the sender
+  (:class:`ScheduledAdversary` scripts them as :class:`ScheduledOmission`
+  entries).
 """
 
 from repro.adversary.base import (
@@ -44,12 +46,14 @@ from repro.adversary.certification import (
 from repro.adversary.none import NoFailures
 from repro.adversary.omission import (
     IIDOmissionAdversary,
-    ScheduledFaultAdversary,
-    ScheduledOmission,
     TargetedOmissionAdversary,
 )
 from repro.adversary.random_crash import RandomCrashAdversary
-from repro.adversary.scheduled import ScheduledAdversary, ScheduledCrash
+from repro.adversary.scheduled import (
+    ScheduledAdversary,
+    ScheduledCrash,
+    ScheduledOmission,
+)
 from repro.adversary.targeted import TargetedPriorityAdversary
 from repro.adversary.sandwich import SandwichAdversary
 from repro.adversary.splitter import HalfSplitAdversary
@@ -69,10 +73,9 @@ __all__ = [
     "RandomCrashAdversary",
     "ScheduledAdversary",
     "ScheduledCrash",
+    "ScheduledOmission",
     "IIDOmissionAdversary",
     "TargetedOmissionAdversary",
-    "ScheduledFaultAdversary",
-    "ScheduledOmission",
     "TargetedPriorityAdversary",
     "SandwichAdversary",
     "HalfSplitAdversary",

@@ -9,7 +9,7 @@ the reference engine.
 
 Certification is declared *where the plan is written*: a strategy module
 marks its class with the :func:`certified` decorator, and every consumer
-— kernel selection in :mod:`repro.sim.columnar`, the schedule compiler in
+— kernel selection in :mod:`repro.sim.kernel`, the schedule compiler in
 :mod:`repro.search.schedule` — asks the same :func:`certification_failure`
 predicate.  Registration is by exact type: a subclass may override
 ``plan`` with logic the certification does not cover, so it must certify

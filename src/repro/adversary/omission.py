@@ -8,15 +8,14 @@ as if it had crashed.  A silenced-but-alive ball therefore keeps holding
 its leaf in its *own* view while other views reuse it, which is the
 honest degradation mode EXP-FAULT measures.
 
-All three strategies plan from the public
+Both strategies plan from the public
 :class:`~repro.adversary.base.AdversaryContext` surface only, so they are
 columnar-certified and omission cells keep the fast path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.adversary.base import (
     Adversary,
@@ -28,9 +27,6 @@ from repro.adversary.base import (
 )
 from repro.adversary.certification import certified
 from repro.ids import ProcessId
-
-#: Dropped-receiver spec: "all" (everyone but the sender) or a pid list.
-Dropped = Union[str, Sequence[ProcessId]]
 
 
 @certified
@@ -168,63 +164,3 @@ class TargetedOmissionAdversary(Adversary):
 
     def fault_families(self) -> Tuple[str, ...]:
         return ("omission",)
-
-
-@dataclass(frozen=True)
-class ScheduledOmission:
-    """Drop ``sender``'s round-``round_no`` broadcast to ``dropped``."""
-
-    round_no: int
-    sender: ProcessId
-    dropped: Dropped = "all"
-
-
-@certified
-class ScheduledFaultAdversary(Adversary):
-    """Replays scripted crash *and* omission events.
-
-    The compilation target of omission-bearing search genotypes
-    (:meth:`repro.search.schedule.Schedule.compile`): crash entries
-    behave exactly like :class:`~repro.adversary.scheduled
-    .ScheduledAdversary`'s, omission entries mask the named links for
-    one round without crashing the sender.
-    """
-
-    def __init__(
-        self,
-        crashes: Sequence = (),
-        omissions: Sequence[ScheduledOmission] = (),
-    ) -> None:
-        super().__init__(seed=0)
-        self._crashes_by_round: Dict[int, List] = {}
-        for entry in crashes:
-            self._crashes_by_round.setdefault(entry.round_no, []).append(entry)
-        self._omissions_by_round: Dict[int, List[ScheduledOmission]] = {}
-        for omission in omissions:
-            self._omissions_by_round.setdefault(omission.round_no, []).append(omission)
-
-    def plan(self, ctx: AdversaryContext) -> CrashPlan:
-        plan: CrashPlan = {}
-        for entry in self._crashes_by_round.get(ctx.round_no, []):
-            if entry.receivers == "all":
-                receivers = frozenset(p for p in ctx.alive if p != entry.victim)
-            elif entry.receivers == "none":
-                receivers = frozenset()
-            else:
-                receivers = frozenset(entry.receivers)
-            plan[entry.victim] = receivers
-        return plan
-
-    def plan_faults(self, ctx: AdversaryContext) -> FaultPlan:
-        omissions: OmissionPlan = {}
-        for entry in self._omissions_by_round.get(ctx.round_no, []):
-            if entry.dropped == "all":
-                dropped = frozenset(p for p in ctx.alive if p != entry.sender)
-            else:
-                dropped = frozenset(entry.dropped)
-            if dropped:
-                omissions[entry.sender] = dropped
-        return FaultPlan(crashes=self.plan(ctx), omissions=omissions)
-
-    def fault_families(self) -> Tuple[str, ...]:
-        return ("crash", "omission")

@@ -56,10 +56,11 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=KERNEL_CHOICES,
         help="simulation kernel: auto picks the fastest exact engine per "
-        "cell (trial-stacked vectorized for cells of at least 1024 "
-        "ball-streams when numpy is installed, columnar otherwise, "
-        "reference as the final fallback); reference/columnar/vectorized "
-        "pin an engine and fail on runs it cannot model",
+        "cell or tail stage (trial-stacked vectorized from 1024 "
+        "ball-streams, trials x n, when numpy is installed, columnar "
+        "otherwise, reference as the final fallback); "
+        "reference/columnar/vectorized pin an engine and fail on runs it "
+        "cannot model",
     )
 
 
@@ -162,12 +163,6 @@ def _batch_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--trials", type=int, default=10, help="seeds per cell")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--seed-mode",
-        default="legacy",
-        choices=("legacy", "derived"),
-        help="per-trial seed schedule (derived = independent per-cell streams)",
-    )
     parser.add_argument(
         "--out",
         help="also write the report to this file; a .jsonl path persists "
@@ -567,7 +562,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         args.adversaries or ["none"],
         trials=args.trials,
         base_seed=args.seed,
-        seed_mode=args.seed_mode,
         check=not args.no_check,
         capture_errors=args.capture_errors,
         kernel=args.kernel,
@@ -615,6 +609,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         raise ReproError(
             f"--baseline-trials must be >= 1, got {args.baseline_trials}"
         )
+    if args.top < 1:
+        raise ConfigurationError(f"--top must be >= 1, got {args.top}")
     config = HuntConfig(
         algorithm=args.algorithm,
         n=args.n,
@@ -635,7 +631,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         baseline = evaluate_bundled(
             config, trials=args.baseline_trials, executor=executor
         )
-    entries = [hunt_entry(e) for e in result.top(max(1, args.top))] + baseline
+    entries = [hunt_entry(e) for e in result.top(args.top)] + baseline
     cell = f"{config.algorithm} n={config.n}"
     report = [
         f"hunt: {args.strategy} strategy, {len(result.evaluations)} schedules "

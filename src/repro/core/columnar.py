@@ -37,10 +37,10 @@ same names, same per-round metrics — is asserted by the differential
 oracle in ``tests/test_oracle.py``; any behavioural change here must
 keep it green.
 
-Runs the fast path cannot model (full traces, phase statistics, invariant
-checking, uncertified adversary types) are rejected up front by
-:func:`columnar_rejections` / the kernel and fall back to the reference
-kernel.
+Runs the fast path cannot model (full traces, phase statistics, the
+faithful view store, uncertified adversary types) are rejected up front
+by :func:`repro.sim.kernel.kernel_rejection` and fall back to the
+reference kernel.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.ids import require_distinct
 from repro.sim.rng import derive_seed
 from repro.tree.topology import cached_topology
-from repro.core.config import BallsIntoLeavesConfig
 from repro.core.lifecycle import BallStatus
 from repro.core.messages import hello_message, path_message, position_message
 
@@ -71,9 +70,9 @@ except ImportError:  # pragma: no cover - CPython always has _random
 
 BallId = Hashable
 
-#: Path policies the columnar layout models (all of :data:`ALGORITHMS`'
-#: BiL-based entries; ``random-unweighted`` is an ablation-only policy and
-#: stays on the reference engine).
+#: Path policies the columnar layout models: the policy of every BiL-based
+#: workload (``random-unweighted`` is an ablation-only policy that never
+#: reaches a kernel request).
 SUPPORTED_POLICIES = ("random", "hybrid", "rank", "leftmost")
 
 #: Sentinels in the per-node probability memo: the rare both-children-full
@@ -84,37 +83,6 @@ _FORCE_RIGHT = -1.0
 
 #: The plan of a round nobody faults (shared; never mutated).
 _NO_FAULTS = FaultPlan()
-
-
-def columnar_rejections(config: BallsIntoLeavesConfig) -> List[str]:
-    """Why this config cannot run on the columnar engine (empty = it can).
-
-    The columnar layout assumes one shared view: any knob that makes
-    per-ball views observable (invariant checking inside the movement
-    code, non-``<R`` movement orders, one-round phases) keeps the run on
-    the reference engine.
-    """
-    reasons = []
-    if config.path_policy not in SUPPORTED_POLICIES:
-        reasons.append(
-            f"path policy {config.path_policy!r} is not columnar-modeled "
-            f"(supported: {SUPPORTED_POLICIES})"
-        )
-    if config.view_mode != "shared":
-        reasons.append(
-            f"view mode {config.view_mode!r} asks for the reference "
-            "engine's store (faithful = the paper-verbatim per-ball trees)"
-        )
-    if config.check_invariants:
-        reasons.append("check_invariants instruments the reference movement code")
-    if config.movement_order != "priority":
-        reasons.append(
-            f"movement order {config.movement_order!r} is an ablation of the "
-            "reference engine"
-        )
-    if not config.sync_positions:
-        reasons.append("one-round phases (sync_positions=False) are an ablation")
-    return reasons
 
 
 _ACTIVE = int(BallStatus.ACTIVE)

@@ -34,10 +34,10 @@ columnar/reference kernels' (asserted by the differential oracle in
   the identical IEEE-754 doubles the scalar memo produced.
 
 Supported grid: the BiL-family policies on the shared view store, with
-no adversary or a certified crash adversary per trial, matching
-:func:`vectorized_rejections` and the kernel's certification gate.
-Everything else (omission faults, faithful views, full traces, ...)
-stays on the columnar or reference engines via kernel fallback.
+no adversary or a certified crash adversary per trial, as decided by
+:func:`repro.sim.kernel.kernel_rejection`.  Everything else (omission
+faults, faithful views, full traces, ...) stays on the columnar or
+reference engines via kernel fallback.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from repro.core.columnar import (
     _ANNOUNCED,
     _ProcessIntrospectionUnavailable,
 )
-from repro.core.config import BallsIntoLeavesConfig
 from repro.core.messages import hello_message, path_message, position_message
 from repro.core.mt19937 import HAVE_NUMPY, MTStreamBank
 
@@ -67,41 +66,6 @@ if HAVE_NUMPY:
     import numpy as np
 
 BallId = Hashable
-
-
-def vectorized_rejections(config: BallsIntoLeavesConfig) -> List[str]:
-    """Why this config cannot run trial-stacked (empty = it can).
-
-    The stacked layout models exactly the columnar failure-free grid;
-    the adversary/trace/phase-stat gates live in the kernel layer, which
-    also knows about the run request.
-    """
-    reasons = []
-    if not HAVE_NUMPY:
-        reasons.append(
-            "numpy is not installed (the vectorized kernel is the "
-            "`pip install .[fast]` extra)"
-        )
-    if config.path_policy not in SUPPORTED_POLICIES:
-        reasons.append(
-            f"path policy {config.path_policy!r} is not columnar-modeled "
-            f"(supported: {SUPPORTED_POLICIES})"
-        )
-    if config.view_mode != "shared":
-        reasons.append(
-            f"view mode {config.view_mode!r} asks for the reference "
-            "engine's store (faithful = the paper-verbatim per-ball trees)"
-        )
-    if config.check_invariants:
-        reasons.append("check_invariants instruments the reference movement code")
-    if config.movement_order != "priority":
-        reasons.append(
-            f"movement order {config.movement_order!r} is an ablation of the "
-            "reference engine"
-        )
-    if not config.sync_positions:
-        reasons.append("one-round phases (sync_positions=False) are an ablation")
-    return reasons
 
 
 def derive_ball_seeds(

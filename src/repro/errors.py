@@ -18,11 +18,11 @@ class ConfigurationError(ReproError):
 class KernelUnsupported(ConfigurationError):
     """An explicitly requested simulation kernel cannot model the run.
 
-    Raised by :func:`repro.sim.kernel.select_kernel` when the caller pins
-    ``kernel="columnar"`` for a run the fast path rejects (a crashing
-    adversary, a non-BiL algorithm, traces, ...).  With ``kernel="auto"``
-    the same rejection silently falls back to the reference engine
-    instead.
+    Raised when the caller pins ``kernel="columnar"`` or ``"vectorized"``
+    for a run that :func:`repro.sim.kernel.kernel_rejection` rejects (an
+    uncertified adversary, a non-BiL algorithm, a full trace, ...), with
+    that function's reason.  With ``kernel="auto"`` the same rejection
+    silently falls back to the next engine instead.
     """
 
     def __init__(self, kernel: str, reason: str) -> None:

@@ -133,7 +133,7 @@ class KernelRejectionVocabulary(Rule):
         "Rejections are part of the kernel-selection contract: the "
         "kernel argument must name a pinnable engine "
         "(reference/columnar/vectorized) and the reason must flow from "
-        "the shared rejection predicates (a rejects()/"
+        "the shared rejection predicates (a kernel_rejection()/"
         "certification_failure result), not an inline string — inline "
         "messages drift apart from what auto-fallback actually checks, "
         "and tests matching rejection text silently stop covering them.  "
@@ -228,7 +228,7 @@ class KernelRejectionVocabulary(Rule):
             yield self.violation(
                 ctx,
                 node,
-                "inline literal reason; pass the rejects()/"
+                "inline literal reason; pass the kernel_rejection()/"
                 "certification_failure result so the raise and the "
                 "auto-fallback share one rejection vocabulary",
             )

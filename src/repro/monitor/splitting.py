@@ -40,13 +40,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, KernelUnsupported
 from repro.sim.batch import Executor, executor_scope
+from repro.sim.kernel import auto_kernel, check_kernel_name, kernel_rejection
 from repro.sim.rng import derive_rng, derive_seed
-
-#: Kernel names the estimator accepts ("auto" resolves in the driver
-#: process so worker chunks never re-negotiate).
-TAIL_KERNELS = ("auto", "columnar", "vectorized")
 
 
 def loglog_unit(n: int) -> int:
@@ -298,26 +295,6 @@ def _run_tail_chunk(task: _ChunkTask) -> List[Tuple[bool, Optional[dict]]]:
 # ----------------------------------------------------------------- driver side
 
 
-def _resolve_kernel(kernel: str) -> str:
-    if kernel not in TAIL_KERNELS:
-        raise ConfigurationError(
-            f"tail estimation runs on the fast engines only; choose a "
-            f"kernel from {TAIL_KERNELS}, got {kernel!r}"
-        )
-    if kernel == "auto":
-        from repro.core.mt19937 import HAVE_NUMPY
-
-        return "vectorized" if HAVE_NUMPY else "columnar"
-    if kernel == "vectorized":
-        from repro.core.mt19937 import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            raise ConfigurationError(
-                "kernel 'vectorized' requires numpy (pip install .[fast])"
-            )
-    return kernel
-
-
 def _chunks(values: Sequence, size: int) -> List[Tuple]:
     return [tuple(values[i : i + size]) for i in range(0, len(values), size)]
 
@@ -334,7 +311,15 @@ def run_tail(
     :func:`repro.sim.batch.run_batch`: every stage maps through one
     executor, closed on return if it was built here from a name and left
     open if it was passed in.  The result is byte-identical across
-    executors.
+    executors and kernels.
+
+    ``auto`` picks each stage's engine by the one rule of
+    :func:`~repro.sim.kernel.auto_kernel` over the stage's population:
+    a stage of at least :data:`~repro.sim.kernel.MIN_STREAMS` ball-streams
+    (trials x n) stacks on the vectorized engine, a smaller one runs
+    columnar.  Chunking never changes the engine, and a resumed stage
+    restores checkpoints from either engine.  The reference engine has no
+    checkpoints, so pinning it is an error.
     """
     from repro.sim.runner import ALGORITHMS
 
@@ -360,8 +345,18 @@ def run_tail(
             f"max_trials ({config.max_trials}) must be >= trials "
             f"({config.trials})"
         )
+    check_kernel_name(config.kernel)
+    if config.kernel == "reference":
+        raise ConfigurationError(
+            "tail estimation runs on the fast engines only; choose a kernel "
+            "from ('auto', 'columnar', 'vectorized'), got 'reference'"
+        )
+    fields = dict(algorithm=config.algorithm, policy=policy)
+    if config.kernel != "auto":
+        reason = kernel_rejection(config.kernel, **fields)
+        if reason is not None:
+            raise KernelUnsupported(config.kernel, reason)
     with executor_scope(executor, workers=workers) as backend:
-        kernel = _resolve_kernel(config.kernel)
         levels = config.resolved_levels()
         unit = loglog_unit(config.n)
         stages: List[StageResult] = []
@@ -369,6 +364,11 @@ def run_tail(
         start_round = 0
         for stage, level in enumerate(levels):
             stage_trials = config.stage_trials(stage)
+            kernel = (
+                auto_kernel(stage_trials, config.n, **fields)
+                if config.kernel == "auto"
+                else config.kernel
+            )
             seeds = tuple(
                 derive_seed(config.seed, "tail", stage, i)
                 for i in range(stage_trials)

@@ -10,9 +10,8 @@ spirit of runtime checking of distributed protocol specifications:
 * :mod:`repro.search.schedule` — a serializable genotype for adversary
   behavior (per-round crash *and* one-round omission events with
   explicit receiver subsets) that compiles to a columnar-certified
-  :class:`~repro.adversary.scheduled.ScheduledAdversary` or
-  :class:`~repro.adversary.omission.ScheduledFaultAdversary`, so
-  searched schedules run on the fast crash engine;
+  :class:`~repro.adversary.scheduled.ScheduledAdversary`, so searched
+  schedules run on the fast engines;
 * :mod:`repro.search.objectives` — pluggable objectives over trial
   outcomes (worst-case rounds, message count, namespace width,
   invariant stress, liveness-violation indicators);

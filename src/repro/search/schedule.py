@@ -10,14 +10,13 @@ schedule is a pure value — JSON-serializable, hashable, independent of
 the id scheme — and one genotype describes the same adversary behavior
 on every replay.
 
-Compilation targets the scripted adversaries: :meth:`Schedule.compile`
-maps indices to ids and returns a
-:class:`~repro.adversary.scheduled.ScheduledAdversary` (crash-only
-genotypes — these keep stacking on the vectorized crash engine) or a
-:class:`~repro.adversary.omission.ScheduledFaultAdversary` (genotypes
-with omit events), both columnar-certified (one shared predicate,
-:mod:`repro.adversary.certification`), so searched schedules run on the
-fast crash engine without the search layer re-declaring eligibility.
+Compilation targets the scripted adversary: :meth:`Schedule.compile`
+maps indices to ids and returns a columnar-certified
+:class:`~repro.adversary.scheduled.ScheduledAdversary` (one shared
+predicate, :mod:`repro.adversary.certification`), which declares the
+omission family only when the genotype carries omit events — so
+crash-only genotypes keep stacking on the vectorized crash engine
+without the search layer re-declaring eligibility.
 :meth:`Schedule.spec` wraps the same value as a picklable
 :class:`~repro.sim.batch.AdversarySpec` (builder name ``"schedule"``),
 which is how schedules ride :class:`~repro.sim.batch.TrialSpec` through
@@ -37,8 +36,11 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.adversary.certification import certification_failure
-from repro.adversary.omission import ScheduledFaultAdversary, ScheduledOmission
-from repro.adversary.scheduled import ScheduledAdversary, ScheduledCrash
+from repro.adversary.scheduled import (
+    ScheduledAdversary,
+    ScheduledCrash,
+    ScheduledOmission,
+)
 from repro.errors import ConfigurationError
 from repro.ids import ProcessId
 
@@ -227,17 +229,11 @@ class Schedule:
     # ------------------------------------------------------------- compilation
     def compile(self, ids: Sequence[ProcessId]):
         """Bind indices to ``ids`` (positionally) and return the scripted
-        adversary.
+        :class:`~repro.adversary.scheduled.ScheduledAdversary`.
 
-        Crash-only genotypes compile to the historical
-        :class:`~repro.adversary.scheduled.ScheduledAdversary` (so crash
-        hunts keep stacking on the vectorized crash engine); genotypes
-        carrying omit events compile to
-        :class:`~repro.adversary.omission.ScheduledFaultAdversary`.
-        Either way the result is columnar-certified — asserted here
-        against the one shared predicate so a regression in the
-        certification plumbing fails loudly at compile time, not as a
-        silent fast-path fallback.
+        The result is columnar-certified — asserted here against the one
+        shared predicate so a regression in the certification plumbing
+        fails loudly at compile time, not as a silent fast-path fallback.
         """
         if len(ids) != self.n:
             raise ConfigurationError(
@@ -253,25 +249,20 @@ class Schedule:
             for e in self.events
             if e.kind == "crash"
         ]
-        omit_events = [e for e in self.events if e.kind == "omit"]
-        if not omit_events:
-            adversary = ScheduledAdversary(crashes)
-        else:
-            adversary = ScheduledFaultAdversary(
-                crashes=crashes,
-                omissions=[
-                    ScheduledOmission(
-                        e.round_no,
-                        ordered[e.victim],
-                        dropped=[
-                            ordered[i]
-                            for i in range(self.n)
-                            if i != e.victim and i not in e.receivers
-                        ],
-                    )
-                    for e in omit_events
+        omissions = [
+            ScheduledOmission(
+                e.round_no,
+                ordered[e.victim],
+                dropped=[
+                    ordered[i]
+                    for i in range(self.n)
+                    if i != e.victim and i not in e.receivers
                 ],
             )
+            for e in self.events
+            if e.kind == "omit"
+        ]
+        adversary = ScheduledAdversary(crashes, omissions)
         failure = certification_failure(
             adversary, supported=("crash", "omission")
         )

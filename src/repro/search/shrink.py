@@ -213,37 +213,31 @@ def to_pytest(
     note: str = "mined by repro.search",
 ) -> str:
     """Render a ready-to-paste regression test for a shrunk schedule."""
-    crash_events = [e for e in schedule.events if e.kind == "crash"]
-    omit_events = [e for e in schedule.events if e.kind == "omit"]
     crashes = ",\n        ".join(
         f"ScheduledCrash({e.round_no}, ids[{e.victim}], "
         f"receivers=[{', '.join(f'ids[{r}]' for r in e.receivers)}])"
-        for e in crash_events
+        for e in schedule.events
+        if e.kind == "crash"
+    )
+    omissions = ",\n        ".join(
+        f"ScheduledOmission({e.round_no}, ids[{e.victim}], "
+        "dropped=["
+        + ", ".join(
+            f"ids[{i}]"
+            for i in range(schedule.n)
+            if i != e.victim and i not in e.receivers
+        )
+        + "])"
+        for e in schedule.events
+        if e.kind == "omit"
     )
     # check=False: the emitted test pins whatever the hunt observed —
     # including a mined invariant violation, which default checking would
     # turn into a SpecViolation raise before the assertions run.
-    if omit_events:
-        omissions = ",\n        ".join(
-            f"ScheduledOmission({e.round_no}, ids[{e.victim}], "
-            "dropped=["
-            + ", ".join(
-                f"ids[{i}]"
-                for i in range(schedule.n)
-                if i != e.victim and i not in e.receivers
-            )
-            + "])"
-            for e in omit_events
-        )
-        adversary = (
-            "ScheduledFaultAdversary(crashes=schedule, omissions=omissions)"
-        )
-    else:
-        omissions = None
-        adversary = "ScheduledAdversary(schedule)"
     kwargs = [
         f"seed={seed}",
-        f"adversary={adversary}",
+        "adversary=ScheduledAdversary(schedule"
+        + (", omissions)" if omissions else ")"),
         "check=False",
     ]
     if config.halt_on_name:
@@ -280,7 +274,7 @@ def to_pytest(
         if crashes
         else "    schedule = []\n"
     )
-    if omissions is not None:
+    if omissions:
         schedule_lines += f"    omissions = [\n        {omissions},\n    ]\n"
     return (
         f"def test_hunt_regression_{schedule.digest}():\n"

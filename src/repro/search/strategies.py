@@ -109,6 +109,17 @@ class HuntConfig:
             bound = getattr(self, field_name)
             if bound is not None and bound < 1:
                 raise ConfigurationError(f"{field_name} must be >= 1, got {bound}")
+        if (
+            self.fault_family != "omission"
+            and self.crash_budget is not None
+            and self.crash_budget < 1
+        ):
+            # The budget clamps every crash event away, so such a hunt
+            # would score genotypes whose crashes never fire.
+            raise ConfigurationError(
+                f"crash_budget must be >= 1 to mine crashes (fault family "
+                f"{self.fault_family!r}), got {self.crash_budget}"
+            )
         as_objective(self.objective)  # validate eagerly
 
     @property
@@ -118,9 +129,13 @@ class HuntConfig:
 
     @property
     def effective_max_crashes(self) -> int:
-        """Most crash events a sampled genotype may carry."""
+        """Most events a sampled genotype may carry: ``max_crashes``, else
+        the crash budget ``t`` — except under the omission family, whose
+        events spend no crash budget — and never more than ``n - 1``."""
         if self.max_crashes is not None:
             return min(self.max_crashes, self.n - 1)
+        if self.fault_family == "omission":
+            return self.n - 1
         return min(self.effective_crash_budget, self.n - 1)
 
     @property
@@ -296,7 +311,7 @@ def random_event(rng, config: HuntConfig) -> CrashEvent:
 
 def random_schedule(rng, config: HuntConfig) -> Schedule:
     """Sample a genotype with 1..max_crashes events."""
-    limit = max(1, config.effective_max_crashes)
+    limit = config.effective_max_crashes
     events = [random_event(rng, config) for _ in range(rng.randint(1, limit))]
     return Schedule.of(config.n, events)
 

@@ -17,22 +17,22 @@ makes those sweeps first-class:
   round/failure/message statistics ready for :mod:`repro.analysis.tables`.
 
 Determinism is the design invariant: a matrix expands to the same specs
-on every platform, each trial's randomness is derived only from its spec
-(via :func:`repro.sim.rng.derive_seed` in ``"derived"`` seed mode, or the
-historical ``base_seed * 100_003 + trial`` schedule in ``"legacy"`` mode),
+on every platform, each trial's seed follows one schedule
+(``base_seed * 100_003 + trial``, the historical per-experiment loop's),
 and executors preserve order — so serial and multiprocessing backends
 produce identical :class:`BatchResult` cells, byte for byte.
 
 Execution is *cell-granular* where it pays: consecutive trials of one
 cell are stacked into a single
-:func:`repro.sim.vectorized.run_stacked_cell` pass (NumPy installed,
-``kernel`` in ``{"auto", "vectorized"}``; ``auto`` cells only from a
-stream floor up), so a sweep dispatches whole cells — chunked across
+:func:`repro.sim.vectorized.run_stacked_cell` pass where
+:func:`repro.sim.kernel.auto_kernel` would stack them (or ``kernel`` pins
+``vectorized``), so a sweep dispatches whole cells — chunked across
 workers — instead of pickling every :class:`TrialSpec` individually.
 The stacked engine is bit-identical to the per-trial kernels, so the
 upgrade changes wall-clock only; cells the vectorized engine rejects
 (uncertified or non-crash fault families, non-BiL algorithms, missing
-NumPy) keep the per-trial path and its ``auto`` kernel selection.
+NumPy) or that fall below the stream floor keep the per-trial path and
+its ``auto`` kernel selection.
 """
 
 from __future__ import annotations
@@ -78,30 +78,22 @@ from repro.errors import (
     SpecViolation,
 )
 from repro.ids import Name, ProcessId, sparse_ids
-from repro.sim.kernel import KernelRequest, check_kernel_name, check_monitor_mode
-from repro.sim.rng import derive_seed
+from repro.sim.kernel import (
+    check_kernel_name,
+    check_monitor_mode,
+    clears_floor,
+    kernel_rejection,
+)
 from repro.sim.runner import ALGORITHMS, default_round_limit, run_renaming
 from repro.sim.trace import Trace, check_trace_mode
 
-# --------------------------------------------------------------- seed schedules
-
-#: Seed-derivation modes for a matrix: "legacy" reproduces the historical
-#: per-experiment schedule (byte-identical tables with the old serial
-#: loops); "derived" hashes the whole cell coordinate through SHA-256 so
-#: every cell gets an independent stream.
-SEED_MODES = ("legacy", "derived")
+# ---------------------------------------------------------------- seed schedule
 
 
 def legacy_trial_seeds(base_seed: int, trials: int) -> List[int]:
-    """The historical seed schedule shared by every experiment sweep."""
+    """The seed schedule of every sweep: the historical per-experiment
+    loop's, so matrix tables stay byte-identical with it."""
     return [base_seed * 100_003 + trial for trial in range(trials)]
-
-
-def derived_trial_seed(
-    base_seed: int, algorithm: str, n: int, adversary_key: str, trial: int
-) -> int:
-    """An independent per-cell, per-trial seed (SHA-256 derivation)."""
-    return derive_seed(base_seed, "trial", algorithm, n, adversary_key, trial)
 
 
 # ----------------------------------------------------------- adversary registry
@@ -520,21 +512,6 @@ Task = Union[TrialSpec, Tuple[TrialSpec, ...]]
 #: sweep sizes.
 MAX_STREAMS = 1 << 17
 
-#: Minimum stream count (trials x n) below which an ``auto`` cell,
-#: failure-free or crash, stays on the per-trial columnar path.  A stack
-#: pays fixed costs (a ~5 ms MT-seeding pass for Balls-into-Leaves,
-#: adversary planning and class bookkeeping per round) that only
-#: amortize across enough streams.  Measured on a two-core Xeon with
-#: NumPy preloaded (stacked vs per-trial, median of 5): failure-free
-#: Balls-into-Leaves cells run faster per-trial up to 256 streams
-#: (16 x 2: 6.0 vs 0.75 ms), tie near 512 and stack faster from 1024
-#: (32 x 32: 11 vs 18 ms; 256 x 32: 46 vs 121 ms); crash cells cross at
-#: the same point (random:rate=0.1, 32 x 32: 30 vs 36 ms).  RNG-free
-#: early-terminating stacks win from ~128 streams, but one floor costs
-#: its small cells under 3 ms each.  Pinning ``kernel`` bypasses the
-#: floor: ``vectorized`` always stacks, ``columnar`` never does.
-MIN_STREAMS = 1 << 10
-
 
 def _cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
     """Everything but the seed: trials agreeing here can stack."""
@@ -576,29 +553,19 @@ def _mixed_cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
 def _stackable(spec: TrialSpec) -> bool:
     """Can trials shaped like ``spec`` run as one vectorized cell?
 
-    Delegates the supported-grid decision to the kernel's own rejection
-    logic so the batch upgrade and an explicitly pinned
-    ``kernel="vectorized"`` accept exactly the same cells.
+    Asks the one kernel decision about the spec's own adversary, so the
+    batch upgrade and an explicitly pinned ``kernel="vectorized"``
+    accept exactly the same cells.
     """
-    if spec.kernel not in ("auto", "vectorized"):
-        return False
-    from repro.sim.vectorized import cell_rejection
-
-    policy = ALGORITHMS.get(spec.algorithm)
-    budget = spec.n - 1 if spec.crash_budget is None else spec.crash_budget
-    request = KernelRequest(
+    reason = kernel_rejection(
+        "vectorized",
         algorithm=spec.algorithm,
-        ids=tuple(sparse_ids(spec.n)),
-        seed=spec.seed,
-        policy=policy,
+        policy=ALGORITHMS.get(spec.algorithm),
         adversary=spec.adversary.build(spec.seed),
-        crash_budget=budget,
-        halt_on_name=spec.halt_on_name,
+        trace=spec.trace,
         monitor=spec.monitor,
-        trace=None if spec.trace == "off" else Trace(),
-        trace_mode=spec.trace,
     )
-    return cell_rejection(request) is None
+    return reason is None
 
 
 def plan_tasks(
@@ -618,10 +585,10 @@ def plan_tasks(
     crash-only and omit genotypes), so each adversary spec is probed on
     its own, and only runs of consecutive stackable specs stack.
 
-    ``auto`` groups additionally respect the :data:`MIN_STREAMS`
-    floor: below it a stack's fixed seeding and per-round costs outweigh
-    the amortization, so small cells keep the per-trial columnar path (a
-    pure scheduling choice — the engines are bit-identical).  A pinned
+    ``auto`` groups stack where :func:`~repro.sim.kernel.auto_kernel`
+    would: from the :data:`~repro.sim.kernel.MIN_STREAMS` floor up, so
+    small cells keep the per-trial columnar path (a pure scheduling
+    choice — the engines are bit-identical).  A pinned
     ``kernel="vectorized"`` group always stacks.
     """
     tasks: List[Task] = []
@@ -672,12 +639,13 @@ def plan_tasks(
 
 
 def _clears_floor(group: Sequence[TrialSpec]) -> bool:
-    """Is a same-config ``group`` big enough to stack?  A pinned
-    ``vectorized`` group asked to stack, so it takes no stream floor."""
+    """May a same-config ``group`` stack?  ``auto`` asks the one floor
+    rule; a pinned ``vectorized`` group asked to stack, so it takes no
+    stream floor; a pinned scalar kernel never stacks."""
     spec = group[0]
-    return len(group) >= 2 and (
-        spec.kernel != "auto" or len(group) * spec.n >= MIN_STREAMS
-    )
+    if spec.kernel == "vectorized":
+        return len(group) >= 2
+    return spec.kernel == "auto" and clears_floor(len(group), spec.n)
 
 
 def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
@@ -916,7 +884,6 @@ class ScenarioMatrix:
     adversaries: Tuple[AdversarySpec, ...] = (AdversarySpec(),)
     trials: int = 1
     base_seed: int = 0
-    seed_mode: str = "legacy"
     halt_on_name: bool = False
     crash_budget: Optional[int] = None
     check: bool = True
@@ -934,7 +901,6 @@ class ScenarioMatrix:
         *,
         trials: int = 1,
         base_seed: int = 0,
-        seed_mode: str = "legacy",
         halt_on_name: bool = False,
         crash_budget: Optional[int] = None,
         check: bool = True,
@@ -959,10 +925,6 @@ class ScenarioMatrix:
                 raise ConfigurationError(f"sizes must be >= 1, got {n}")
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        if seed_mode not in SEED_MODES:
-            raise ConfigurationError(
-                f"unknown seed mode {seed_mode!r}; choose from {SEED_MODES}"
-            )
         check_kernel_name(kernel)
         check_monitor_mode(monitor)
         check_trace_mode(trace)
@@ -972,7 +934,6 @@ class ScenarioMatrix:
             adversaries=adversary_specs,
             trials=trials,
             base_seed=base_seed,
-            seed_mode=seed_mode,
             halt_on_name=halt_on_name,
             crash_budget=crash_budget,
             check=check,
@@ -985,24 +946,20 @@ class ScenarioMatrix:
     def __len__(self) -> int:
         return len(self.algorithms) * len(self.sizes) * len(self.adversaries) * self.trials
 
-    def trial_seed(self, algorithm: str, n: int, adversary: AdversarySpec, trial: int) -> int:
-        """The seed of one trial under this matrix's seed mode."""
-        if self.seed_mode == "legacy":
-            return self.base_seed * 100_003 + trial
-        return derived_trial_seed(self.base_seed, algorithm, n, adversary.key, trial)
-
     def expand(self) -> List[TrialSpec]:
-        """All trial specs, cells in grid order, seeds ascending per cell."""
+        """All trial specs, cells in grid order, seeds ascending per cell
+        (every cell shares :func:`legacy_trial_seeds`)."""
+        seeds = legacy_trial_seeds(self.base_seed, self.trials)
         specs: List[TrialSpec] = []
         for algorithm in self.algorithms:
             for n in self.sizes:
                 for adversary in self.adversaries:
-                    for trial in range(self.trials):
+                    for seed in seeds:
                         specs.append(
                             TrialSpec(
                                 algorithm=algorithm,
                                 n=n,
-                                seed=self.trial_seed(algorithm, n, adversary, trial),
+                                seed=seed,
                                 adversary=adversary,
                                 halt_on_name=self.halt_on_name,
                                 crash_budget=self.crash_budget,

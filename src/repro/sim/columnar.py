@@ -23,14 +23,12 @@ Certified adversaries are the strategies whose plans are a pure function
 of the public :class:`~repro.adversary.base.AdversaryContext` fields
 (round, running/alive sets, outbox payloads, own RNG), declared where the
 strategy is written via the
-:func:`~repro.adversary.certification.certified` decorator — one
-registry shared with :mod:`repro.search.schedule`, so searched schedules
-are eligible without re-declaration.  Custom adversary types may
-introspect process objects the fast path never materializes, so they are
-rejected and ``auto`` selection falls back to the reference kernel.  Also rejected (they observe reference-engine
-internals): ``full`` traces, phase statistics, invariant checking, the
-paper-verbatim ``faithful`` view store, and non-BiL algorithms.  Cheap
-traces (``trace="cheap"``) stay on the fast path: each round's
+:func:`~repro.adversary.certification.certified` decorator.  Which runs
+this kernel accepts — and why it rejects the rest (uncertified adversary
+types, ``full`` traces, phase statistics, ``monitor="full"``, the
+paper-verbatim ``faithful`` view store, non-BiL algorithms) — is decided
+by :func:`~repro.sim.kernel.kernel_rejection`.  Cheap traces
+(``trace="cheap"``) stay on the fast path: each round's
 crash/omit/name/halt deltas and the position snapshot are appended
 straight from the engine's flat arrays, and the differential suite pins
 that they project onto the same shared event schema as the reference
@@ -39,9 +37,6 @@ engine's full stream.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.adversary.certification import certification_failure
 from repro.core.instrumentation import TIMERS
 from repro.errors import ConfigurationError, RoundLimitExceeded
 from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
@@ -54,55 +49,10 @@ class ColumnarKernel(SimulationKernel):
 
     name = "columnar"
 
-    def rejects(self, request: KernelRequest) -> Optional[str]:
-        if request.policy is None:
-            return (
-                f"algorithm {request.algorithm!r} is not Balls-into-Leaves-"
-                "based; its broadcasts are not position announcements over "
-                "a shared view"
-            )
-        failure = certification_failure(
-            request.adversary, supported=("crash", "omission")
-        )
-        if failure is not None:
-            return failure
-        if request.trace is not None and request.trace_mode != "cheap":
-            return (
-                "full trace recording observes the reference engine's "
-                "message-level events; cheap tracing runs columnar"
-            )
-        if request.collect_phase_stats:
-            return "phase statistics observe the reference view store"
-        if request.monitor == "full":
-            return (
-                "monitor='full' audits the reference engine's instrumented "
-                "movement; cheap monitoring runs columnar"
-            )
-        # Config-level knobs (policy, view mode, invariant checking) share
-        # one gatekeeper with the engine itself.  Under cheap monitoring
-        # the flat-array monitors take over invariant checking, so the
-        # engine-level check_invariants rejection does not apply.
-        from repro.core.columnar import columnar_rejections
-        from repro.core.config import BallsIntoLeavesConfig
-
-        config = BallsIntoLeavesConfig(
-            path_policy=request.policy,
-            view_mode=request.view_mode,
-            check_invariants=(
-                request.check_invariants and request.monitor == "off"
-            ),
-            halt_on_name=request.halt_on_name,
-        )
-        reasons = columnar_rejections(config)
-        if reasons:
-            return "; ".join(reasons)
-        return None
-
     def run(self, request: KernelRequest) -> KernelRun:
         n = request.n
         # Same validation the reference Simulation constructor applies, so
-        # pinning the kernel never relaxes it (view-mode and policy names
-        # were already validated by the config built in rejects()).
+        # pinning the kernel never relaxes it.
         if not 0 <= request.crash_budget < n:
             raise ConfigurationError(
                 f"crash budget must satisfy 0 <= t < n; "

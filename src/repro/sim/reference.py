@@ -21,9 +21,6 @@ class ReferenceKernel(SimulationKernel):
 
     name = "reference"
 
-    def rejects(self, request: KernelRequest) -> Optional[str]:
-        return None  # the reference engine models everything
-
     def run(self, request: KernelRequest) -> KernelRun:
         observers = []
         stats_observer = None

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.adversary.base import Adversary
+from repro.core.config import VIEW_MODES
 from repro.errors import ConfigurationError
 from repro.ids import Name, ProcessId
 from repro.sim.checker import RenamingSpec, check_renaming
@@ -155,10 +156,11 @@ def run_renaming(
         ``RenamingRun.trace``.
     kernel:
         ``"auto"`` (default) runs the columnar fast path whenever it
-        models the run and the reference engine otherwise;
-        ``"reference"`` pins the lock-step engine; ``"columnar"`` pins
-        the fast path and raises
-        :class:`~repro.errors.KernelUnsupported` for runs it rejects.
+        models the run and the reference engine otherwise (see
+        :func:`~repro.sim.kernel.auto_kernel`); ``"reference"`` pins the
+        lock-step engine; ``"columnar"`` or ``"vectorized"`` pins a fast
+        path and raises :class:`~repro.errors.KernelUnsupported` for
+        runs it rejects.
     monitor:
         Runtime invariant monitoring: ``"off"`` (default), ``"cheap"``
         (the flat-array per-round predicates of
@@ -179,6 +181,10 @@ def run_renaming(
     if n == 0:
         raise ConfigurationError("renaming needs at least one participant")
     check_monitor_mode(monitor)
+    if view_mode not in VIEW_MODES:
+        raise ConfigurationError(
+            f"unknown view mode {view_mode!r}; choose from {VIEW_MODES}"
+        )
     if check_invariants and monitor == "off":
         # The satellite fix: invariant checking used to force the
         # reference engine; now it routes to the cheap columnar monitors

@@ -19,7 +19,8 @@ hence reference) kernel produces trial by trial — same
 :class:`~repro.sim.simulator.SimulationResult`, same metrics rows, same
 monitor reports, same tables — which is what lets ``auto`` batches
 upgrade cells to this path without observable change (asserted by the
-differential suites).
+differential suites).  Which runs may stack is decided by
+:func:`~repro.sim.kernel.kernel_rejection`.
 
 NumPy is optional: without it :func:`vectorized_available` is False,
 ``auto`` keeps using the columnar engine, and pinning
@@ -32,7 +33,6 @@ from __future__ import annotations
 from typing import Hashable, Optional, Sequence
 
 from repro.adversary.certification import certification_failure
-from repro.core.config import BallsIntoLeavesConfig
 from repro.core.instrumentation import TIMERS
 from repro.core.mt19937 import HAVE_NUMPY
 from repro.errors import (
@@ -327,45 +327,6 @@ class VectorizedKernel(SimulationKernel):
 
     name = "vectorized"
 
-    def rejects(self, request: KernelRequest) -> Optional[str]:
-        if request.policy is None:
-            return (
-                f"algorithm {request.algorithm!r} is not Balls-into-Leaves-"
-                "based; its broadcasts are not position announcements over "
-                "a shared view"
-            )
-        failure = certification_failure(request.adversary, supported=("crash",))
-        if failure is not None:
-            return failure
-        if request.trace is not None and request.trace_mode != "cheap":
-            return (
-                "full trace recording observes the reference engine's "
-                "message-level events; cheap tracing runs stacked"
-            )
-        if request.collect_phase_stats:
-            return "phase statistics observe the reference view store"
-        if request.monitor == "full":
-            return (
-                "monitor='full' audits the reference engine's instrumented "
-                "movement; cheap monitoring runs stacked"
-            )
-        from repro.core.vectorized import vectorized_rejections
-
-        # Under cheap monitoring the stacked monitor takes over invariant
-        # checking, so the engine-level rejection does not apply.
-        config = BallsIntoLeavesConfig(
-            path_policy=request.policy,
-            view_mode=request.view_mode,
-            check_invariants=(
-                request.check_invariants and request.monitor == "off"
-            ),
-            halt_on_name=request.halt_on_name,
-        )
-        reasons = vectorized_rejections(config)
-        if reasons:
-            return "; ".join(reasons)
-        return None
-
     def run(self, request: KernelRequest) -> KernelRun:
         n = request.n
         # Same validation the scalar kernels apply, so pinning the kernel
@@ -399,13 +360,3 @@ class VectorizedKernel(SimulationKernel):
             kernel=self.name,
             violations=cell.violations(0),
         )
-
-
-def cell_rejection(request: KernelRequest) -> Optional[str]:
-    """Why a whole cell shaped like ``request`` cannot stack (None = it can).
-
-    One shared gate for the batch dispatcher and the kernel selector, so
-    an ``auto`` batch upgrades exactly the cells a pinned
-    ``kernel="vectorized"`` would accept.
-    """
-    return VectorizedKernel().rejects(request)

@@ -17,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.mt19937 import HAVE_NUMPY
 from repro.errors import ConfigurationError
+from repro.monitor import splitting
 from repro.monitor.splitting import (
     TailConfig,
     default_levels,
     loglog_unit,
     run_tail,
 )
+from repro.sim.kernel import MIN_STREAMS
 
 
 def rows_json(result):
@@ -140,6 +142,46 @@ class TestDeterminism:
         serial = run_tail(config, executor="serial")
         pooled = run_tail(config, executor="process", workers=2)
         assert rows_json(serial) == rows_json(pooled)
+
+
+class TestKernelChoice:
+    """``auto`` follows the batch engine's one rule, stage by stage."""
+
+    def test_auto_stacks_a_stage_from_the_stream_floor_up(self, monkeypatch):
+        # n=16 with growth 2: stage 0 holds 32 trials (512 streams, below
+        # the floor), stage 1 64 (1024, at it) and stage 2 128, so the
+        # ladder also crosses from columnar to stacked checkpoints.
+        config = TailConfig(seed=5, **SMALL)
+        tasks = []
+        run_chunk = splitting._run_tail_chunk
+
+        def spy(task):
+            tasks.append(task)
+            return run_chunk(task)
+
+        monkeypatch.setattr(splitting, "_run_tail_chunk", spy)
+        auto = run_tail(config)
+        assert len(auto.stages) == 3
+        used = {(task[5], task[3]) for task in tasks}  # (level, kernel)
+        assert used == {
+            (stage.level,
+             "vectorized"
+             if HAVE_NUMPY and stage.trials * config.n >= MIN_STREAMS
+             else "columnar")
+            for stage in auto.stages
+        }
+        assert auto.stages[0].trials * config.n < MIN_STREAMS
+        pinned = ["columnar"] + ["vectorized"] * HAVE_NUMPY
+        for kernel in pinned:
+            other = run_tail(TailConfig(seed=5, kernel=kernel, **SMALL))
+            assert rows_json(other) == rows_json(auto)
+
+    def test_pinned_engine_asks_the_one_decision(self, monkeypatch):
+        import repro.core.mt19937 as mt19937
+
+        monkeypatch.setattr(mt19937, "HAVE_NUMPY", False)
+        with pytest.raises(ConfigurationError, match="numpy is not installed"):
+            run_tail(TailConfig(n=16, kernel="vectorized"))
 
 
 class TestCheckpointShape:

@@ -55,22 +55,10 @@ class TestSerialEqualsMultiprocessing:
             MATRIX_ADVERSARIES + (AdversarySpec.of("none"), AdversarySpec.of("targeted")),
             trials=10,
             base_seed=2,
-            seed_mode="derived",
         )
         serial = run_batch(matrix, executor="serial")
         parallel = run_batch(matrix, executor="process", workers=4)
         assert serial.trials == parallel.trials
-
-    def test_derived_mode_is_backend_invariant_too(self):
-        matrix = ScenarioMatrix.build(
-            MATRIX_ALGORITHMS,
-            [8],
-            MATRIX_ADVERSARIES,
-            trials=2,
-            base_seed=5,
-            seed_mode="derived",
-        )
-        assert run_batch(matrix).trials == run_batch(matrix, workers=2).trials
 
 
 class TestByteIdenticalWithLegacySerialPath:
@@ -146,47 +134,22 @@ class TestMatrixProperties:
     @given(
         base_seed=st.integers(min_value=0, max_value=10_000),
         trials=st.integers(min_value=1, max_value=5),
-        seed_mode=st.sampled_from(("legacy", "derived")),
     )
-    def test_expansion_is_deterministic_and_complete(self, base_seed, trials, seed_mode):
+    def test_expansion_is_deterministic_and_complete(self, base_seed, trials):
         matrix = ScenarioMatrix.build(
             MATRIX_ALGORITHMS,
             [4, 8],
             MATRIX_ADVERSARIES,
             trials=trials,
             base_seed=base_seed,
-            seed_mode=seed_mode,
         )
         specs = matrix.expand()
         assert specs == matrix.expand()  # stable
         assert len(specs) == len(MATRIX_ALGORITHMS) * 2 * len(MATRIX_ADVERSARIES) * trials
-        # Every cell gets exactly `trials` distinct seeds; the legacy
-        # schedule additionally keeps them in ascending trial order.
+        # Every cell gets exactly `trials` distinct seeds, in ascending
+        # trial order.
         by_cell = {}
         for spec in specs:
             by_cell.setdefault(spec.cell, []).append(spec.seed)
         assert all(len(set(seeds)) == trials for seeds in by_cell.values())
-        if seed_mode == "legacy":
-            assert all(seeds == sorted(seeds) for seeds in by_cell.values())
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        base_seed=st.integers(min_value=0, max_value=10_000),
-        trial=st.integers(min_value=0, max_value=50),
-    )
-    def test_derived_seeds_are_cell_independent(self, base_seed, trial):
-        matrix = ScenarioMatrix.build(
-            MATRIX_ALGORITHMS,
-            [4, 8],
-            MATRIX_ADVERSARIES,
-            trials=1,
-            base_seed=base_seed,
-            seed_mode="derived",
-        )
-        seeds = {
-            matrix.trial_seed(algorithm, n, adversary, trial)
-            for algorithm in matrix.algorithms
-            for n in matrix.sizes
-            for adversary in matrix.adversaries
-        }
-        assert len(seeds) == len(MATRIX_ALGORITHMS) * 2 * len(MATRIX_ADVERSARIES)
+        assert all(seeds == sorted(seeds) for seeds in by_cell.values())

@@ -99,11 +99,20 @@ class TestHuntCli:
         assert main(["hunt", "--max-crashes", "0"]) == 2
         assert main(["hunt", "--max-crashes", "-1"]) == 2
         assert main(["hunt", "--max-round", "0"]) == 2
+        assert main(["hunt", "--top", "0"]) == 2
+        assert main(["hunt", "--top", "-5"]) == 2
+        assert main(
+            ["hunt", "--crash-budget", "0", "--budget", "5", "--n", "8",
+             "--baseline-trials", "1", "--no-scenario"]
+        ) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
         assert "error: max_crashes must be >= 1, got -1" in err
         assert "error: max_round must be >= 1, got 0" in err
+        assert "error: --top must be >= 1, got 0" in err
+        assert "error: --top must be >= 1, got -5" in err
+        assert "error: crash_budget must be >= 1" in err
 
     def test_hunt_flood_skips_columnar_replay_cleanly(self, capsys):
         assert main(

@@ -75,7 +75,7 @@ class TestOmissionAcceptanceHunt:
         assert reference.rounds > bundled_worst
 
         rendered = to_pytest(shrunk.schedule, CONFIG, seed, reference)
-        assert "ScheduledFaultAdversary" in rendered
+        assert "adversary=ScheduledAdversary(schedule, omissions)" in rendered
         assert "ScheduledOmission" in rendered
 
 

@@ -41,6 +41,11 @@ class TestHuntConfig:
             HuntConfig(max_crashes=-1)
         with pytest.raises(ConfigurationError, match="max_round must be >= 1"):
             HuntConfig(max_round=0)
+        # A zero crash budget clamps every crash event away.
+        for family in ("crash", "mixed"):
+            with pytest.raises(ConfigurationError, match="crash_budget must be >= 1"):
+                HuntConfig(crash_budget=0, fault_family=family)
+        HuntConfig(crash_budget=0, fault_family="omission")
 
     def test_genotype_bounds_default_from_the_model(self):
         config = HuntConfig(n=16)
@@ -49,6 +54,13 @@ class TestHuntConfig:
         assert config.effective_max_round == 2 * 4 + 6
         capped = HuntConfig(n=16, crash_budget=3)
         assert capped.effective_max_crashes == 3
+
+    def test_omit_events_spend_no_crash_budget(self):
+        config = HuntConfig(n=16, crash_budget=0, fault_family="omission")
+        assert config.effective_max_crashes == 15
+        rng = derive_rng(0, "omission-genotypes")
+        sizes = [len(random_schedule(rng, config).events) for _ in range(8)]
+        assert max(sizes) > 1
 
 
 class TestEvaluator:

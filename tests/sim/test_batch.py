@@ -12,7 +12,6 @@ from repro.sim.batch import (
     ScenarioMatrix,
     TrialSpec,
     as_executor,
-    derived_trial_seed,
     legacy_trial_seeds,
     run_batch,
     run_trial,
@@ -82,14 +81,6 @@ class TestScenarioMatrix:
         assert [spec.seed for spec in matrix.expand()] == legacy_trial_seeds(9, 3)
         assert legacy_trial_seeds(9, 3) == [9 * 100_003 + t for t in range(3)]
 
-    def test_derived_seeds_differ_across_cells(self):
-        matrix = ScenarioMatrix.build(
-            ["balls-into-leaves", "flood"], [4], trials=2, seed_mode="derived"
-        )
-        seeds = [spec.seed for spec in matrix.expand()]
-        assert len(set(seeds)) == len(seeds)
-        assert seeds[0] == derived_trial_seed(0, "balls-into-leaves", 4, "none", 0)
-
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             ScenarioMatrix.build(["quantum"], [4])
@@ -101,8 +92,6 @@ class TestScenarioMatrix:
             ScenarioMatrix.build(["flood"], [0])
         with pytest.raises(ConfigurationError):
             ScenarioMatrix.build(["flood"], [4], trials=0)
-        with pytest.raises(ConfigurationError, match="seed mode"):
-            ScenarioMatrix.build(["flood"], [4], seed_mode="lunar")
 
 
 class TestRunTrial:

@@ -15,12 +15,26 @@ import pytest
 
 from repro.adversary.base import Adversary
 from repro.adversary.none import NoFailures
+from repro.adversary.omission import IIDOmissionAdversary
 from repro.adversary.random_crash import RandomCrashAdversary
+from repro.core import mt19937
 from repro.errors import ConfigurationError, KernelUnsupported
 from repro.ids import sparse_ids
-from repro.sim.batch import ScenarioMatrix, run_batch
-from repro.sim.kernel import KernelRequest, select_kernel
-from repro.sim.runner import run_renaming
+from repro.sim.batch import (
+    AdversarySpec,
+    ScenarioMatrix,
+    TrialSpec,
+    plan_tasks,
+    run_batch,
+)
+from repro.sim.kernel import (
+    MIN_STREAMS,
+    KernelRequest,
+    auto_kernel,
+    kernel_rejection,
+    select_kernel,
+)
+from repro.sim.runner import ALGORITHMS, run_renaming
 from repro.sim.trace import Trace
 
 ADVERSARY_FACTORIES = {
@@ -214,3 +228,119 @@ class TestBatchEquivalence:
             ScenarioMatrix.build(
                 ["balls-into-leaves"], [8], ["none"], trials=1, kernel="quantum"
             )
+
+
+BOTH = {"columnar", "vectorized"}
+
+#: One case per reason the one decision can give (plus one it accepts):
+#: ``run_renaming`` keywords (an adversary as a factory, so every run
+#: gets a fresh one), the ``TrialSpec`` keywords of a cell with the same
+#: reason (None where a spec cannot carry it: specs name only certified
+#: adversaries, and have no view mode or phase statistics), the engines
+#: that reject it, and a fragment of the reason's wording.
+REASONS = {
+    "accepted": ({}, {}, set(), None),
+    "non-bil": (
+        {"algorithm": "flood"}, {"algorithm": "flood"}, BOTH,
+        "is not Balls-into-Leaves-based",
+    ),
+    "uncertified": (
+        {"adversary": UncertifiedAdversary}, None, BOTH,
+        "is not columnar-certified",
+    ),
+    "omission": (
+        {"adversary": lambda: IIDOmissionAdversary(0.1, seed=0)},
+        {"adversary": AdversarySpec.of("omission", p=0.1)},
+        {"vectorized"},
+        "plans fault family 'omission'",
+    ),
+    "faithful": ({"view_mode": "faithful"}, None, BOTH, "view mode 'faithful'"),
+    "full-trace": (
+        {"trace": "full"}, {"trace": "full"}, BOTH, "full trace recording",
+    ),
+    "phase-stats": (
+        {"collect_phase_stats": True}, None, BOTH, "phase statistics",
+    ),
+    "monitor-full": (
+        {"monitor": "full"}, {"monitor": "full"}, BOTH, "monitor='full'",
+    ),
+    "numpy-blocked": ({}, {}, {"vectorized"}, "numpy is not installed"),
+}
+
+
+def _decision_run(run_kwargs, kernel):
+    kwargs = dict(run_kwargs)
+    algorithm = kwargs.pop("algorithm", "balls-into-leaves")
+    if "adversary" in kwargs:
+        kwargs["adversary"] = kwargs["adversary"]()
+    return run_renaming(
+        algorithm, sparse_ids(8), seed=3, kernel=kernel, check=False, **kwargs
+    )
+
+
+def _decision_fields(run_kwargs):
+    """The request fields ``select_kernel`` hands the one decision."""
+    algorithm = run_kwargs.get("algorithm", "balls-into-leaves")
+    factory = run_kwargs.get("adversary")
+    return dict(
+        algorithm=algorithm,
+        policy=ALGORITHMS[algorithm],
+        adversary=factory() if factory is not None else None,
+        trace=run_kwargs.get("trace", "off"),
+        monitor=run_kwargs.get("monitor", "off"),
+        phase_stats=run_kwargs.get("collect_phase_stats", False),
+        view_mode=run_kwargs.get("view_mode", "shared"),
+    )
+
+
+class TestOneDecision:
+    """``kernel_rejection`` is the one answer to "may this engine run
+    this": a pinned engine raises with exactly its reason, ``auto``
+    lands where ``auto_kernel``'s rule says, and ``plan_tasks`` stacks
+    a cell exactly when the pinned vectorized engine accepts it."""
+
+    @pytest.mark.parametrize("case", list(REASONS))
+    def test_pinned_auto_and_planned_choices_agree(self, case, monkeypatch):
+        run_kwargs, spec_kwargs, rejecting, wording = REASONS[case]
+        if case == "numpy-blocked":
+            monkeypatch.setattr(mt19937, "HAVE_NUMPY", False)
+        fields = _decision_fields(run_kwargs)
+        # The case's own reason comes first in every engine it names.
+        for kernel in rejecting:
+            assert wording in kernel_rejection(kernel, **fields)
+        if not mt19937.HAVE_NUMPY:
+            rejecting = rejecting | {"vectorized"}
+
+        for kernel in ("columnar", "vectorized"):
+            reason = kernel_rejection(kernel, **fields)
+            if kernel not in rejecting:
+                assert reason is None
+                assert _decision_run(run_kwargs, kernel).kernel == kernel
+                continue
+            assert reason is not None
+            with pytest.raises(KernelUnsupported) as caught:
+                _decision_run(run_kwargs, kernel)
+            assert caught.value.kernel == kernel
+            assert caught.value.reason == reason
+            assert str(caught.value) == (
+                f"kernel {kernel!r} cannot run this simulation: {reason}"
+            )
+
+        single = "reference" if "columnar" in rejecting else "columnar"
+        assert _decision_run(run_kwargs, "auto").kernel == single
+        assert auto_kernel(1, 8, **fields) == single
+        # 31 x 33 streams is one below the floor; 32 x 32 is at it.
+        assert 31 * 33 == MIN_STREAMS - 1 and 32 * 32 == MIN_STREAMS
+        assert auto_kernel(31, 33, **fields) == single
+        stacked = "vectorized" not in rejecting
+        assert auto_kernel(32, 32, **fields) == ("vectorized" if stacked else single)
+
+        if spec_kwargs is not None:
+            specs = [
+                TrialSpec(
+                    **{"algorithm": "balls-into-leaves", "n": 32, "seed": seed,
+                       "check": False, **spec_kwargs}
+                )
+                for seed in range(32)
+            ]
+            assert plan_tasks(specs) == ([tuple(specs)] if stacked else specs)

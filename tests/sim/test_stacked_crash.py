@@ -20,7 +20,6 @@ from repro.errors import RoundLimitExceeded
 from repro.ids import sparse_ids
 from repro.search.schedule import CrashEvent, Schedule
 from repro.sim.batch import (
-    MIN_STREAMS,
     AdversarySpec,
     TrialSpec,
     plan_tasks,
@@ -28,6 +27,7 @@ from repro.sim.batch import (
     run_cell,
     run_trial,
 )
+from repro.sim.kernel import MIN_STREAMS
 from repro.sim.runner import run_renaming
 from repro.sim.vectorized import run_stacked_cell, vectorized_available
 

@@ -189,14 +189,6 @@ class TestBatchCli:
         assert content.splitlines()[0].startswith("algorithm,n,adversary,trials")
         assert "flood,8,none,2" in content
 
-    def test_batch_derived_seed_mode(self, capsys):
-        assert (
-            main(["batch", "--algorithms", "flood", "--sizes", "8", "--trials", "2",
-                  "--seed-mode", "derived"])
-            == 0
-        )
-        assert "scenario matrix: 2 trials" in capsys.readouterr().out
-
     def test_batch_unknown_algorithm_fails_cleanly(self, capsys):
         assert main(["batch", "--algorithms", "quantum", "--sizes", "8"]) == 2
         assert "unknown algorithm" in capsys.readouterr().err

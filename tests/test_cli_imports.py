@@ -60,6 +60,10 @@ ARGV = {
                                     "--monitor", "cheap"],
     "hunt": ["hunt", "--n", "16", "--budget", "20", "--fault-family", "mixed",
              "--baseline-trials", "2", "--no-scenario"],
+    # Every stage below the floor (32 trials x n=16 = 512 streams): the
+    # same rule as a batch cell, so the splitting stages run columnar.
+    "tail-below-floor": ["tail", "--n", "16", "--trials", "32", "--k-min",
+                         "2", "--k-max", "3", "--chunk", "8"],
     "run-smoke": ["run", "EXP-T3", "--scale", "smoke"],
 }
 
@@ -125,7 +129,8 @@ def test_verb_that_runs_no_trial_loads_no_simulation_module(modules_after, verb)
 
 
 @pytest.mark.parametrize(
-    "verb", ["explore-stored", "stats", "batch-below-floor", "hunt"]
+    "verb",
+    ["explore-stored", "stats", "batch-below-floor", "hunt", "tail-below-floor"],
 )
 def test_serial_verb_loads_no_multiprocessing(modules_after, verb):
     assert "multiprocessing" not in modules_after(verb)

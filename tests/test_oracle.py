@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from repro.errors import KernelUnsupported, ReproError
 from repro.ids import sparse_ids, string_ids
 from repro.search.schedule import EVENT_KINDS, CrashEvent, Schedule
-from repro.sim import batch
+from repro.sim import kernel as sim_kernel
 from repro.sim.batch import AdversarySpec, TrialSpec, run_batch, run_cell, run_trial
 from repro.sim.checker import RenamingSpec, check_renaming
 from repro.sim.runner import ALGORITHMS, WORKLOADS, run_renaming
@@ -218,7 +218,7 @@ def check_spec(spec: Spec) -> Dict:
             _trial(spec, k, Schedule.of(spec.n, events).spec(), check=False)
             for k, events in enumerate(members)
         ]
-        with mock.patch.object(batch, "MIN_STREAMS", 0):
+        with mock.patch.object(sim_kernel, "MIN_STREAMS", 0):
             stacked = run_batch(generation, mixed_cells=True).trials
         for member, got in zip(generation, stacked):
             # A member left per-trial ran through run_trial already.
