@@ -38,28 +38,29 @@ def _sweep_matrix(trials: int = 100) -> ScenarioMatrix:
 
 def test_bench_batch_serial(benchmark):
     result = benchmark.pedantic(
-        run_batch, args=(_sweep_matrix(),), kwargs={"executor": "serial"},
-        iterations=1, rounds=3,
+        run_batch, args=(_sweep_matrix(),), iterations=1, rounds=3,
     )
     assert len(result) == 100
 
 
 def test_bench_batch_process(benchmark):
     workers = min(4, os.cpu_count() or 1)
-    result = benchmark.pedantic(
-        run_batch, args=(_sweep_matrix(),),
-        kwargs={"executor": "process", "workers": workers},
-        iterations=1, rounds=3,
-    )
+    matrix = _sweep_matrix()
+
+    def run():
+        # Each round starts and ends its own pool, as a command does.
+        with Executor("process", workers) as executor:
+            return run_batch(matrix, executor=executor)
+
+    result = benchmark.pedantic(run, iterations=1, rounds=3)
     assert len(result) == 100
 
 
 def test_process_backend_matches_serial_everywhere():
     matrix = _sweep_matrix(trials=20)
-    assert (
-        run_batch(matrix, executor="serial").trials
-        == run_batch(matrix, executor="process", workers=2).trials
-    )
+    with Executor("process", 2) as executor:
+        parallel = run_batch(matrix, executor=executor)
+    assert run_batch(matrix).trials == parallel.trials
 
 
 @pytest.mark.tier2  # wall-clock comparison: too flaky for the -x tier-1 gate
@@ -73,11 +74,12 @@ def test_parallel_speedup_on_four_workers():
     run_batch(ScenarioMatrix.build(["balls-into-leaves"], [8], trials=2))
 
     started = time.perf_counter()
-    serial = run_batch(matrix, executor="serial")
+    serial = run_batch(matrix)
     serial_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = run_batch(matrix, executor="process", workers=4)
+    with Executor("process", 4) as executor:
+        parallel = run_batch(matrix, executor=executor)
     parallel_s = time.perf_counter() - started
 
     assert serial.trials == parallel.trials
@@ -107,7 +109,8 @@ def test_worker_chunking_beats_per_trial_submission():
         trials=40, base_seed=0, kernel="reference",
     )
     tasks = plan_tasks(matrix.expand(), parts=4)
-    run_batch(_sweep_matrix(trials=4), executor="process", workers=4)  # warm pools
+    with Executor("process", 4) as executor:  # warm pools
+        run_batch(_sweep_matrix(trials=4), executor=executor)
 
     # Pool start-up and teardown are timed on both sides.
     started = time.perf_counter()

@@ -271,10 +271,10 @@ def test_bench_kernel_writes_json(capsys):
                 )
 
             columnar_s, columnar_batch = _best_of(
-                reps, lambda: run_batch(matrix("columnar"), executor="serial")
+                reps, lambda: run_batch(matrix("columnar"))
             )
             vectorized_s, vectorized_batch = _best_of(
-                reps, lambda: run_batch(matrix("vectorized"), executor="serial")
+                reps, lambda: run_batch(matrix("vectorized"))
             )
             assert {t.kernel for t in columnar_batch.trials} == {"columnar"}
             assert {t.kernel for t in vectorized_batch.trials} == {"vectorized"}
@@ -330,10 +330,10 @@ def test_bench_kernel_writes_json(capsys):
                 ]
 
             columnar_s, columnar_batch = _best_of(
-                reps, lambda: run_batch(specs("columnar"), executor="serial")
+                reps, lambda: run_batch(specs("columnar"))
             )
             stacked_s, stacked_batch = _best_of(
-                reps, lambda: run_batch(specs("auto"), executor="serial")
+                reps, lambda: run_batch(specs("auto"))
             )
             assert {t.kernel for t in columnar_batch.trials} == {"columnar"}
             assert {t.kernel for t in stacked_batch.trials} == {"vectorized"}

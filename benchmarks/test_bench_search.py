@@ -31,6 +31,7 @@ import pytest
 
 from repro._version import __version__
 from repro.search.strategies import STRATEGIES, HuntConfig, run_hunt
+from repro.sim.batch import Executor
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_search.json"
 
@@ -60,9 +61,8 @@ def test_bench_search_writes_artifact():
     cells = []
     for strategy in sorted(STRATEGIES):
         serial, serial_s = _timed_hunt(strategy)
-        process, process_s = _timed_hunt(
-            strategy, executor="process", workers=WORKERS
-        )
+        with Executor("process", WORKERS) as executor:
+            process, process_s = _timed_hunt(strategy, executor=executor)
         # The stacked multiplier: whole generations on the vectorized
         # crash engine vs per-trial columnar, both pinned —
         # byte-identical histories either way.

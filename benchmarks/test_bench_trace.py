@@ -69,7 +69,7 @@ def _time_matrix(trace, reps, sizes, adversaries=("none",), **build):
             base_seed=SEED,
             **build,
         )
-        return run_batch(matrix, executor="serial")
+        return run_batch(matrix)
 
     return _best_of(reps, run)
 

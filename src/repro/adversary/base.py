@@ -42,22 +42,18 @@ FAULT_FAMILIES: Tuple[str, ...] = ("crash", "omission")
 class FaultBudget:
     """Per-family limits an adversary declares for a whole run.
 
-    ``crashes`` is informational (the model's ``t`` is enforced by the
-    engine's crash budget); ``omissions`` bounds the total dropped links
-    over the run (None = unbounded, 0 = none).
+    ``omissions`` bounds the total dropped links over the run (None =
+    unbounded, 0 = none); crashes need no entry, since the model's ``t``
+    is the engine's crash budget.
     """
 
-    crashes: Optional[int] = None
     omissions: Optional[int] = None
 
     def describe(self) -> str:
         """Compact ``key=value`` rendering for jsonl rows ("" = default)."""
-        parts = []
-        if self.crashes is not None:
-            parts.append(f"crashes={self.crashes}")
-        if self.omissions is not None:
-            parts.append(f"omissions={self.omissions}")
-        return ",".join(parts)
+        if self.omissions is None:
+            return ""
+        return f"omissions={self.omissions}"
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,8 @@ class RandomCrashAdversary(Adversary):
             raise ValueError(f"crash rate must be in [0, 1], got {rate}")
         if delivery not in ("uniform", "split"):
             raise ValueError(f"delivery must be 'uniform' or 'split', got {delivery!r}")
+        if max_crashes is not None and max_crashes < 0:
+            raise ValueError(f"max_crashes must be >= 0, got {max_crashes}")
         self._rate = rate
         self._cap = max_crashes
         self._delivery = delivery

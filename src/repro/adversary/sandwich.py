@@ -36,6 +36,8 @@ class SandwichAdversary(Adversary):
         super().__init__(seed=seed)
         if every_k_rounds < 1:
             raise ValueError(f"every_k_rounds must be >= 1, got {every_k_rounds}")
+        if max_crashes is not None and max_crashes < 0:
+            raise ValueError(f"max_crashes must be >= 0, got {max_crashes}")
         self._cap = max_crashes
         self._stride = every_k_rounds
         self._crashes = 0

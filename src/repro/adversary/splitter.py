@@ -44,6 +44,8 @@ class HalfSplitAdversary(Adversary):
         super().__init__(seed=seed)
         if victims_per_round < 1:
             raise ValueError(f"victims_per_round must be >= 1, got {victims_per_round}")
+        if max_crashes is not None and max_crashes < 0:
+            raise ValueError(f"max_crashes must be >= 0, got {max_crashes}")
         self._rounds = rounds if rounds is not None else frozenset({1})
         self._victims_per_round = victims_per_round
         self._cap = max_crashes

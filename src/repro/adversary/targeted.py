@@ -42,6 +42,8 @@ class TargetedPriorityAdversary(Adversary):
         super().__init__(seed=seed)
         if every_k_phases < 1:
             raise ValueError(f"every_k_phases must be >= 1, got {every_k_phases}")
+        if max_crashes is not None and max_crashes < 0:
+            raise ValueError(f"max_crashes must be >= 0, got {max_crashes}")
         self._cap = max_crashes
         self._stride = every_k_phases
         self._crashes = 0

@@ -732,21 +732,10 @@ def _write_hunt_scenario(args, config, schedule, seed) -> str:
         scenario_filename,
         write_scenario,
     )
-    from repro.sim.batch import TrialSpec, run_trial
+    from repro.sim.batch import run_trial
     from repro.sim.trace import trace_filename, write_trace
 
-    spec = TrialSpec(
-        algorithm=config.algorithm,
-        n=config.n,
-        seed=seed,
-        adversary=schedule.spec(),
-        halt_on_name=config.halt_on_name,
-        crash_budget=config.crash_budget,
-        check=False,
-        kernel=config.kernel,
-        capture_errors=True,
-        trace="cheap",
-    )
+    spec = config.trial_spec(schedule.spec(), seed, trace="cheap")
     result = run_trial(spec)
     digest = spec.digest()
     scenario_path = args.scenario_out or scenario_filename(

@@ -13,18 +13,17 @@ the whole suite; the batch engine runs it on any executor.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.analysis.tables import Table
 from repro.experiments.common import (
-    ExecutorLike,
     ExperimentResult,
     failure_stats,
     round_stats,
     scaled,
     sweep,
 )
-from repro.sim.batch import AdversarySpec
+from repro.sim.batch import AdversarySpec, Executor
 
 EXPERIMENT_ID = "EXP-ADV"
 TITLE = "Section 5.3: adversary gauntlet for Balls-into-Leaves"
@@ -45,8 +44,7 @@ def _strategies() -> Tuple[AdversarySpec, ...]:
 def run(
     scale: str = "paper",
     seed: int = 0,
-    executor: ExecutorLike = None,
-    workers: int = None,
+    executor: Optional[Executor] = None,
 ) -> ExperimentResult:
     """Run the gauntlet at a fixed n."""
     n = scaled(scale, 64, 512)
@@ -60,7 +58,6 @@ def run(
         trials=trials,
         base_seed=seed,
         executor=executor,
-        workers=workers,
     )
 
     result = ExperimentResult(EXPERIMENT_ID, TITLE, scale)

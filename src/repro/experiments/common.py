@@ -1,10 +1,10 @@
 """Shared scaffolding for experiment modules.
 
 Seed sweeps route through :mod:`repro.sim.batch`: :func:`sweep` expands a
-scenario matrix and runs it on the chosen executor (serial by default;
-a process pool for ``executor="process"``, ``workers > 1`` or a process
-:class:`~repro.sim.batch.Executor`, the seam EXP-TAIL's splitting stages
-share), and :func:`rounds_over_trials` — for experiments that need full
+scenario matrix and runs it on the caller's
+:class:`~repro.sim.batch.Executor` (serial when omitted; ``repro run``
+and ``repro all`` pass the one executor their command owns), and
+:func:`rounds_over_trials` — for experiments that need full
 :class:`~repro.sim.runner.RenamingRun` objects such as phase statistics
 — shares the engine's legacy per-trial seed schedule so both paths stay
 byte-identical.
@@ -13,7 +13,7 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.adversary.base import Adversary
 from repro.analysis.stats import TrialStats, summarize
@@ -29,9 +29,6 @@ from repro.sim.batch import (
     run_batch,
 )
 from repro.sim.runner import RenamingRun, run_renaming
-
-#: What experiments accept as an execution backend.
-ExecutorLike = Union[None, str, Executor]
 
 #: Experiment scales: "smoke" finishes in seconds (CI / benchmarks),
 #: "paper" uses the full sweeps recorded in EXPERIMENTS.md, and "deep"
@@ -89,8 +86,7 @@ def sweep(
     *,
     trials: int,
     base_seed: int,
-    executor: ExecutorLike = None,
-    workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
     halt_on_name: bool = False,
     kernel: str = "auto",
 ) -> BatchResult:
@@ -111,7 +107,7 @@ def sweep(
         halt_on_name=halt_on_name,
         kernel=kernel,
     )
-    return run_batch(matrix, executor=executor, workers=workers)
+    return run_batch(matrix, executor=executor)
 
 
 def rounds_over_trials(
@@ -160,10 +156,3 @@ def scaled(scale: Scale, smoke_value, paper_value):
     """Pick a parameter by scale."""
     check_scale(scale)
     return smoke_value if scale == "smoke" else paper_value
-
-
-def mean_by_size(
-    sizes: Sequence[int], stats_by_size: Dict[int, TrialStats]
-) -> List[float]:
-    """Mean series aligned with ``sizes`` (helper for plots/fits)."""
-    return [stats_by_size[n].mean for n in sizes]

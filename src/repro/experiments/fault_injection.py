@@ -21,8 +21,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import Table
-from repro.experiments.common import ExecutorLike, ExperimentResult, scaled
-from repro.sim.batch import AdversarySpec, TrialResult, TrialSpec, run_batch
+from repro.experiments.common import ExperimentResult, scaled
+from repro.sim.batch import (
+    AdversarySpec,
+    Executor,
+    TrialResult,
+    TrialSpec,
+    run_batch,
+)
 
 EXPERIMENT_ID = "EXP-FAULT"
 TITLE = "Fault injection beyond crashes: omission"
@@ -78,8 +84,7 @@ def _row(
 def run(
     scale: str = "paper",
     seed: int = 0,
-    executor: ExecutorLike = None,
-    workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> ExperimentResult:
     """Measure omission's degradation at a fixed n."""
     n = scaled(scale, 16, 64)
@@ -100,7 +105,7 @@ def run(
     specs: List[TrialSpec] = []
     for adversary in lineup:
         specs.extend(_specs_for(adversary, n, trials, seed))
-    batch = run_batch(specs, executor=executor, workers=workers)
+    batch = run_batch(specs, executor=executor)
     table = Table(
         f"omission faults on {ALGORITHM} (n={n}, {trials} trials each)",
         [

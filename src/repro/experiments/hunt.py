@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.analysis.worst_case import beats_every_bundled, worst_case_table
-from repro.experiments.common import ExecutorLike, ExperimentResult, check_scale
+from repro.experiments.common import ExperimentResult, check_scale
 from repro.search.baseline import evaluate_bundled, hunt_entry
 from repro.search.strategies import HuntConfig, run_hunt
+from repro.sim.batch import Executor
 
 EXPERIMENT_ID = "EXP-HUNT"
 TITLE = "Adversary synthesis: worst mined schedules vs the bundled gauntlet"
@@ -34,8 +35,7 @@ _BASELINE_TRIALS = {"smoke": 2, "paper": 5, "deep": 8}
 def run(
     scale: str = "paper",
     seed: int = 0,
-    executor: ExecutorLike = None,
-    workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
     kernel: str = "auto",
     objective: str = "rounds",
 ) -> ExperimentResult:
@@ -56,12 +56,11 @@ def run(
                 seed=seed,
                 kernel=kernel,
             )
-            hunt = run_hunt(config, strategy, executor=executor, workers=workers)
+            hunt = run_hunt(config, strategy, executor=executor)
             entries = [hunt_entry(e) for e in hunt.top(3)] + evaluate_bundled(
                 config,
                 trials=_BASELINE_TRIALS[scale],
                 executor=executor,
-                workers=workers,
             )
             result.tables.append(
                 worst_case_table(f"{algorithm} n={n}", objective, entries)

@@ -15,10 +15,11 @@ three tables instead of being recomputed.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from repro.analysis.tables import Table
-from repro.experiments.common import ExecutorLike, ExperimentResult, scaled, sweep
-from repro.sim.batch import AdversarySpec
+from repro.experiments.common import ExperimentResult, scaled, sweep
+from repro.sim.batch import AdversarySpec, Executor
 
 EXPERIMENT_ID = "EXP-MSG"
 TITLE = "Message complexity: broadcasts and deliveries per run"
@@ -27,8 +28,7 @@ TITLE = "Message complexity: broadcasts and deliveries per run"
 def run(
     scale: str = "paper",
     seed: int = 0,
-    executor: ExecutorLike = None,
-    workers: int = None,
+    executor: Optional[Executor] = None,
 ) -> ExperimentResult:
     """Measure message counts across sizes."""
     sizes = scaled(scale, [16, 64], [64, 256, 1024, 4096])
@@ -41,7 +41,6 @@ def run(
         trials=trials,
         base_seed=seed,
         executor=executor,
-        workers=workers,
     )
     halting_batch = sweep(
         ["balls-into-leaves"],
@@ -50,7 +49,6 @@ def run(
         trials=trials,
         base_seed=seed,
         executor=executor,
-        workers=workers,
         halt_on_name=True,
     )
     crash_batch = sweep(
@@ -60,7 +58,6 @@ def run(
         trials=trials,
         base_seed=seed + 1,
         executor=executor,
-        workers=workers,
     )
 
     result = ExperimentResult(EXPERIMENT_ID, TITLE, scale)

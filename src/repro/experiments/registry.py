@@ -1,9 +1,9 @@
 """Registry of experiment ids -> runner modules.
 
-Experiments whose ``run`` accepts ``executor`` / ``workers`` (the modules
-routed through :mod:`repro.sim.batch`) get the caller's execution backend
-threaded through; the rest keep their historical signature and run
-in-process.
+Experiments whose ``run`` accepts ``executor`` (the modules routed
+through :mod:`repro.sim.batch`) get the caller's
+:class:`~repro.sim.batch.Executor` threaded through; the rest keep their
+historical signature and run in-process.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from repro.experiments import (
     t4_early_termination,
     tail,
 )
-from repro.experiments.common import ExecutorLike, ExperimentResult
+from repro.experiments.common import ExperimentResult
+from repro.sim.batch import Executor
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,17 @@ def run_experiment(
     *,
     scale: str = "paper",
     seed: int = 0,
-    executor: ExecutorLike = None,
-    workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
     kernel: Optional[str] = None,
 ) -> ExperimentResult:
-    """Run one experiment by id, threading the execution backend (and the
-    simulation-kernel selection) through when the experiment supports it
-    (others ignore them and run serially on the default kernel)."""
+    """Run one experiment by id, threading the caller's executor (serial
+    when omitted) and the simulation-kernel selection through when the
+    experiment supports them (others ignore them and run serially on the
+    default kernel)."""
     entry = get_experiment(experiment_id)
     kwargs = {"scale": scale, "seed": seed}
     if entry.batched:
         kwargs["executor"] = executor
-        kwargs["workers"] = workers
     if entry.kernel_aware and kernel is not None:
         kwargs["kernel"] = kernel
     return entry.run(**kwargs)

@@ -7,25 +7,25 @@ a wide margin over ``log`` — and that crashes do not slow the algorithm
 down (Section 5.3).
 
 The whole sweep is two scenario matrices through the batch engine; pass
-``executor="process"`` (or ``--workers`` on the CLI) to spread the trials
-over cores without changing a digit of the output.
+a process :class:`~repro.sim.batch.Executor` (``--workers`` on the CLI)
+to spread the trials over cores without changing a digit of the output.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from repro.analysis.ascii_plot import line_plot
 from repro.analysis.fitting import fit_growth_models
 from repro.analysis.tables import Table
 from repro.experiments.common import (
-    ExecutorLike,
     ExperimentResult,
     round_stats,
     scaled,
     sweep,
 )
-from repro.sim.batch import AdversarySpec
+from repro.sim.batch import AdversarySpec, Executor
 
 EXPERIMENT_ID = "EXP-T2"
 TITLE = "Theorem 2: O(log log n) rounds w.h.p. for Balls-into-Leaves"
@@ -34,8 +34,7 @@ TITLE = "Theorem 2: O(log log n) rounds w.h.p. for Balls-into-Leaves"
 def run(
     scale: str = "paper",
     seed: int = 0,
-    executor: ExecutorLike = None,
-    workers: int = None,
+    executor: Optional[Executor] = None,
     kernel: str = "auto",
 ) -> ExperimentResult:
     """Run the scaling sweep and return tables + fit report.
@@ -64,7 +63,6 @@ def run(
         trials=trials,
         base_seed=seed,
         executor=executor,
-        workers=workers,
         kernel=kernel,
     )
     crash_batch = None
@@ -76,7 +74,6 @@ def run(
             trials=trials,
             base_seed=seed + 1,
             executor=executor,
-            workers=workers,
             kernel=kernel,
         )
 

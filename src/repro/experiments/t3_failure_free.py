@@ -10,14 +10,16 @@ One two-algorithm scenario matrix through the batch engine.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.analysis.tables import Table
 from repro.experiments.common import (
-    ExecutorLike,
     ExperimentResult,
     round_stats,
     scaled,
     sweep,
 )
+from repro.sim.batch import Executor
 
 EXPERIMENT_ID = "EXP-T3"
 TITLE = "Theorem 3: failure-free early termination in O(1) rounds"
@@ -26,8 +28,7 @@ TITLE = "Theorem 3: failure-free early termination in O(1) rounds"
 def run(
     scale: str = "paper",
     seed: int = 0,
-    executor: ExecutorLike = None,
-    workers: int = None,
+    executor: Optional[Executor] = None,
 ) -> ExperimentResult:
     """Sweep n failure-free; early-terminating rounds must be constant."""
     sizes = scaled(scale, [16, 256], [16, 64, 256, 1024, 4096])
@@ -40,7 +41,6 @@ def run(
         trials=trials,
         base_seed=seed,
         executor=executor,
-        workers=workers,
     )
 
     result = ExperimentResult(EXPERIMENT_ID, TITLE, scale)

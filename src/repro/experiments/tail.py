@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import Table
-from repro.experiments.common import ExecutorLike, ExperimentResult, check_scale
+from repro.experiments.common import ExperimentResult, check_scale
 from repro.monitor.splitting import TailConfig, default_levels, run_tail
+from repro.sim.batch import Executor
 
 EXPERIMENT_ID = "EXP-TAIL"
 TITLE = "Round-count tail P(rounds > k*ceil(loglog n)) by importance splitting"
@@ -35,8 +36,7 @@ _GRIDS = {
 def run(
     scale: str = "paper",
     seed: int = 0,
-    executor: ExecutorLike = None,
-    workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
     kernel: Optional[str] = None,
 ) -> ExperimentResult:
     """Estimate the round tail for every cell of the scale's grid."""
@@ -51,7 +51,7 @@ def run(
             kernel=kernel if kernel is not None else "auto",
             growth=growth,
         )
-        tail = run_tail(config, executor=executor, workers=workers)
+        tail = run_tail(config, executor=executor)
         table = Table(
             f"round tail: balls-into-leaves n={n} "
             f"(unit {tail.unit}, {trials} trials/stage)",

@@ -237,13 +237,11 @@ class RunMonitor:
         arrays,
         *,
         halt_on_name: bool = False,
-        stall_window: int = STALL_WINDOW,
     ) -> None:
         self.labels = list(labels)
         self.n = len(self.labels)
         self.arrays = arrays
         self.halt_on_name = halt_on_name
-        self.stall_window = stall_window
         self.violations: List[Violation] = []
         self.deadlocked = False
         self._crash_rounds: Dict[int, int] = {}
@@ -296,7 +294,7 @@ class RunMonitor:
         )
         if running > 0 and fingerprint == self._fingerprint:
             self._streak += 1
-            if self._streak == self.stall_window:
+            if self._streak == STALL_WINDOW:
                 self.deadlocked = True
                 stall = Violation(
                     "progress",

@@ -27,9 +27,9 @@ p^m (e.g. three stages of p ≈ 1e-3 ≈ 1e-9) at cost m·T runs instead of
 
 Everything is deterministic by construction: trial seeds and resampling
 choices all derive from the root seed via :func:`repro.sim.rng.derive_seed`
-scopes, work ships in fixed-size chunks, and each stage maps its chunks
-through the batch engine's order-preserving
-:class:`~repro.sim.batch.Executor` — so serial and multiprocessing
+scopes, work ships in fixed-size chunks, and every stage maps its chunks
+through the caller's order-preserving :class:`~repro.sim.batch.Executor`
+(one pool for the whole ladder) — so serial and multiprocessing
 executions produce byte-identical results (asserted by the estimator
 determinism suite).
 """
@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, KernelUnsupported
-from repro.sim.batch import Executor, executor_scope
+from repro.sim.batch import Executor
 from repro.sim.kernel import auto_kernel, check_kernel_name, kernel_rejection
 from repro.sim.rng import derive_rng, derive_seed
 
@@ -106,7 +106,11 @@ class TailConfig:
 
     def stage_trials(self, stage: int) -> int:
         """Population size of stage ``stage``: trials·growth^stage, capped."""
-        return min(self.max_trials, max(1, round(self.trials * self.growth**stage)))
+        try:
+            population = round(self.trials * self.growth**stage)
+        except OverflowError:  # growth^stage is past any float, so past the cap
+            return self.max_trials
+        return min(self.max_trials, max(1, population))
 
     def resolved_levels(self) -> Tuple[int, ...]:
         levels = self.levels or default_levels(self.n)
@@ -300,18 +304,14 @@ def _chunks(values: Sequence, size: int) -> List[Tuple]:
 
 
 def run_tail(
-    config: TailConfig,
-    *,
-    executor: Union[None, str, Executor] = None,
-    workers: Optional[int] = None,
+    config: TailConfig, *, executor: Optional[Executor] = None
 ) -> TailResult:
     """Estimate P(rounds > L) for every level L of ``config``.
 
-    ``executor`` and ``workers`` resolve exactly as for
-    :func:`repro.sim.batch.run_batch`: every stage maps through one
-    executor, closed on return if it was built here from a name and left
-    open if it was passed in.  The result is byte-identical across
-    executors and kernels.
+    Every stage maps its chunks through ``executor`` (serial when
+    omitted), which the caller owns, so a process executor's one pool
+    serves all stages.  The result is byte-identical across executors
+    and kernels.
 
     ``auto`` picks each stage's engine by the one rule of
     :func:`~repro.sim.kernel.auto_kernel` over the stage's population:
@@ -338,8 +338,12 @@ def run_tail(
         raise ConfigurationError(f"trials must be >= 1, got {config.trials}")
     if config.chunk < 1:
         raise ConfigurationError(f"chunk must be >= 1, got {config.chunk}")
-    if config.growth < 1.0:
-        raise ConfigurationError(f"growth must be >= 1.0, got {config.growth}")
+    if not (math.isfinite(config.growth) and config.growth >= 1.0):
+        # NaN compares false both ways, and an infinite growth overflows
+        # the second stage's population, so both are refused up front.
+        raise ConfigurationError(
+            f"growth must be a finite number >= 1.0, got {config.growth}"
+        )
     if config.max_trials < config.trials:
         raise ConfigurationError(
             f"max_trials ({config.max_trials}) must be >= trials "
@@ -356,64 +360,64 @@ def run_tail(
         reason = kernel_rejection(config.kernel, **fields)
         if reason is not None:
             raise KernelUnsupported(config.kernel, reason)
-    with executor_scope(executor, workers=workers) as backend:
-        levels = config.resolved_levels()
-        unit = loglog_unit(config.n)
-        stages: List[StageResult] = []
-        checkpoints: List[dict] = []
-        start_round = 0
-        for stage, level in enumerate(levels):
-            stage_trials = config.stage_trials(stage)
-            kernel = (
-                auto_kernel(stage_trials, config.n, **fields)
-                if config.kernel == "auto"
-                else config.kernel
-            )
-            seeds = tuple(
-                derive_seed(config.seed, "tail", stage, i)
+    backend = Executor() if executor is None else executor
+    levels = config.resolved_levels()
+    unit = loglog_unit(config.n)
+    stages: List[StageResult] = []
+    checkpoints: List[dict] = []
+    start_round = 0
+    for stage, level in enumerate(levels):
+        stage_trials = config.stage_trials(stage)
+        kernel = (
+            auto_kernel(stage_trials, config.n, **fields)
+            if config.kernel == "auto"
+            else config.kernel
+        )
+        seeds = tuple(
+            derive_seed(config.seed, "tail", stage, i)
+            for i in range(stage_trials)
+        )
+        if stage == 0:
+            states: Optional[Tuple[dict, ...]] = None
+        else:
+            if not checkpoints:
+                break  # extinct: every deeper level keeps estimate 0.0
+            resample = derive_rng(config.seed, "tail", "resample", stage)
+            states = tuple(
+                checkpoints[resample.randrange(len(checkpoints))]
                 for i in range(stage_trials)
             )
-            if stage == 0:
-                states: Optional[Tuple[dict, ...]] = None
-            else:
-                if not checkpoints:
-                    break  # extinct: every deeper level keeps estimate 0.0
-                resample = derive_rng(config.seed, "tail", "resample", stage)
-                states = tuple(
-                    checkpoints[resample.randrange(len(checkpoints))]
-                    for i in range(stage_trials)
-                )
-            tasks = []
-            seed_chunks = _chunks(seeds, config.chunk)
-            state_chunks = (
-                _chunks(states, config.chunk) if states is not None else None
-            )
-            for c, seed_chunk in enumerate(seed_chunks):
-                tasks.append(
-                    (
-                        policy,
-                        config.n,
-                        config.halt_on_name,
-                        kernel,
-                        start_round,
-                        level,
-                        seed_chunk,
-                        state_chunks[c] if state_chunks is not None else None,
-                    )
-                )
-            outcomes = backend.map(_run_tail_chunk, tasks)
-            checkpoints = [
-                state for chunk in outcomes for survived, state in chunk if survived
-            ]
-            stages.append(
-                StageResult(
-                    stage=stage,
-                    level=level,
-                    trials=stage_trials,
-                    survivors=len(checkpoints),
+        tasks = []
+        seed_chunks = _chunks(seeds, config.chunk)
+        state_chunks = (
+            _chunks(states, config.chunk) if states is not None else None
+        )
+        for c, seed_chunk in enumerate(seed_chunks):
+            tasks.append(
+                (
+                    policy,
+                    config.n,
+                    config.halt_on_name,
+                    kernel,
+                    start_round,
+                    level,
+                    seed_chunk,
+                    state_chunks[c] if state_chunks is not None else None,
                 )
             )
-            start_round = level
+        outcomes = backend.map(_run_tail_chunk, tasks)
+        checkpoints = [
+            state for chunk in outcomes for survived, state in chunk if survived
+        ]
+        stages.append(
+            StageResult(
+                stage=stage,
+                level=level,
+                trials=stage_trials,
+                survivors=len(checkpoints),
+            )
+        )
+        start_round = level
     return TailResult(
         config=config, unit=unit, levels=levels, stages=tuple(stages)
     )

@@ -32,15 +32,14 @@ class StackedMonitor:
     trial flagged by any screen drops to the scalar
     :func:`evaluate_round` for that round, so the violation strings are
     identical to the scalar monitors'.  A trial whose state freezes for
-    ``stall_window`` rounds is reported and stopped (``engine.stopped``),
+    :data:`STALL_WINDOW` rounds is reported and stopped (``engine.stopped``),
     where the scalar kernels raise :class:`MonitorViolation`.
     """
 
-    def __init__(self, engine, *, stall_window: int = STALL_WINDOW) -> None:
+    def __init__(self, engine) -> None:
         self.labels = engine.labels
         self.n = engine.n
         self.trials = engine.trials
-        self.stall_window = stall_window
         from repro.tree.topology import cached_topology
 
         self.arrays = cached_topology(self.n).arrays()
@@ -149,7 +148,7 @@ class StackedMonitor:
                     p_pos, p_stat, p_trial, t
                 )
             self._streak = np.where(same, self._streak + 1, 0)
-            firing = (self._streak == self.stall_window) & ~self.stalled
+            firing = (self._streak == STALL_WINDOW) & ~self.stalled
         self._prev = (
             dec_t.copy(), crashed_t.copy(), running_t, pos, stat, row_trial,
             rows_of, row_at,
@@ -184,7 +183,7 @@ class StackedMonitor:
                     Violation(
                         "progress",
                         round_no,
-                        f"no state change for {self.stall_window} rounds "
+                        f"no state change for {STALL_WINDOW} rounds "
                         f"with {int(running_t[t])} ball(s) running",
                     )
                 )

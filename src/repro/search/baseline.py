@@ -15,7 +15,7 @@ from repro.analysis.worst_case import WorstCaseEntry
 from repro.errors import ConfigurationError
 from repro.search.objectives import as_objective
 from repro.search.strategies import Evaluation, HuntConfig
-from repro.sim.batch import AdversarySpec, TrialSpec, run_batch
+from repro.sim.batch import AdversarySpec, Executor, run_batch
 from repro.sim.rng import derive_seed
 
 #: The hand-written strategies every synthesis run is measured against —
@@ -74,43 +74,30 @@ def gauntlet_for(config: HuntConfig) -> Tuple[AdversarySpec, ...]:
 
 
 def evaluate_bundled(
-    config: HuntConfig,
-    *,
-    trials: int = 5,
-    executor=None,
-    workers: Optional[int] = None,
-    gauntlet: Optional[Tuple[AdversarySpec, ...]] = None,
+    config: HuntConfig, *, trials: int = 5, executor: Optional[Executor] = None
 ) -> List[WorstCaseEntry]:
     """Score each bundled adversary's worst trial on the hunt's cell.
 
-    Each adversary runs ``trials`` seeds derived from the hunt's base
-    seed (independent of the search's own streams), through the same
-    batch engine and with the same capture semantics the hunt uses.
-    ``gauntlet`` defaults to the lineup matching the hunt's fault family
-    (:func:`gauntlet_for`).
+    Each adversary of the lineup matching the hunt's fault family
+    (:func:`gauntlet_for`) runs ``trials`` seeds derived from the hunt's
+    base seed (independent of the search's own streams), as the same
+    :meth:`~repro.search.strategies.HuntConfig.trial_spec` trials the
+    hunt scores, on ``executor`` (serial when omitted).
     """
     if trials < 1:
         raise ConfigurationError(f"the baseline needs >= 1 trial, got {trials}")
-    lineup = gauntlet_for(config) if gauntlet is None else gauntlet
+    lineup = gauntlet_for(config)
     objective = as_objective(config.objective)
     # One dispatch for the whole gauntlet: all specs are independent, so
     # one map spreads them over every worker instead of seven small maps.
     specs = [
-        TrialSpec(
-            algorithm=config.algorithm,
-            n=config.n,
-            seed=derive_seed(config.seed, "hunt-baseline", adversary.key, t),
-            adversary=adversary,
-            halt_on_name=config.halt_on_name,
-            crash_budget=config.crash_budget,
-            check=False,
-            kernel=config.kernel,
-            capture_errors=True,
+        config.trial_spec(
+            adversary, derive_seed(config.seed, "hunt-baseline", adversary.key, t)
         )
         for adversary in lineup
         for t in range(trials)
     ]
-    all_results = run_batch(specs, executor=executor, workers=workers).trials
+    all_results = run_batch(specs, executor=executor).trials
     entries = []
     for i, adversary in enumerate(lineup):
         results = all_results[i * trials : (i + 1) * trials]

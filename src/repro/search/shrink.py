@@ -27,23 +27,7 @@ from repro.errors import SimulationError
 from repro.search.objectives import as_objective
 from repro.search.schedule import CrashEvent, Schedule
 from repro.search.strategies import HuntConfig
-from repro.sim.batch import TrialResult, TrialSpec, run_trial
-
-
-def _spec(
-    schedule: Schedule, config: HuntConfig, seed: int, kernel: str
-) -> TrialSpec:
-    return TrialSpec(
-        algorithm=config.algorithm,
-        n=config.n,
-        seed=seed,
-        adversary=schedule.spec(),
-        halt_on_name=config.halt_on_name,
-        crash_budget=config.crash_budget,
-        check=False,
-        kernel=kernel,
-        capture_errors=True,
-    )
+from repro.sim.batch import TrialResult, run_trial
 
 
 def replay(
@@ -53,8 +37,12 @@ def replay(
     *,
     kernel: str = "auto",
 ) -> TrialResult:
-    """Re-execute one (schedule, seed) pair exactly as the hunt ran it."""
-    return run_trial(_spec(schedule, config, seed, kernel))
+    """Re-execute one (schedule, seed) pair as the hunt ran it, with the
+    monitor off: ``monitor="full"`` pins the reference engine, so
+    :func:`replay_identical` could not certify the columnar one."""
+    return run_trial(
+        config.trial_spec(schedule.spec(), seed, kernel=kernel, monitor="off")
+    )
 
 
 def replay_identical(

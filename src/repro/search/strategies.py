@@ -12,15 +12,14 @@ Three strategies share one :class:`Evaluator`:
 Candidate schedules are scored in *batches*: the evaluator turns each
 generation into :class:`~repro.sim.batch.TrialSpec` rows (with
 ``capture_errors=True`` so a mined deadlock is data, not an abort) and
-dispatches them through :func:`repro.sim.batch.run_batch` — searches
-parallelize across the same executors as every experiment sweep and
-reuse kernel auto-selection.  Every built-in strategy emits *same-cell*
+dispatches them through :func:`repro.sim.batch.run_batch` on the
+caller's executor — searches parallelize like every experiment sweep
+and reuse kernel auto-selection.  Every strategy emits *same-cell*
 generations (one ``(algorithm, n, ...)`` shape, one schedule adversary
-per candidate), which it advertises via
-:attr:`SearchStrategy.same_cell_batches`; the evaluator forwards that
-hint as ``run_batch(..., mixed_cells=True)`` so a whole generation
-stacks onto the vectorized crash engine as one pass — bit-identical
-scores, so hunt histories don't change, just their wall-clock.
+per candidate), so the evaluator always asks for
+``run_batch(..., mixed_cells=True)`` and a whole generation stacks onto
+the vectorized crash engine as one pass — bit-identical scores, so hunt
+histories don't change, just their wall-clock.
 
 Everything is deterministic in ``HuntConfig.seed``: strategy randomness
 flows from a derived RNG, each candidate's trial seeds derive from the
@@ -40,10 +39,10 @@ from repro.errors import ConfigurationError
 from repro.search.objectives import Objective, as_objective
 from repro.search.schedule import CrashEvent, Schedule
 from repro.sim.batch import (
+    AdversarySpec,
     Executor,
     TrialResult,
     TrialSpec,
-    executor_scope,
     run_batch,
 )
 from repro.sim.kernel import check_monitor_mode
@@ -151,6 +150,36 @@ class HuntConfig:
         depth = max(1, math.ceil(math.log2(self.n)))
         return 2 * depth + 6
 
+    def trial_spec(
+        self,
+        adversary: AdversarySpec,
+        seed: int,
+        *,
+        kernel: Optional[str] = None,
+        monitor: Optional[str] = None,
+        trace: str = "off",
+    ) -> TrialSpec:
+        """One trial of this hunt's cell under ``adversary``: violations
+        are scored, not raised, and a failing run is captured as data.
+
+        Candidates, the bundled baseline and the scenario replay run on
+        the hunt's ``kernel`` and ``monitor``; shrinking and kernel
+        certification pin their own.
+        """
+        return TrialSpec(
+            algorithm=self.algorithm,
+            n=self.n,
+            seed=seed,
+            adversary=adversary,
+            halt_on_name=self.halt_on_name,
+            crash_budget=self.crash_budget,
+            check=False,
+            kernel=self.kernel if kernel is None else kernel,
+            capture_errors=True,
+            monitor=self.monitor if monitor is None else monitor,
+            trace=trace,
+        )
+
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -198,18 +227,11 @@ class Evaluator:
     """
 
     def __init__(
-        self,
-        config: HuntConfig,
-        *,
-        executor: Optional[Executor] = None,
-        mixed_cells: bool = False,
+        self, config: HuntConfig, *, executor: Optional[Executor] = None
     ) -> None:
         self.config = config
         self.objective: Objective = as_objective(config.objective)
         self._backend = executor if executor is not None else Executor()
-        #: Stack same-cell generations with per-candidate adversaries
-        #: (set from the strategy's batching hint by :func:`run_hunt`).
-        self.mixed_cells = mixed_cells
         self.history: List[Evaluation] = []
         self.trials_used = 0
 
@@ -224,35 +246,23 @@ class Evaluator:
         return self.trials_remaining < self.config.seeds_per_schedule
 
     # ------------------------------------------------------------- evaluation
-    def _spec(self, schedule: Schedule, trial: int) -> TrialSpec:
-        config = self.config
-        return TrialSpec(
-            algorithm=config.algorithm,
-            n=config.n,
-            seed=derive_seed(config.seed, "hunt", schedule.digest, trial),
-            adversary=schedule.spec(),
-            halt_on_name=config.halt_on_name,
-            crash_budget=config.crash_budget,
-            check=False,  # violations are scored, not raised
-            kernel=config.kernel,
-            capture_errors=True,
-            monitor=config.monitor,
-        )
-
     def evaluate(self, schedules: Sequence[Schedule]) -> List[Evaluation]:
         """Score candidates (in order), truncated to the budget."""
         per = self.config.seeds_per_schedule
         schedules = list(schedules)[: self.trials_remaining // per]
         if not schedules:
             return []
+        config = self.config
         specs = [
-            self._spec(schedule, trial)
+            config.trial_spec(
+                schedule.spec(),
+                derive_seed(config.seed, "hunt", schedule.digest, trial),
+            )
             for schedule in schedules
             for trial in range(per)
         ]
-        batch = run_batch(
-            specs, executor=self._backend, mixed_cells=self.mixed_cells
-        )
+        # Generations share one cell shape: stack them across candidates.
+        batch = run_batch(specs, executor=self._backend, mixed_cells=True)
         evaluations = []
         for i, schedule in enumerate(schedules):
             results = tuple(batch.trials[i * per : (i + 1) * per])
@@ -389,11 +399,6 @@ class SearchStrategy(ABC):
     #: Candidates scored per batch dispatch — one executor round-trip,
     #: so searches parallelize across workers in generation-sized waves.
     batch_size: int = 16
-    #: Batching hint: True when every generation shares one cell shape
-    #: (only seeds and schedule adversaries differ), letting the
-    #: evaluator stack whole generations on the vectorized crash engine.
-    #: A custom strategy mixing cell shapes in one batch must clear it.
-    same_cell_batches: bool = True
 
     def rng_for(self, config: HuntConfig):
         """The strategy's private randomness (independent of trials')."""
@@ -568,21 +573,18 @@ def run_hunt(
     config: HuntConfig,
     strategy="random",
     *,
-    executor=None,
-    workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
 ) -> HuntResult:
     """Search one cell for worst-case schedules.  The main search API.
 
-    ``executor`` and ``workers`` resolve as for
-    :func:`repro.sim.batch.run_batch`: every generation maps through one
-    executor, closed on return if it was built here from a name.
+    Every generation maps through ``executor`` (serial when omitted),
+    which the caller owns, so a process executor's one pool serves the
+    whole search.
     """
     search = as_strategy(strategy)
-    with executor_scope(executor, workers=workers) as backend:
-        evaluator = Evaluator(
-            config, executor=backend, mixed_cells=search.same_cell_batches
-        )
-        search.run(evaluator)
+    backend = Executor() if executor is None else executor
+    evaluator = Evaluator(config, executor=backend)
+    search.run(evaluator)
     return HuntResult(
         config=config,
         strategy=search.name,

@@ -11,8 +11,11 @@ makes those sweeps first-class:
 * :class:`Executor` — the one place work meets worker processes: an
   order-preserving ``map``, in-process or across one process pool that
   lives as long as the executor (its workers' caches with it), so
-  results are independent of the backend (the splitting estimator in
-  :mod:`repro.monitor.splitting` maps its chunks through it too);
+  results are independent of the backend.  Library entry points
+  (:func:`run_batch`, the splitting estimator, hunts, experiments) take
+  the caller's executor, serial when omitted, and never build or close
+  one; :func:`as_executor` is the CLI's translation of ``--executor`` /
+  ``--workers`` into the one executor a command owns;
 * :class:`BatchResult` — the aggregated outcome, grouped into per-cell
   round/failure/message statistics ready for :mod:`repro.analysis.tables`.
 
@@ -38,7 +41,6 @@ its ``auto`` kernel selection.
 from __future__ import annotations
 
 import ast
-import contextlib
 import hashlib
 import itertools
 import operator
@@ -50,7 +52,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -837,39 +838,22 @@ class Executor:
         self.close()
 
 
-def as_executor(
-    value: Union[None, str, Executor], *, workers: Optional[int] = None
-) -> Executor:
-    """Coerce a name / None / executor to an :class:`Executor`.
+def as_executor(name: Optional[str], *, workers: Optional[int] = None) -> Executor:
+    """The executor a command's ``--executor`` / ``--workers`` ask for.
 
-    None means serial, or process when ``workers > 1``; "process"
-    without ``workers`` uses one worker per CPU.
+    No name means serial, or process when ``workers > 1``; "process"
+    without ``workers`` uses one worker per CPU.  The caller owns the
+    result and closes it (a ``with`` block).
     """
     if workers is not None and workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if isinstance(value, Executor):
-        return value
-    if value is None:
-        value = "process" if workers is not None and workers > 1 else "serial"
-    if value == "serial":
+    if name is None:
+        name = "process" if workers is not None and workers > 1 else "serial"
+    if name == "serial":
         return Executor()
-    if value == "process":
+    if name == "process":
         return Executor("process", workers or os.cpu_count() or 1)
-    raise ConfigurationError(f"unknown executor {value!r}; choose from {EXECUTORS}")
-
-
-@contextlib.contextmanager
-def executor_scope(
-    value: Union[None, str, Executor], *, workers: Optional[int] = None
-) -> Iterator[Executor]:
-    """:func:`as_executor` for one call: an executor built here from a
-    name is closed on exit; one passed in is used and left open."""
-    backend = as_executor(value, workers=workers)
-    if backend is value:
-        yield backend
-    else:
-        with backend:
-            yield backend
+    raise ConfigurationError(f"unknown executor {name!r}; choose from {EXECUTORS}")
 
 
 # -------------------------------------------------------------- scenario matrix
@@ -1078,29 +1062,26 @@ class BatchResult:
 def run_batch(
     source: Union[ScenarioMatrix, Sequence[TrialSpec]],
     *,
-    executor: Union[None, str, Executor] = None,
-    workers: Optional[int] = None,
+    executor: Optional[Executor] = None,
     mixed_cells: bool = False,
 ) -> BatchResult:
     """Expand (if needed) and execute a batch of trials.
 
-    ``executor`` may be an :class:`Executor` (used, and left open for
-    the caller's next call), a name from :data:`EXECUTORS`, or None
-    (serial; or process when ``workers > 1``) — a name builds an
-    executor that is closed before this returns.
+    Every task maps through ``executor`` (serial when omitted), which
+    the caller owns: its pool, if one starts, outlives this call.
     Eligible cells — failure-free and certified-crash alike, from the
     stream floor up — run trial-stacked on the vectorized engine (one
     call per cell, split across workers); results are bit-identical
     either way, so backends and kernels interchange freely.
     ``mixed_cells`` extends stacking to groups whose trials carry
-    per-trial adversary specs (hunt batches).
+    per-trial adversary specs (hunt generations).
     """
     specs = source.expand() if isinstance(source, ScenarioMatrix) else list(source)
-    with executor_scope(executor, workers=workers) as backend:
-        # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
-        started = time.perf_counter()
-        tasks = plan_tasks(specs, parts=backend.workers, mixed=mixed_cells)
-        results = [result for chunk in backend.map(_run_task, tasks) for result in chunk]
-        # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
-        elapsed = time.perf_counter() - started
+    backend = Executor() if executor is None else executor
+    # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
+    started = time.perf_counter()
+    tasks = plan_tasks(specs, parts=backend.workers, mixed=mixed_cells)
+    results = [result for chunk in backend.map(_run_task, tasks) for result in chunk]
+    # repro: lint-ok[D102] wall-clock telemetry (BatchResult.elapsed), never a result row
+    elapsed = time.perf_counter() - started
     return BatchResult(trials=results, executor=backend.name, elapsed=elapsed)

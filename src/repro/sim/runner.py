@@ -112,7 +112,7 @@ def run_renaming(
     check: bool = True,
     check_invariants: bool = False,
     collect_phase_stats: bool = False,
-    trace: Optional[Any] = None,
+    trace: str = "off",
     max_rounds: Optional[int] = None,
     kernel: str = "auto",
     monitor: str = "off",
@@ -145,14 +145,12 @@ def run_renaming(
         (BiL-based algorithms only; keeps the run on the reference
         kernel).
     trace:
-        Event capture: ``None``/``"off"`` (default, records nothing),
+        Event capture: ``"off"`` (default, records nothing),
         ``"cheap"`` (per-round deltas appended from the fast kernels'
         flat arrays — crash/omit/name/halt events plus the round
         aggregates; available on every kernel), or ``"full"`` (the
         reference engine's message-level instrumentation; pins the
-        reference kernel).  A pre-built :class:`~repro.sim.trace.Trace`
-        instance is the legacy spelling of ``"full"`` recording into
-        that sink.  The recorded trace is returned as
+        reference kernel).  The recorded trace is returned as
         ``RenamingRun.trace``.
     kernel:
         ``"auto"`` (default) runs the columnar fast path whenever it
@@ -190,15 +188,8 @@ def run_renaming(
         # reference engine; now it routes to the cheap columnar monitors
         # (pin monitor="full" to keep the faithful reference audit).
         monitor = "cheap"
-    if trace is None:
-        trace_mode, trace_sink = "off", None
-    elif isinstance(trace, Trace):
-        # Legacy spelling: a caller-owned sink implies the reference
-        # engine's full message-level instrumentation.
-        trace_mode, trace_sink = "full", trace
-    else:
-        trace_mode = check_trace_mode(trace)
-        trace_sink = Trace() if trace_mode != "off" else None
+    trace_mode = check_trace_mode(trace)
+    trace_sink = Trace() if trace_mode != "off" else None
     budget = n - 1 if crash_budget is None else crash_budget
     workload = WORKLOADS[algorithm]
     policy = workload.policy

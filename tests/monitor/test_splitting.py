@@ -24,6 +24,7 @@ from repro.monitor.splitting import (
     loglog_unit,
     run_tail,
 )
+from repro.sim.batch import Executor
 from repro.sim.kernel import MIN_STREAMS
 
 
@@ -70,6 +71,9 @@ class TestLevels:
         ]
         flat = TailConfig(n=16, trials=64)
         assert [flat.stage_trials(s) for s in range(3)] == [64, 64, 64]
+        # A growth whose powers overflow a float still meets the cap.
+        steep = TailConfig(n=16, trials=100, growth=1e200, max_trials=1000)
+        assert [steep.stage_trials(s) for s in range(3)] == [100, 1000, 1000]
 
 
 class TestConfigValidation:
@@ -86,12 +90,11 @@ class TestConfigValidation:
             run_tail(TailConfig(n=16, kernel="reference"))
 
     def test_growth_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_tail(TailConfig(n=16, growth=0.5))
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_tail(TailConfig(n=16), executor="threads")
+        # NaN and infinity are no growth factor either: both used to pass
+        # the check and fail inside the second stage's population size.
+        for growth in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite number >= 1.0"):
+                run_tail(TailConfig(n=16, growth=growth))
 
 
 SMALL = dict(n=16, trials=32, levels=(3, 5, 7), chunk=8, growth=2.0)
@@ -105,13 +108,15 @@ class TestDeterminism:
 
     def test_serial_equals_process_pool(self, pool_starts):
         config = TailConfig(seed=4, **SMALL)
-        serial = run_tail(config, executor="serial")
-        pooled = run_tail(config, executor="process", workers=2)
+        serial = run_tail(config)
+        with Executor("process", 2) as executor:
+            pooled = run_tail(config, executor=executor)
+            # Every stage maps through the caller's one pool, left open.
+            assert len(pool_starts) == 1
+            assert pool_starts[0].map(abs, [-1]) == [1]
         assert serial.stages == pooled.stages
         assert rows_json(serial) == rows_json(pooled)
-        # Every stage maps through one pool, ended before run_tail returns.
         assert len(pooled.stages) == 3
-        assert len(pool_starts) == 1
         with pytest.raises(ValueError, match="not running"):
             pool_starts[0].map(abs, [1])
 
@@ -139,8 +144,9 @@ class TestDeterminism:
         config = TailConfig(
             seed=seed, n=16, trials=16, levels=(3, 5), chunk=4
         )
-        serial = run_tail(config, executor="serial")
-        pooled = run_tail(config, executor="process", workers=2)
+        serial = run_tail(config)
+        with Executor("process", 2) as executor:
+            pooled = run_tail(config, executor=executor)
         assert rows_json(serial) == rows_json(pooled)
 
 
@@ -378,8 +384,9 @@ class TestExperimentRegistration:
     def test_smoke_scale_is_deterministic_across_executors(self):
         from repro.experiments import tail
 
-        serial = tail.run(scale="smoke", seed=2, executor="serial")
-        pooled = tail.run(scale="smoke", seed=2, executor="process", workers=2)
+        serial = tail.run(scale="smoke", seed=2)
+        with Executor("process", 2) as executor:
+            pooled = tail.run(scale="smoke", seed=2, executor=executor)
         assert [t.render() for t in serial.tables] == [
             t.render() for t in pooled.tables
         ]
@@ -387,10 +394,9 @@ class TestExperimentRegistration:
 
     def test_executor_objects_reach_the_pool(self, pool_starts):
         from repro.experiments import tail
-        from repro.sim.batch import as_executor
 
-        serial = tail.run(scale="smoke", executor="serial")
-        with as_executor("process", workers=2) as executor:
+        serial = tail.run(scale="smoke")
+        with Executor("process", 2) as executor:
             pooled = tail.run(scale="smoke", executor=executor)
         # Every cell's stages share the one pool of the executor passed in.
         assert len(pool_starts) == 1

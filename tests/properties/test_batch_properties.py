@@ -18,6 +18,7 @@ from repro.experiments.common import round_stats
 from repro.ids import sparse_ids
 from repro.sim.batch import (
     AdversarySpec,
+    Executor,
     ScenarioMatrix,
     run_batch,
 )
@@ -40,8 +41,9 @@ class TestSerialEqualsMultiprocessing:
             trials=3,
             base_seed=11,
         )
-        serial = run_batch(matrix, executor="serial")
-        parallel = run_batch(matrix, executor="process", workers=4)
+        serial = run_batch(matrix)
+        with Executor("process", 4) as executor:
+            parallel = run_batch(matrix, executor=executor)
         assert serial.trials == parallel.trials  # every scalar, every name
         assert list(serial.cells()) == list(parallel.cells())
         for key, cell in serial.cells().items():
@@ -56,8 +58,9 @@ class TestSerialEqualsMultiprocessing:
             trials=10,
             base_seed=2,
         )
-        serial = run_batch(matrix, executor="serial")
-        parallel = run_batch(matrix, executor="process", workers=4)
+        serial = run_batch(matrix)
+        with Executor("process", 4) as executor:
+            parallel = run_batch(matrix, executor=executor)
         assert serial.trials == parallel.trials
 
 
@@ -119,14 +122,16 @@ class TestByteIdenticalWithLegacySerialPath:
     def test_small_sweep_byte_identical(self):
         legacy = self._legacy_table(16, 10, base_seed=3)
         assert self._engine_table(16, 10, base_seed=3) == legacy
-        assert self._engine_table(16, 10, base_seed=3, executor="process", workers=2) == legacy
+        with Executor("process", 2) as executor:
+            assert self._engine_table(16, 10, base_seed=3, executor=executor) == legacy
 
     @pytest.mark.tier2
     def test_paper_scale_sweep_byte_identical(self):
         """64 processes, 100 seeds: serial path == engine, any backend."""
         legacy = self._legacy_table(64, 100, base_seed=0)
         assert self._engine_table(64, 100, base_seed=0) == legacy
-        assert self._engine_table(64, 100, base_seed=0, executor="process", workers=4) == legacy
+        with Executor("process", 4) as executor:
+            assert self._engine_table(64, 100, base_seed=0, executor=executor) == legacy
 
 
 class TestMatrixProperties:

@@ -18,6 +18,7 @@ from repro.search.strategies import (
     random_schedule,
     run_hunt,
 )
+from repro.sim.batch import Executor
 from repro.sim.rng import derive_rng
 
 TINY = dict(algorithm="balls-into-leaves", n=8, objective="rounds")
@@ -125,7 +126,8 @@ class TestStrategies:
         jsonl rows on the serial and multiprocessing executors."""
         config = HuntConfig(budget=12, seed=7, **TINY)
         serial = run_hunt(config, strategy)
-        process = run_hunt(config, strategy, executor="process", workers=2)
+        with Executor("process", 2) as executor:
+            process = run_hunt(config, strategy, executor=executor)
         assert json.dumps(serial.rows()) == json.dumps(process.rows())
 
     def test_best_and_top_are_consistent(self, strategy):

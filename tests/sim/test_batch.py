@@ -5,6 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.registry import run_experiment
+from repro.monitor.splitting import TailConfig, run_tail
+from repro.search.baseline import evaluate_bundled
+from repro.search.strategies import HuntConfig, run_hunt
 from repro.sim.batch import (
     AdversarySpec,
     CellKey,
@@ -109,6 +113,23 @@ class TestRunTrial:
         assert run_trial(spec) == run_trial(spec)
 
 
+#: Each library entry point that maps through an executor, called with
+#: none: it runs serially and leaves pool ownership to its caller.
+WITHOUT_AN_EXECUTOR = {
+    "run_batch": lambda: run_batch(
+        ScenarioMatrix.build(["flood"], [4], trials=4)
+    ),
+    "run_tail": lambda: run_tail(
+        TailConfig(n=16, trials=8, levels=(3, 5), chunk=2)
+    ),
+    "run_hunt": lambda: run_hunt(HuntConfig(n=8, budget=4, seed=1)),
+    "evaluate_bundled": lambda: evaluate_bundled(
+        HuntConfig(n=8, budget=4, seed=1), trials=1
+    ),
+    "run_experiment": lambda: run_experiment("EXP-T3", scale="smoke"),
+}
+
+
 class TestExecutors:
     def test_as_executor_coercions(self):
         assert as_executor(None) == Executor("serial", 1)
@@ -116,14 +137,12 @@ class TestExecutors:
         assert as_executor("serial", workers=4) == Executor("serial", 1)
         assert as_executor(None, workers=4) == Executor("process", 4)
         assert as_executor("process", workers=1) == Executor("process", 1)
-        custom = Executor("process", 3)
-        assert as_executor(custom) is custom
         with pytest.raises(ConfigurationError, match="unknown executor"):
             as_executor("gpu")
 
     def test_worker_default_and_validation(self):
         assert as_executor("process").workers >= 1
-        for name in (None, "serial", "process", Executor()):
+        for name in (None, "serial", "process"):
             for workers in (0, -3):
                 with pytest.raises(ConfigurationError, match="workers must be >= 1"):
                     as_executor(name, workers=workers)
@@ -161,12 +180,12 @@ class TestExecutors:
             pool_starts[0].map(abs, [1])
         executor.close()  # closing twice is safe
 
-    def test_an_executor_built_from_a_name_is_closed_on_return(self, pool_starts):
-        matrix = ScenarioMatrix.build(["flood"], [4], trials=4)
-        run_batch(matrix, executor="process", workers=2)
-        assert len(pool_starts) == 1
-        with pytest.raises(ValueError, match="not running"):
-            pool_starts[0].map(abs, [1])
+    @pytest.mark.parametrize("entry", sorted(WITHOUT_AN_EXECUTOR))
+    def test_an_entry_point_given_no_executor_starts_no_pool(
+        self, entry, pool_starts
+    ):
+        WITHOUT_AN_EXECUTOR[entry]()
+        assert pool_starts == []
 
     def test_single_worker_falls_back_to_serial(self, monkeypatch):
         import multiprocessing

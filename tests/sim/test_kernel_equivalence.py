@@ -35,7 +35,6 @@ from repro.sim.kernel import (
     select_kernel,
 )
 from repro.sim.runner import ALGORITHMS, run_renaming
-from repro.sim.trace import Trace
 
 ADVERSARY_FACTORIES = {
     "none": lambda seed: None,
@@ -130,10 +129,10 @@ class TestRejectedCells:
     def test_trace_rejected_explicitly(self):
         with pytest.raises(KernelUnsupported):
             run_renaming(
-                "balls-into-leaves", sparse_ids(8), trace=Trace(), kernel="columnar"
+                "balls-into-leaves", sparse_ids(8), trace="full", kernel="columnar"
             )
         run = run_renaming(
-            "balls-into-leaves", sparse_ids(8), trace=Trace(), kernel="auto"
+            "balls-into-leaves", sparse_ids(8), trace="full", kernel="auto"
         )
         assert run.kernel == "reference"
 

@@ -23,7 +23,6 @@ from repro.sim.batch import TrialSpec, run_trial
 from repro.sim.runner import run_renaming
 from repro.sim.trace import (
     TRACE_MODES,
-    Trace,
     check_trace_mode,
     read_trace,
     shared_events,
@@ -126,16 +125,6 @@ class TestModeSelection:
         with pytest.raises(ConfigurationError, match="unknown trace mode"):
             run_renaming("balls-into-leaves", sparse_ids(4), trace="verbose")
 
-    def test_legacy_sink_pins_reference_full(self):
-        sink = Trace()
-        run = run_renaming(
-            "balls-into-leaves", sparse_ids(8), seed=1, trace=sink
-        )
-        assert run.trace is sink
-        assert run.trace_mode == "full"
-        assert run.kernel == "reference"
-        assert len(sink)
-
     def test_full_mode_falls_back_to_reference_under_auto(self):
         run = run_renaming(
             "balls-into-leaves", sparse_ids(8), seed=1, trace="full"
@@ -209,14 +198,15 @@ class TestLazyStackedTrace:
         assert len(run.trace) == len(run.trace.events())
 
     def test_process_executor_rows_carry_equal_traces(self):
-        from repro.sim.batch import ScenarioMatrix, run_batch
+        from repro.sim.batch import Executor, ScenarioMatrix, run_batch
 
         matrix = ScenarioMatrix.build(
             ["balls-into-leaves"], [16], ("none",),
             trials=3, base_seed=1, kernel="vectorized", trace="cheap",
         )
-        serial = run_batch(matrix, executor="serial")
-        process = run_batch(matrix, executor="process", workers=2)
+        serial = run_batch(matrix)
+        with Executor("process", 2) as executor:
+            process = run_batch(matrix, executor=executor)
         serial_traces = [t.trace for t in serial.trials]
         assert all(trace is not None for trace in serial_traces)
         assert serial_traces == [t.trace for t in process.trials]

@@ -26,6 +26,7 @@ from repro.errors import KernelUnsupported
 from repro.ids import sparse_ids
 from repro.sim import batch
 from repro.sim.batch import (
+    Executor,
     ScenarioMatrix,
     TrialSpec,
     plan_tasks,
@@ -34,7 +35,6 @@ from repro.sim.batch import (
     run_trial,
 )
 from repro.sim.runner import run_renaming
-from repro.sim.trace import Trace
 from repro.sim.vectorized import vectorized_available
 
 needs_numpy = pytest.mark.skipif(
@@ -135,8 +135,9 @@ class TestStackedCellEquivalence:
             ["balls-into-leaves"], [16], trials=8, base_seed=1,
             kernel="vectorized",
         )
-        serial = run_batch(matrix, executor="serial")
-        process = run_batch(matrix, executor="process", workers=2)
+        serial = run_batch(matrix)
+        with Executor("process", 2) as executor:
+            process = run_batch(matrix, executor=executor)
         assert serial.trials == process.trials
         assert {t.kernel for t in serial.trials} == {"vectorized"}
 
@@ -204,7 +205,7 @@ class TestRejections:
         with pytest.raises(KernelUnsupported):
             run_renaming(
                 "balls-into-leaves", sparse_ids(8), seed=0,
-                trace=Trace(), kernel="vectorized",
+                trace="full", kernel="vectorized",
             )
 
     def test_auto_never_selects_vectorized_for_single_runs(self):

@@ -338,6 +338,20 @@ class TestFaultAdversaryCli:
         err = capsys.readouterr().err
         assert "must be in [0, 1]" in err
         assert "accepted: p, max_omissions, first, last" in err
+        # A negative crash cap is refused, not read as "no crashes".
+        for spec in ("random:rate=0.5,", "sandwich:", "targeted:", "half-split:"):
+            name = spec.split(":")[0]
+            assert main(["batch", "--algorithms", "balls-into-leaves",
+                         "--sizes", "8", "--adversary", f"{spec}max_crashes=-1",
+                         "--trials", "1"]) == 2
+            err = capsys.readouterr().err
+            assert f"bad parameters for adversary '{name}'" in err
+            assert "max_crashes must be >= 0, got -1" in err
+            assert "max_crashes" in err.split("accepted:", 1)[1]
+            assert main(["batch", "--algorithms", "balls-into-leaves",
+                         "--sizes", "8", "--adversary", f"{spec}max_crashes=0",
+                         "--trials", "1"]) == 0
+            capsys.readouterr()
 
     def test_omission_smoke_measures_instead_of_raising(self, capsys):
         assert main(["batch", "--algorithms", "balls-into-leaves",

@@ -67,6 +67,12 @@ class TestHuntScenarioEmission:
         document = json.loads(target.read_text(encoding="utf-8"))
         # The trace lands alongside the scenario, not in the CWD.
         assert (target.parent / document["trace"]["path"]).exists()
+        assert document["spec"]["monitor"] == "off"
+        # The winner replays under the hunt's own --monitor.
+        monitored = tmp_path / "sub" / "monitored.json"
+        assert _hunt("--monitor", "cheap", "--scenario-out", str(monitored)) == 0
+        document = json.loads(monitored.read_text(encoding="utf-8"))
+        assert document["spec"]["monitor"] == "cheap"
 
     def test_omission_family_scenario_round_trips(self, capsys):
         assert main(

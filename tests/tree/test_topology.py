@@ -128,10 +128,7 @@ class TestCachedTopologyReuse:
             # The stacked engine's ndarray cache wraps cached_topology;
             # a pre-warmed entry would hide the rebuild being counted.
             vectorized_topology.cache_clear()
-        run_batch(
-            ScenarioMatrix.build(["balls-into-leaves"], [23], trials=6),
-            executor="serial",
-        )
+        run_batch(ScenarioMatrix.build(["balls-into-leaves"], [23], trials=6))
         assert built == [23]
 
     def test_cache_is_lru_bounded(self):
