@@ -19,12 +19,10 @@ Hover titles (SVG ``<title>`` elements, rendered as native tooltips)
 carry the per-event detail, which keeps the document static and
 reviewable as text — the acceptance path diffs explorer output in CI.
 
-The input is any :class:`~repro.sim.trace.Trace`: a ``cheap`` columnar
-trace (which adds per-round ``pos`` snapshots — currently unused by the
-renderer but preserved in tooltips' favor), a ``cheap`` stacked
-vectorized trace, or a ``full`` reference trace; the renderer consumes
-only the shared event schema plus the cheap-mode ``name`` extras when
-present, degrading gracefully when a mode lacks a kind.
+The input is any :class:`~repro.sim.trace.Trace`: a ``cheap`` trace
+from either fast kernel, or a ``full`` reference trace; the renderer
+consumes only the shared event schema plus the cheap-mode ``name``
+extras when present, degrading gracefully when a mode lacks a kind.
 """
 
 from __future__ import annotations

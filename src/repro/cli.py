@@ -78,21 +78,6 @@ def _add_monitor_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_trace_option(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.trace import TRACE_MODES
-
-    parser.add_argument(
-        "--trace",
-        default="off",
-        choices=TRACE_MODES,
-        help="per-trial event capture: cheap = per-round crash/omit/name/"
-        "halt deltas appended from the fast kernels' flat arrays (any "
-        "kernel), full = the reference engine's message-level stream "
-        "(pins the reference engine); results are byte-identical either "
-        "way",
-    )
-
-
 def _add_telemetry_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry",
@@ -183,7 +168,6 @@ def _batch_options(parser: argparse.ArgumentParser) -> None:
     )
     _add_executor_options(parser)
     _add_monitor_option(parser)
-    _add_trace_option(parser)
     _add_telemetry_option(parser)
 
 
@@ -428,16 +412,22 @@ def _experiment_rows(results, kernel: str = "auto") -> Iterable[dict]:
     ``kernel`` records the engine-selection mode the sweep ran under, so
     bench artifacts written via ``--out`` carry their execution
     provenance (per-trial resolved kernels appear in ``batch`` rows,
-    which are trial-granular).
+    which are trial-granular).  An experiment that takes no kernel ran
+    under ``auto`` whatever was pinned, and its rows say so.
     """
+    from repro.experiments.registry import get_experiment
+
     for result in results:
+        ran_under = (
+            kernel if get_experiment(result.experiment_id).kernel_aware else "auto"
+        )
         for table in result.tables:
             for row in table.row_dicts():
                 yield {
                     "experiment": result.experiment_id,
                     "scale": result.scale,
                     "table": table.title,
-                    "kernel": kernel,
+                    "kernel": ran_under,
                     **row,
                 }
 
@@ -566,7 +556,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         capture_errors=args.capture_errors,
         kernel=args.kernel,
         monitor=args.monitor,
-        trace=args.trace,
     )
     with as_executor(args.executor, workers=args.workers) as executor:
         batch = run_batch(matrix, executor=executor)

@@ -365,10 +365,10 @@ class ColumnarCrashEngine:
             # delivery group is its own pre-class.  Each live class (one,
             # failure-free) advances in place — no delivery signatures,
             # no clones, and merge keys only when several classes live.
-            # In-place is safe for the stale classes positions() reads:
-            # a crashed ball's last class died in its (partial) crash
-            # round, and a halted ball stays put in a live class as an
-            # announced terminator.
+            # In-place is safe for the stale classes crashed and halted
+            # balls point at: a crashed ball's last class died in its
+            # (partial) crash round, and a halted ball stays put in a
+            # live class as an announced terminator.
             self.last_delivered = len(receivers) * base_count
             if kind == "init":
                 post = self._initialize_class(running, victim_idx)
@@ -555,18 +555,6 @@ class ColumnarCrashEngine:
             for j in members:
                 self._class_of[j] = canonical
         self._live = list(merge_index.values())
-
-    def positions(self) -> List[int]:
-        """Every ball's current tree node, by label rank (trace capture).
-
-        A ball with no class view yet (crashed before its first delivery)
-        reads as still at the root.
-        """
-        root = self._arr.root
-        return [
-            root if cv is None else cv.pos[j]
-            for j, cv in enumerate(self._class_of)
-        ]
 
     # -------------------------------------------------------- state interchange
     def export_state(self) -> Dict[str, Any]:

@@ -321,14 +321,9 @@ def run_tail(
     restores checkpoints from either engine.  The reference engine has no
     checkpoints, so pinning it is an error.
     """
-    from repro.sim.runner import ALGORITHMS
+    from repro.sim.runner import workload
 
-    if config.algorithm not in ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {config.algorithm!r}; "
-            f"choose from {tuple(ALGORITHMS)}"
-        )
-    policy = ALGORITHMS[config.algorithm]
+    policy = workload(config.algorithm).policy
     if policy is None:
         raise ConfigurationError(
             f"{config.algorithm!r} has no Balls-into-Leaves round structure "

@@ -47,7 +47,7 @@ from repro.sim.batch import (
 )
 from repro.sim.kernel import check_monitor_mode
 from repro.sim.rng import derive_rng, derive_seed
-from repro.sim.runner import ALGORITHMS
+from repro.sim.runner import workload
 
 #: Genotype fault families a hunt can mine.
 FAULT_FAMILY_CHOICES = ("crash", "omission", "mixed")
@@ -86,11 +86,7 @@ class HuntConfig:
                 f"unknown fault family {self.fault_family!r}; "
                 f"choose from {FAULT_FAMILY_CHOICES}"
             )
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"choose from {sorted(ALGORITHMS)}"
-            )
+        workload(self.algorithm)
         if self.n < 2:
             raise ConfigurationError(f"hunting needs n >= 2, got {self.n}")
         if self.budget < 1:

@@ -85,7 +85,7 @@ from repro.sim.kernel import (
     clears_floor,
     kernel_rejection,
 )
-from repro.sim.runner import ALGORITHMS, default_round_limit, run_renaming
+from repro.sim.runner import run_renaming, workload
 from repro.sim.trace import Trace, check_trace_mode
 
 # ---------------------------------------------------------------- seed schedule
@@ -140,6 +140,8 @@ def _build_half_split(
     """Round-1 strike by default; ``last_round`` strikes every odd round up to it."""
     rounds = None
     if last_round is not None:
+        if last_round < 1:
+            raise ValueError(f"last_round must be >= 1, got {last_round}")
         rounds = frozenset({1} | set(range(3, last_round, 2)))
     return HalfSplitAdversary(
         rounds=rounds,
@@ -184,6 +186,14 @@ def _build_omission_targeted(
         rounds = (1 if first is None else first, 10**9 if last is None else last)
     return TargetedOmissionAdversary(count=count, rounds=rounds, seed=seed)
 
+
+#: Builder parameters that count crashes, rounds, senders or balls.  A
+#: float or a bool there is refused: slicing with one fails, and
+#: comparing with one silently runs some other adversary.
+INTEGER_PARAMS = frozenset(
+    "max_crashes every_k_phases every_k_rounds victims_per_round last_round "
+    "max_omissions first last count n".split()
+)
 
 ADVERSARY_BUILDERS: Dict[str, AdversaryBuilder] = {
     "none": _build_none,
@@ -260,8 +270,13 @@ class AdversarySpec:
             raise ConfigurationError(
                 f"unknown adversary {self.name!r}; choose from {sorted(ADVERSARY_BUILDERS)}"
             )
+        params = dict(self.params)
         try:
-            return builder(seed, **dict(self.params))
+            for key in INTEGER_PARAMS.intersection(params):
+                value = params[key]
+                if value is not None and type(value) is not int:
+                    raise TypeError(f"{key} must be an integer, got {value!r}")
+            return builder(seed, **params)
         except (TypeError, ValueError) as error:
             raise ConfigurationError(
                 f"bad parameters for adversary {self.name!r}: {error} "
@@ -437,6 +452,43 @@ class TrialResult:
         }
 
 
+def _failed_trial(
+    spec: TrialSpec,
+    error: Exception,
+    trace: Optional[Trace],
+    fault_budget: str = "",
+) -> TrialResult:
+    """The row of a trial that failed under ``capture_errors``.
+
+    ``rounds`` is the round budget the run exhausted: a round-limit
+    error's own limit, else the workload's
+    :attr:`~repro.sim.runner.Workload.round_limit` — the worst legal
+    round count, so rounds-style objectives rank the failure above any
+    terminating run.  ``trace`` holds the events recorded up to the
+    failure.
+    """
+    if isinstance(error, RoundLimitExceeded):
+        rounds = error.limit
+    else:
+        budget = spec.n - 1 if spec.crash_budget is None else spec.crash_budget
+        rounds = workload(spec.algorithm).round_limit(spec.n, budget)
+    return TrialResult(
+        spec=spec,
+        rounds=rounds,
+        failures=0,
+        messages_sent=0,
+        messages_delivered=0,
+        last_round_named=None,
+        names=(),
+        kernel=spec.kernel,
+        error=f"{type(error).__name__}: {error}",
+        monitor=spec.monitor,
+        violations=tuple(v.render() for v in getattr(error, "violations", ())),
+        fault_budget=fault_budget,
+        trace=trace,
+    )
+
+
 def run_trial(spec: TrialSpec) -> TrialResult:
     """Execute one spec end to end (module-level so executors can pickle it)."""
     adversary = spec.adversary.build(spec.seed)
@@ -457,33 +509,10 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     except (SimulationError, SpecViolation) as error:
         if not spec.capture_errors:
             raise
-        # The round budget a deadlocked run exhausted: the worst legal
-        # round count, so rounds-style objectives rank it above any
-        # terminating execution.
-        limit = (
-            error.limit
-            if isinstance(error, RoundLimitExceeded)
-            else default_round_limit(spec.n, spec.crash_budget)
-        )
-        return TrialResult(
-            spec=spec,
-            rounds=limit,
-            failures=0,
-            messages_sent=0,
-            messages_delivered=0,
-            last_round_named=None,
-            names=(),
-            kernel=spec.kernel,
-            error=f"{type(error).__name__}: {error}",
-            monitor=spec.monitor,
-            violations=tuple(
-                v.render() for v in getattr(error, "violations", ())
-            ),
-            fault_budget=fault_budget,
-            # The events recorded up to the failure (runner hangs the
-            # sink on the error): a deadlock's trace is the interesting
-            # one, so captured-error rows keep it.
-            trace=getattr(error, "partial_trace", None),
+        # The events recorded up to the failure (runner hangs the sink on
+        # the error): a deadlock's trace is the interesting one.
+        return _failed_trial(
+            spec, error, getattr(error, "partial_trace", None), fault_budget
         )
     return TrialResult(
         spec=spec,
@@ -561,7 +590,7 @@ def _stackable(spec: TrialSpec) -> bool:
     reason = kernel_rejection(
         "vectorized",
         algorithm=spec.algorithm,
-        policy=ALGORITHMS.get(spec.algorithm),
+        policy=workload(spec.algorithm).policy,
         adversary=spec.adversary.build(spec.seed),
         trace=spec.trace,
         monitor=spec.monitor,
@@ -680,7 +709,7 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
     cell = run_stacked_cell(
         sparse_ids(spec.n),
         [s.seed for s in specs],
-        policy=ALGORITHMS[spec.algorithm],
+        policy=workload(spec.algorithm).policy,
         halt_on_name=spec.halt_on_name,
         crash_budget=spec.crash_budget,
         monitor=spec.monitor,
@@ -712,29 +741,7 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
         if error is not None:
             if not trial_spec.capture_errors:
                 raise error
-            limit = (
-                error.limit
-                if isinstance(error, RoundLimitExceeded)
-                else default_round_limit(trial_spec.n, trial_spec.crash_budget)
-            )
-            results.append(
-                TrialResult(
-                    spec=trial_spec,
-                    rounds=limit,
-                    failures=0,
-                    messages_sent=0,
-                    messages_delivered=0,
-                    last_round_named=None,
-                    names=(),
-                    kernel=trial_spec.kernel,
-                    error=f"{type(error).__name__}: {error}",
-                    monitor=trial_spec.monitor,
-                    violations=tuple(
-                        v.render() for v in getattr(error, "violations", ())
-                    ),
-                    trace=trace,
-                )
-            )
+            results.append(_failed_trial(trial_spec, error, trace))
             continue
         row = decisions[t]
         if failures[t] == 0 and min(row) >= 0:
@@ -898,10 +905,7 @@ class ScenarioMatrix:
         sizes = tuple(int(n) for n in sizes)
         adversary_specs = tuple(as_adversary_spec(adv) for adv in adversaries)
         for algorithm in algorithms:
-            if algorithm not in ALGORITHMS:
-                raise ConfigurationError(
-                    f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-                )
+            workload(algorithm)
         if not algorithms or not sizes or not adversary_specs:
             raise ConfigurationError("a scenario matrix needs >= 1 of every dimension")
         for n in sizes:

@@ -29,10 +29,11 @@ types, ``full`` traces, phase statistics, ``monitor="full"``, the
 paper-verbatim ``faithful`` view store, non-BiL algorithms) — is decided
 by :func:`~repro.sim.kernel.kernel_rejection`.  Cheap traces
 (``trace="cheap"``) stay on the fast path: each round's
-crash/omit/name/halt deltas and the position snapshot are appended
-straight from the engine's flat arrays, and the differential suite pins
-that they project onto the same shared event schema as the reference
-engine's full stream.
+crash/omit/name/halt deltas and the round aggregates are appended
+straight from the engine's flat arrays — event for event what the
+stacked engine decodes — and the differential suite pins that they
+project onto the same shared event schema as the reference engine's
+full stream.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def _record_cheap_round(
 ) -> None:
     """Append one round's cheap events from the engine's flat arrays.
 
-    Event order within a round is fixed (crash, omit, name, halt, pos,
-    round) and pid order within a kind is label-rank order — the
+    Event order within a round is fixed (crash, omit, name, halt, round)
+    and pid order within a kind is label-rank order — the
     ``shared_events`` projection sorts, so this only pins the serialized
     layout, not equivalence with the reference stream.
     """
@@ -165,7 +166,6 @@ def _record_cheap_round(
             trace.record(
                 round_no, "halt", pid=labels[j], decision=engine.decision[j]
             )
-    trace.record(round_no, "pos", nodes=engine.positions())
     trace.record(round_no, "round", sent=sent, crashes=crashes, running=running)
 
 

@@ -5,7 +5,9 @@ This is the faithful Section 3 execution extracted from the original
 :class:`~repro.sim.simulator.Simulation` against the adversary, collect
 observers.  It models *every* run — all algorithms, adversaries, traces,
 phase statistics — and serves as the ground truth the columnar fast path
-is differentially checked against.
+is differentially checked against.  A Balls-into-Leaves run builds its
+balls from the request's path policy; any other workload builds the
+processes its :class:`~repro.sim.runner.Workload` record names.
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ class ReferenceKernel(SimulationKernel):
                 )
                 observers.append(ReferenceMonitorAdapter(monitor))
         else:
-            processes = build_baseline_processes(request)
+            from repro.sim.runner import workload
+
+            build = workload(request.algorithm).build
+            assert build is not None  # every policy-free workload has one
+            processes = build(request.ids, request.seed, request.crash_budget)
 
         simulation = Simulation(
             processes,
@@ -78,52 +84,6 @@ class ReferenceKernel(SimulationKernel):
             kernel=self.name,
             violations=[] if monitor is None else monitor.violations,
         )
-
-
-def _build_flood(request: KernelRequest):
-    from repro.baselines.flood_consensus import build_flood_renaming
-
-    return build_flood_renaming(request.ids, crash_budget=request.crash_budget)
-
-
-def _build_approx_agreement(request: KernelRequest):
-    from repro.baselines.approximate_agreement import (
-        build_seeded_approx_agreement,
-    )
-
-    return build_seeded_approx_agreement(
-        request.ids, seed=request.seed, crash_budget=request.crash_budget
-    )
-
-
-def _build_parallel_retry(request: KernelRequest):
-    from repro.loadbalance.processes import build_parallel_retry
-
-    return build_parallel_retry(request.ids, seed=request.seed)
-
-
-#: Baseline (non-Balls-into-Leaves) workloads the reference kernel can
-#: execute, keyed by algorithm name.  Builders are lazy so the kernel
-#: module stays import-light.
-BASELINE_BUILDERS = {
-    "flood": _build_flood,
-    "approx-agreement": _build_approx_agreement,
-    "parallel-retry": _build_parallel_retry,
-}
-
-
-def build_baseline_processes(request: KernelRequest):
-    """Instantiate the process list of a policy-free workload."""
-    try:
-        builder = BASELINE_BUILDERS[request.algorithm]
-    except KeyError:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"no baseline process builder for algorithm "
-            f"{request.algorithm!r}; known: {sorted(BASELINE_BUILDERS)}"
-        ) from None
-    return builder(request)
 
 
 def _last_round_named(simulation: Simulation, result: SimulationResult) -> Optional[int]:

@@ -1,5 +1,13 @@
 """High-level entry point: run a renaming algorithm end to end.
 
+:data:`WORKLOADS` is the one record of what an algorithm is: its
+Balls-into-Leaves path policy or, for a baseline, the builder of its
+reference-engine processes; the rounds a run may spend; and whether the
+renaming check applies.  :func:`workload` is the lookup every entry
+point asks (the runner, the reference kernel, scenario matrices, hunts,
+tails and captured-failure rows), so an unknown name fails the same way
+everywhere.
+
 ``run_renaming("balls-into-leaves", ids, seed=1)`` resolves the run into
 a :class:`~repro.sim.kernel.KernelRequest`, selects a simulation kernel
 (the columnar fast path when it models the run, the reference lock-step
@@ -12,7 +20,7 @@ experiment go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.adversary.base import Adversary
 from repro.core.config import VIEW_MODES
@@ -21,41 +29,9 @@ from repro.ids import Name, ProcessId
 from repro.sim.checker import RenamingSpec, check_renaming
 from repro.sim.kernel import KernelRequest, check_monitor_mode, select_kernel
 from repro.sim.metrics import SimulationMetrics
+from repro.sim.process import SyncProcess
 from repro.sim.simulator import SimulationResult
 from repro.sim.trace import Trace, check_trace_mode
-
-@dataclass(frozen=True)
-class Workload:
-    """One registered workload: how it runs and how it is judged.
-
-    ``policy`` selects a Balls-into-Leaves path policy (None = a
-    baseline process builder in the reference kernel's registry);
-    ``renaming`` says whether the output is a tight renaming that
-    :func:`~repro.sim.checker.check_renaming` applies to (approximate
-    agreement decides reals, not names).
-    """
-
-    policy: Optional[str]
-    renaming: bool = True
-
-
-#: Every workload the rails accept (`run_renaming`, TrialSpec,
-#: ScenarioMatrix, hunts): the renaming algorithms plus the related
-#: Section 1-2 workloads they are measured against.
-WORKLOADS: Dict[str, Workload] = {
-    "balls-into-leaves": Workload("random"),
-    "early-terminating": Workload("hybrid"),
-    "rank-descent": Workload("rank"),
-    "leftmost": Workload("leftmost"),
-    "flood": Workload(None),
-    "approx-agreement": Workload(None, renaming=False),
-    "parallel-retry": Workload(None),
-}
-
-#: Algorithm name -> Balls-into-Leaves path policy (None = not BiL-based).
-ALGORITHMS: Dict[str, Optional[str]] = {
-    name: workload.policy for name, workload in WORKLOADS.items()
-}
 
 
 def default_round_limit(n: int, crash_budget: Optional[int]) -> int:
@@ -66,6 +42,97 @@ def default_round_limit(n: int, crash_budget: Optional[int]) -> int:
     """
     budget = n - 1 if crash_budget is None else crash_budget
     return 4 * n + 2 * budget + 16
+
+
+def _approx_agreement_rounds(n: int, crash_budget: int) -> int:
+    from repro.baselines.approximate_agreement import seeded_rounds
+
+    return seeded_rounds(n, crash_budget) + 4
+
+
+#: ``build(ids, seed, crash_budget)``: a baseline's reference-engine processes.
+ProcessBuilder = Callable[[Sequence[ProcessId], int, int], Sequence[SyncProcess]]
+
+
+def _build_flood(
+    ids: Sequence[ProcessId], seed: int, crash_budget: int
+) -> Sequence[SyncProcess]:
+    from repro.baselines.flood_consensus import build_flood_renaming
+
+    return build_flood_renaming(ids, crash_budget=crash_budget)
+
+
+def _build_approx_agreement(
+    ids: Sequence[ProcessId], seed: int, crash_budget: int
+) -> Sequence[SyncProcess]:
+    from repro.baselines.approximate_agreement import (
+        build_seeded_approx_agreement,
+    )
+
+    return build_seeded_approx_agreement(ids, seed=seed, crash_budget=crash_budget)
+
+
+def _build_parallel_retry(
+    ids: Sequence[ProcessId], seed: int, crash_budget: int
+) -> Sequence[SyncProcess]:
+    from repro.loadbalance.processes import build_parallel_retry
+
+    return build_parallel_retry(ids, seed=seed)
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One registered workload: how it runs, how long, how it is judged.
+
+    ``policy`` selects a Balls-into-Leaves path policy; a workload
+    without one runs ``build(ids, seed, crash_budget)``, its process list
+    on the reference engine (builders import lazily, so this table stays
+    import-light).  ``round_limit(n, t)`` is the round budget a run may
+    spend, and what a captured failure reports.  ``renaming`` says
+    whether the output is a tight renaming that
+    :func:`~repro.sim.checker.check_renaming` applies to (approximate
+    agreement decides reals, not names).
+    """
+
+    policy: Optional[str]
+    round_limit: Callable[[int, int], int]
+    build: Optional[ProcessBuilder] = None
+    renaming: bool = True
+
+
+#: Every workload the rails accept (`run_renaming`, TrialSpec,
+#: ScenarioMatrix, hunts, tails): the renaming algorithms plus the
+#: related Section 1-2 workloads they are measured against.
+WORKLOADS: Dict[str, Workload] = {
+    "balls-into-leaves": Workload("random", default_round_limit),
+    "early-terminating": Workload("hybrid", default_round_limit),
+    "rank-descent": Workload("rank", default_round_limit),
+    "leftmost": Workload("leftmost", default_round_limit),
+    # Flooding decides after t + 1 rounds whatever the faults.
+    "flood": Workload(None, lambda n, t: t + 8, _build_flood),
+    "approx-agreement": Workload(
+        None, _approx_agreement_rounds, _build_approx_agreement, renaming=False
+    ),
+    # Some ball places every round (the lowest unplaced pid always wins
+    # its own claim), so n rounds suffice under any faults.
+    "parallel-retry": Workload(None, lambda n, t: n + 8, _build_parallel_retry),
+}
+
+#: Algorithm name -> Balls-into-Leaves path policy (None = not BiL-based).
+ALGORITHMS: Dict[str, Optional[str]] = {
+    name: workload.policy for name, workload in WORKLOADS.items()
+}
+
+
+def workload(algorithm: str) -> Workload:
+    """The registered workload named ``algorithm``: the one lookup every
+    entry point asks, and the one unknown-algorithm error."""
+    try:
+        return WORKLOADS[algorithm]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown algorithm {algorithm!r}; choose from {sorted(WORKLOADS)}"
+        ) from None
 
 
 @dataclass
@@ -171,10 +238,7 @@ def run_renaming(
         :class:`~repro.errors.MonitorViolation` on any finding;
         otherwise findings are reported in ``RenamingRun.violations``.
     """
-    if algorithm not in ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        )
+    load = workload(algorithm)
     n = len(ids)
     if n == 0:
         raise ConfigurationError("renaming needs at least one participant")
@@ -191,31 +255,14 @@ def run_renaming(
     trace_mode = check_trace_mode(trace)
     trace_sink = Trace() if trace_mode != "off" else None
     budget = n - 1 if crash_budget is None else crash_budget
-    workload = WORKLOADS[algorithm]
-    policy = workload.policy
-    if max_rounds is not None:
-        limit = max_rounds
-    elif policy is not None:
-        limit = default_round_limit(n, budget)
-    elif algorithm == "approx-agreement":
-        from repro.baselines.approximate_agreement import seeded_rounds
-
-        limit = seeded_rounds(n, budget) + 4
-    elif algorithm == "parallel-retry":
-        # Some ball places every round (the lowest unplaced pid always
-        # wins its own claim), so n rounds suffice under any faults.
-        limit = n + 8
-    else:
-        limit = budget + 8
-
     request = KernelRequest(
         algorithm=algorithm,
         ids=tuple(ids),
         seed=seed,
-        policy=policy,
+        policy=load.policy,
         adversary=adversary,
         crash_budget=budget,
-        max_rounds=limit,
+        max_rounds=load.round_limit(n, budget) if max_rounds is None else max_rounds,
         view_mode=view_mode,
         halt_on_name=halt_on_name,
         check_invariants=check_invariants,
@@ -241,7 +288,7 @@ def run_renaming(
             from repro.errors import MonitorViolation
 
             raise MonitorViolation(run.violations)
-        if check and workload.renaming:
+        if check and load.renaming:
             check_renaming(result, RenamingSpec(n=n))
     except Exception as error:
         if trace_sink is not None:

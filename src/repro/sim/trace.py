@@ -15,10 +15,11 @@ maps any trace onto the kernel-independent event schema (``round``,
 (``tests/test_oracle.py``) pins that a ``full`` reference trace and a
 ``cheap`` fast-path trace of the same run project identically.
 Cheap traces additionally carry ``name`` events (ball → decided name,
-with the round it was decided) and, on the columnar kernel, per-round
-``pos`` snapshots of every ball's tree position; those extras are
-outside the shared schema because the reference engine records finer
-message-level events instead.
+with the round it was decided), outside the shared schema because the
+reference engine records finer message-level events instead.  The
+columnar and vectorized kernels write the same cheap trace, event for
+event.  Older trace files may also hold per-round ``pos`` snapshots;
+they still load, and nothing reads them.
 
 Traces persist as jsonl, content-addressed by the trial's spec digest:
 ``trace-<digest>.jsonl`` names the execution it came from, so a scenario
@@ -62,7 +63,7 @@ class TraceEvent:
     """One recorded event.
 
     ``kind`` is ``'round'``, ``'crash'``, ``'omit'``, ``'halt'`` (the
-    shared schema) or a cheap-only delta (``'name'``, ``'pos'``).
+    shared schema) or the cheap-only ``'name'`` delta.
     """
 
     round_no: int

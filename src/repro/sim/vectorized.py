@@ -169,9 +169,9 @@ class StackedCellRun:
         per ball and the aggregates per round (the rows :meth:`metrics`
         reads), so the event stream is reconstructed post-hoc — and
         lazily, unless a ``sink`` is supplied: the per-event objects are
-        only built for trials whose timeline is actually read.  Carries
-        the columnar cheap-trace vocabulary minus the per-round ``pos``
-        snapshots (the stacked engine's positions are transient).
+        only built for trials whose timeline is actually read.  Equal,
+        event for event, to the columnar kernel's cheap trace of the
+        same trial.
         """
         if sink is None:
             return Trace(lambda trace: self._decode_trace(t, trace))

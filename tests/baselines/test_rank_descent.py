@@ -1,11 +1,12 @@
-"""Unit tests for the deterministic rank-descent baseline."""
+"""Unit tests for the deterministic rank-descent baseline (Balls-into-Leaves
+with the ``rank`` path policy)."""
 
 from __future__ import annotations
 
 from repro.adversary.splitter import HalfSplitAdversary
-from repro.baselines.rank_descent import build_rank_descent
+from repro.core.balls_into_leaves import build_balls_into_leaves
+from repro.core.config import BallsIntoLeavesConfig
 from repro.ids import sparse_ids
-from repro.sim.checker import RenamingSpec, check_renaming
 from repro.sim.simulator import Simulation
 from repro.sim.runner import run_renaming
 
@@ -29,16 +30,24 @@ class TestRankDescent:
         assert first.rounds == second.rounds
 
     def test_correct_under_half_split(self):
-        ids = sparse_ids(32)
-        procs, _store = build_rank_descent(ids, seed=0)
         adversary = HalfSplitAdversary(
             rounds=frozenset({1, 3, 5, 7, 9}), seed=0
         )
-        result = Simulation(procs, adversary=adversary, max_rounds=400).run()
-        check_renaming(result, RenamingSpec(n=32))
+        # run_renaming checks the renaming spec (check=True by default).
+        run = run_renaming(
+            "rank-descent",
+            sparse_ids(32),
+            seed=0,
+            adversary=adversary,
+            kernel="reference",
+            max_rounds=400,
+        )
+        assert len(run.names) == 32 - run.failures
 
     def test_builder_exposes_store(self):
-        procs, store = build_rank_descent(sparse_ids(4), seed=0)
+        procs, store = build_balls_into_leaves(
+            sparse_ids(4), config=BallsIntoLeavesConfig(path_policy="rank")
+        )
         Simulation(procs, max_rounds=64).run()
         reference = store.view_of(procs[0].pid)
         assert reference.all_at_leaves()

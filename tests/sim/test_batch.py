@@ -10,6 +10,8 @@ from repro.monitor.splitting import TailConfig, run_tail
 from repro.search.baseline import evaluate_bundled
 from repro.search.strategies import HuntConfig, run_hunt
 from repro.sim.batch import (
+    ADVERSARY_BUILDERS,
+    INTEGER_PARAMS,
     AdversarySpec,
     CellKey,
     Executor,
@@ -58,6 +60,21 @@ class TestAdversarySpec:
         spec = AdversarySpec.of("sandwich", not_a_param=1)
         with pytest.raises(ConfigurationError, match="bad parameters"):
             spec.build(0)
+
+    def test_every_count_parameter_must_be_an_integer(self):
+        import inspect
+
+        for name, builder in ADVERSARY_BUILDERS.items():
+            for param in list(inspect.signature(builder).parameters.values())[1:]:
+                counts = param.annotation in ("int", "Optional[int]")
+                assert counts == (param.name in INTEGER_PARAMS), (name, param.name)
+                if counts:
+                    for value in (2.5, True):
+                        spec = AdversarySpec.of(name, **{param.name: value})
+                        with pytest.raises(
+                            ConfigurationError, match="must be an integer"
+                        ):
+                            spec.build(0)
 
     def test_builders_seeded_per_trial(self):
         spec = AdversarySpec.of("random", rate=1.0, delivery="uniform")

@@ -16,10 +16,10 @@ import pytest
 
 from repro.adversary.random_crash import RandomCrashAdversary
 from repro.core.mt19937 import HAVE_NUMPY
-from repro.errors import ConfigurationError, RoundLimitExceeded
+from repro.errors import ConfigurationError, ReproError, RoundLimitExceeded
 from repro.ids import sparse_ids
 from repro.search.schedule import CrashEvent, Schedule
-from repro.sim.batch import TrialSpec, run_trial
+from repro.sim.batch import AdversarySpec, TrialSpec, run_trial
 from repro.sim.runner import run_renaming
 from repro.sim.trace import (
     TRACE_MODES,
@@ -85,23 +85,38 @@ class TestSharedSchemaEquivalence:
         ]
 
     @needs_numpy
-    def test_columnar_vs_vectorized_cheap_extras(self):
-        """The cheap extras agree across fast kernels too: ``name``
-        events are identical; ``pos`` snapshots are columnar-only."""
-        columnar = _run("balls-into-leaves", 16, 2, "columnar",
-                        "random-crash", trace="cheap")
-        stacked = _run("balls-into-leaves", 16, 2, "vectorized",
-                       "random-crash", trace="cheap")
-
-        def names(run):
-            return sorted(
-                (e.round_no, tuple(sorted(e.data.items())))
-                for e in run.trace.events("name")
-            )
-
-        assert names(columnar) == names(stacked)
-        assert columnar.trace.events("pos")
-        assert not stacked.trace.events("pos")
+    @pytest.mark.parametrize("halt_on_name", [False, True])
+    @pytest.mark.parametrize(
+        "adversary",
+        ["none", "random:rate=0.2", "sandwich", "half-split:last_round=9",
+         "targeted"],
+    )
+    def test_columnar_and_vectorized_cheap_traces_are_equal(
+        self, adversary, halt_on_name
+    ):
+        """Both fast kernels write the same cheap trace, event for event
+        (``name`` extras and round aggregates included), failing runs'
+        partial traces too."""
+        spec = AdversarySpec.parse(adversary)
+        for n in (8, 16, 33):
+            for seed in (0, 1):
+                traces = []
+                for kernel in ("columnar", "vectorized"):
+                    try:
+                        run = run_renaming(
+                            "balls-into-leaves",
+                            sparse_ids(n),
+                            seed=seed,
+                            adversary=spec.build(seed),
+                            halt_on_name=halt_on_name,
+                            kernel=kernel,
+                            trace="cheap",
+                        )
+                        traces.append(run.trace)
+                    except ReproError as error:
+                        traces.append(error.partial_trace)
+                assert traces[0] == traces[1], (n, seed)
+                assert traces[0].events("name")
 
 
 class TestTraceNeverPerturbs:
@@ -171,6 +186,26 @@ class TestTraceFiles:
         )
         _, trace = read_trace(str(path))
         assert trace.events("note")[0].data == {"round_no": 7}
+
+    def test_older_trace_with_pos_snapshots_loads_and_renders_the_same(
+        self, tmp_path
+    ):
+        from repro.analysis.timeline import render_timeline
+
+        run = self._sample_trace()
+        path = str(tmp_path / "new.jsonl")
+        write_trace(run.trace, path, digest="deadbeef")
+        lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+        # Cheap traces used to carry one ``pos`` snapshot per round.
+        older = tmp_path / "old.jsonl"
+        older.write_text(
+            "".join(lines[:2]) + '{"kind":"pos","nodes":[0,0],"r":1}\n'
+            + "".join(lines[2:]),
+            encoding="utf-8",
+        )
+        _, loaded = read_trace(str(older))
+        assert len(loaded.events("pos")) == 1
+        assert render_timeline(loaded) == render_timeline(run.trace)
 
     def test_empty_trace_file_rejected(self, tmp_path):
         path = str(tmp_path / "empty.jsonl")

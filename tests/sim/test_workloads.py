@@ -17,8 +17,20 @@ import pytest
 from repro.adversary import RandomCrashAdversary, TargetedOmissionAdversary
 from repro.errors import ConfigurationError, KernelUnsupported, SpecViolation
 from repro.ids import sparse_ids
-from repro.sim.batch import ScenarioMatrix, run_batch
-from repro.sim.runner import ALGORITHMS, WORKLOADS, run_renaming
+from repro.sim.batch import (
+    AdversarySpec,
+    ScenarioMatrix,
+    TrialSpec,
+    run_batch,
+    run_trial,
+)
+from repro.sim.runner import (
+    ALGORITHMS,
+    WORKLOADS,
+    default_round_limit,
+    run_renaming,
+    workload,
+)
 
 
 class TestWorkloadRegistry:
@@ -36,6 +48,45 @@ class TestWorkloadRegistry:
     def test_unknown_algorithm_still_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             run_renaming("nope", sparse_ids(4))
+
+    def test_every_workload_has_a_round_limit_and_a_way_to_build(self):
+        for name, load in WORKLOADS.items():
+            assert load.round_limit(8, 7) > 0, name
+            # A policy builds balls; every other workload names a builder.
+            assert (load.build is None) == (load.policy is not None), name
+
+    def test_round_budgets(self):
+        from repro.baselines.approximate_agreement import seeded_rounds
+
+        for load in WORKLOADS.values():
+            if load.policy is not None:
+                assert load.round_limit(8, 7) == default_round_limit(8, 7) == 62
+        assert workload("flood").round_limit(8, 7) == 7 + 8
+        aa_rounds = seeded_rounds(8, 7) + 4
+        assert workload("approx-agreement").round_limit(8, 7) == aa_rounds
+        assert workload("parallel-retry").round_limit(8, 7) == 8 + 8
+
+    def test_lookup_is_the_one_unknown_algorithm_error(self):
+        with pytest.raises(ConfigurationError) as error:
+            workload("nope")
+        assert str(error.value) == (
+            f"unknown algorithm 'nope'; choose from {sorted(WORKLOADS)}"
+        )
+
+    def test_captured_failure_reports_the_workloads_budget(self):
+        # Flooding for t + 1 = 2 rounds under heavy omission hands out a
+        # duplicate name; the row reports flooding's budget, t + 8.
+        spec = TrialSpec(
+            "flood",
+            8,
+            1,
+            AdversarySpec.parse("omission:p=0.5"),
+            crash_budget=1,
+            capture_errors=True,
+        )
+        result = run_trial(spec)
+        assert result.error.startswith("SpecViolation: uniqueness")
+        assert result.rounds == 1 + 8
 
 
 class TestApproxAgreementWorkload:

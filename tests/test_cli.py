@@ -297,6 +297,21 @@ class TestJsonlOut:
         first = rows[0]
         assert first["n"] == "16"  # table cells persist as formatted strings
 
+    @pytest.mark.parametrize(
+        "experiment, label", [("EXP-T2", "reference"), ("EXP-DET", "auto")]
+    )
+    def test_run_rows_name_a_pinned_kernel_only_where_it_applied(
+        self, tmp_path, capsys, experiment, label
+    ):
+        # EXP-DET takes no kernel, so it ran under auto whatever was pinned.
+        out = tmp_path / "cells.jsonl"
+        assert main(["run", experiment, "--scale", "smoke", "--kernel",
+                     "reference", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows
+        assert {row["kernel"] for row in rows} == {label}
+
     def test_non_jsonl_out_still_writes_text_report(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         assert main(["batch", "--algorithms", "flood", "--sizes", "8",
@@ -352,6 +367,45 @@ class TestFaultAdversaryCli:
                          "--sizes", "8", "--adversary", f"{spec}max_crashes=0",
                          "--trials", "1"]) == 0
             capsys.readouterr()
+        # Counts must be integers: a fractional one used to die slicing
+        # with it, and the others ran as some other adversary.
+        for spec in ("omission:max_omissions=2.5", "omission-targeted:count=1.5",
+                     "half-split:last_round=-5", "sandwich:every_k_rounds=2.5",
+                     "targeted:every_k_phases=1.5",
+                     "random:rate=0.5,max_crashes=1.5",
+                     "random:max_crashes=True"):
+            name, _, params = spec.partition(":")
+            key, value = params.split(",")[-1].split("=")
+            assert main(["batch", "--sizes", "16", "--trials", "4",
+                         "--adversary", spec]) == 2, spec
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: bad parameters for adversary '{name}': {key} must be "
+            ), err
+            assert (f"got {value} (accepted: " in err), err
+            assert key in err.split("accepted:", 1)[1]
+
+    def test_captured_failures_report_the_workloads_round_budget(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "rows.jsonl"
+        assert main(["batch", "--algorithms",
+                     "balls-into-leaves,flood,parallel-retry", "--sizes", "8",
+                     "--adversary", "omission:p=0.3", "--capture-errors",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        failed = [row for row in rows if row["error"]]
+        assert {"balls-into-leaves", "parallel-retry"} <= {
+            row["algorithm"] for row in failed
+        }
+        # n = 8, t = 7: 4n + 2t + 16, t + 8 and n + 8.
+        budgets = {"balls-into-leaves": 62, "flood": 15, "parallel-retry": 16}
+        for row in failed:
+            if row["error"].startswith("RoundLimitExceeded"):
+                assert f"round limit of {row['rounds']} " in row["error"]
+            else:
+                assert row["rounds"] == budgets[row["algorithm"]]
 
     def test_omission_smoke_measures_instead_of_raising(self, capsys):
         assert main(["batch", "--algorithms", "balls-into-leaves",

@@ -208,13 +208,12 @@ class TestStatsAndTelemetry:
         assert main(["stats", "nope.jsonl"]) == 2
         assert "nope.jsonl" in capsys.readouterr().err
 
-    def test_batch_trace_flag_keeps_output_identical(self, capsys):
-        args = ["batch", "--sizes", "8", "--trials", "2", "--seed", "3"]
-        assert main(args) == 0
-        plain = capsys.readouterr().out
-        assert main(args + ["--trace", "cheap"]) == 0
-        traced = capsys.readouterr().out
-        assert traced == plain
+    def test_batch_has_no_trace_flag(self, capsys):
+        # Batch rows carry no events, so the flag was removed.
+        with pytest.raises(SystemExit) as exit_:
+            main(["batch", "--sizes", "8", "--trials", "2", "--trace", "cheap"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --trace cheap" in capsys.readouterr().err
 
     def test_hunt_telemetry_smoke(self, capsys):
         assert _hunt("--telemetry", "--no-scenario") == 0
