@@ -309,7 +309,8 @@ def test_bench_kernel_writes_json(capsys):
     crash_trial_cells = []
     if vectorized_available():
         from repro.search.schedule import CrashEvent, Schedule
-        from repro.sim.batch import AdversarySpec, TrialSpec, run_trial
+        from repro.sim.batch import run_trial
+        from repro.sim.specs import AdversarySpec, TrialSpec
 
         for label, adversary, n, trials, reps, floor in CRASH_TRIAL_CELLS:
             if adversary is None:

@@ -29,7 +29,8 @@ from pathlib import Path
 import pytest
 
 from repro._version import __version__
-from repro.sim.batch import AdversarySpec, ScenarioMatrix, run_batch
+from repro.sim.batch import ScenarioMatrix, run_batch
+from repro.sim.specs import AdversarySpec
 
 SEED = 3
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_monitor.json"

@@ -810,7 +810,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.analysis.timeline import render_timeline
     from repro.errors import KernelUnsupported
     from repro.search.scenario import load_scenario
-    from repro.sim.batch import run_trial
     from repro.sim.trace import read_trace
 
     scenario = load_scenario(args.scenario)
@@ -854,6 +853,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     if trace is None:
+        # Only a replay loads the trial engine: a stored trace is read.
+        from repro.sim.batch import run_trial
+
         replay_spec = dataclasses.replace(
             spec, trace="cheap", capture_errors=True
         )

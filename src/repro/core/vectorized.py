@@ -69,7 +69,9 @@ BallId = Hashable
 
 
 def derive_ball_seeds(
-    trial_seeds: Sequence[int], labels: Sequence[BallId]
+    trial_seeds: Sequence[int],
+    labels: Sequence[BallId],
+    balls: Optional["np.ndarray"] = None,
 ) -> "np.ndarray":
     """``derive_seed(seed, "ball", label)`` for a whole cell, batched.
 
@@ -77,7 +79,9 @@ def derive_ball_seeds(
     stream tests): the SHA-256 material of a ball stream is
     ``repr((int(seed), repr("ball"), repr(label)))``, whose per-trial
     head and per-ball tail are each built once instead of ``T * n``
-    times.  Returns a ``(T * n,)`` uint64 array, trial-major.
+    times.  Returns a ``(T * n,)`` uint64 array, trial-major — or, given
+    ``balls`` (flat trial-major indices), the seeds of those streams
+    only, in that order.
     """
     tails = [(repr(repr(label)) + ")").encode("utf-8") for label in labels]
     heads = [
@@ -89,11 +93,19 @@ def derive_ball_seeds(
     sha = hashlib.sha256
     digests: List[bytes] = []
     append = digests.append
-    for head in heads:
-        primed = sha(head).copy
-        for tail in tails:
-            h = primed()
-            h.update(tail)
+    if balls is None:
+        for head in heads:
+            primed = sha(head).copy
+            for tail in tails:
+                h = primed()
+                h.update(tail)
+                append(h.digest())
+    else:
+        n = len(tails)
+        copies = [sha(head).copy for head in heads]
+        for ball in balls.tolist():
+            h = copies[ball // n]()
+            h.update(tails[ball % n])
             append(h.digest())
     return np.frombuffer(b"".join(digests), dtype=">u8")[0::4].astype(np.uint64)
 
@@ -281,6 +293,9 @@ class VectorizedCrashEngine:
         self._S = S
         self._trial_seeds = list(trial_seeds)
         self._bank: Optional[MTStreamBank] = None
+        #: Each ball's bank column when the bank seeds only some streams
+        #: (a resumed engine; -1 = not seeded); None when it seeds all.
+        self._column: Optional["np.ndarray"] = None
         self._jcol = np.tile(np.arange(n, dtype=np.int64), T)
         self._track_leaf_occ = policy in ("rank", "leftmost")
         # Per-ball run state (trial-major, -1 sentinels like the scalar
@@ -412,6 +427,13 @@ class VectorizedCrashEngine:
         because the protocol is Markov given the exported state.  Each
         trial becomes one class row; a halted ball is an announced
         terminator under halt-on-name (failure-free, the two coincide).
+
+        Only the streams of balls neither halted nor named are seeded: a
+        ball draws only while its own view puts it off a leaf, and a
+        named ball sits on its leaf.  A resumed splitting stage draws
+        from a few percent of its balls, so this skips most of the
+        seeding a fresh engine pays; a stream's seed depends only on its
+        trial and ball, so the draws are unchanged.
         """
         if len(states) != self.trials:
             raise ConfigurationError(
@@ -444,6 +466,9 @@ class VectorizedCrashEngine:
         )
         self.rounds[:] = round_no
         self._round = round_no
+        drawing = np.flatnonzero(~self.halted & (self.round_named < 0))
+        self._column = np.full(self._S, -1, dtype=np.int64)
+        self._column[drawing] = np.arange(drawing.size)
 
     def step(self, round_no: int) -> None:
         """One full round for every active trial: compose, crash plan,
@@ -1203,12 +1228,25 @@ class VectorizedCrashEngine:
         return out
 
     def _draw(self, balls: "np.ndarray") -> "np.ndarray":
+        """The next double of each ball's stream, seeding the bank on the
+        first draw.  A resumed engine's bank holds only the streams
+        :attr:`_column` maps; a ball outside them raises instead of
+        reading another ball's stream."""
         bank = self._bank
+        column = self._column
         if bank is None:
+            seeded = None if column is None else np.flatnonzero(column >= 0)
             bank = self._bank = MTStreamBank(
-                derive_ball_seeds(self._trial_seeds, self.labels),
+                derive_ball_seeds(self._trial_seeds, self.labels, seeded),
                 block=max(4, self._topo.height),
             )
+        if column is not None:
+            balls = column[balls]
+            if balls.size and balls.min() < 0:
+                raise RuntimeError(
+                    "a ball outside the seeded streams drew: a resumed "
+                    "engine seeds only balls neither halted nor named"
+                )
         return bank.draws(balls)
 
     def _walk_random(

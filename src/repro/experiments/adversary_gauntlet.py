@@ -23,7 +23,8 @@ from repro.experiments.common import (
     scaled,
     sweep,
 )
-from repro.sim.batch import AdversarySpec, Executor
+from repro.sim.batch import Executor
+from repro.sim.specs import AdversarySpec
 
 EXPERIMENT_ID = "EXP-ADV"
 TITLE = "Section 5.3: adversary gauntlet for Balls-into-Leaves"

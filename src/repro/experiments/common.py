@@ -21,7 +21,6 @@ from repro.analysis.tables import Table
 from repro.errors import ExperimentError
 from repro.ids import sparse_ids
 from repro.sim.batch import (
-    AdversaryLike,
     BatchResult,
     Executor,
     ScenarioMatrix,
@@ -29,6 +28,7 @@ from repro.sim.batch import (
     run_batch,
 )
 from repro.sim.runner import RenamingRun, run_renaming
+from repro.sim.specs import AdversaryLike
 
 #: Experiment scales: "smoke" finishes in seconds (CI / benchmarks),
 #: "paper" uses the full sweeps recorded in EXPERIMENTS.md, and "deep"

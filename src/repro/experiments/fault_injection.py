@@ -22,13 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.stats import summarize
 from repro.analysis.tables import Table
 from repro.experiments.common import ExperimentResult, scaled
-from repro.sim.batch import (
-    AdversarySpec,
-    Executor,
-    TrialResult,
-    TrialSpec,
-    run_batch,
-)
+from repro.sim.batch import Executor, TrialResult, run_batch
+from repro.sim.specs import AdversarySpec, TrialSpec
 
 EXPERIMENT_ID = "EXP-FAULT"
 TITLE = "Fault injection beyond crashes: omission"

@@ -19,7 +19,8 @@ from typing import Optional
 
 from repro.analysis.tables import Table
 from repro.experiments.common import ExperimentResult, scaled, sweep
-from repro.sim.batch import AdversarySpec, Executor
+from repro.sim.batch import Executor
+from repro.sim.specs import AdversarySpec
 
 EXPERIMENT_ID = "EXP-MSG"
 TITLE = "Message complexity: broadcasts and deliveries per run"

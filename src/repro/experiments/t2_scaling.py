@@ -25,7 +25,8 @@ from repro.experiments.common import (
     scaled,
     sweep,
 )
-from repro.sim.batch import AdversarySpec, Executor
+from repro.sim.batch import Executor
+from repro.sim.specs import AdversarySpec
 
 EXPERIMENT_ID = "EXP-T2"
 TITLE = "Theorem 2: O(log log n) rounds w.h.p. for Balls-into-Leaves"

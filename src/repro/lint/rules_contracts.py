@@ -12,7 +12,8 @@ rows downstream tooling consumes.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from pathlib import Path
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.lint.engine import LintViolation, ModuleContext, Rule, register
 
@@ -48,6 +49,24 @@ FAULT_FAMILY_VOCAB = ("crash", "omission")
 #: serializer, and the method that serializes them.
 _SCHEMA_CLASSES = ("TrialSpec", "TrialResult")
 _SERIALIZER = "to_row"
+
+
+def _imported_class(
+    path: str, module: str, name: str
+) -> Optional[Tuple[str, ast.ClassDef]]:
+    """Top-level class ``name`` of ``module``, read from the source tree
+    the file at ``path`` sits in (the nearest ancestor directory holding
+    the module's file), with that file's path; None when not found."""
+    relative = Path(*module.split(".")).with_suffix(".py")
+    for root in Path(path).parents:
+        candidate = root / relative
+        if candidate.is_file():
+            tree = ast.parse(candidate.read_text(encoding="utf-8"))
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name == name:
+                    return candidate.as_posix(), node
+            return None
+    return None
 
 
 def _decorator_names(node: ast.ClassDef) -> List[str]:
@@ -248,7 +267,10 @@ class SchemaDrift(Rule):
         "field names against the string keys to_row() emits.  Fields "
         "that are deliberately not serialized (composites flattened "
         "into other keys, unbounded payloads) carry a per-field "
-        "suppression saying why."
+        "suppression saying why.  A schema class the serializer's "
+        "module imports from another module of the same source tree "
+        "(TrialSpec lives in repro.sim.specs) is checked there too, "
+        "with its findings on the import line."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[LintViolation]:
@@ -267,22 +289,46 @@ class SchemaDrift(Rule):
             # (e.g. a TrialSpec re-export or test double).
             return
         for cls in classes.values():
-            for item in cls.body:
-                if not isinstance(item, ast.AnnAssign):
+            for item, field_name in self._unserialized(cls, serialized):
+                yield self.violation(
+                    ctx,
+                    item,
+                    f"{cls.name}.{field_name} never appears in "
+                    f"{_SERIALIZER}(); serialize it or justify the "
+                    "omission with a suppression",
+                )
+        for node in ctx.tree.body:
+            if not (isinstance(node, ast.ImportFrom) and node.module):
+                continue
+            for alias in node.names:
+                if alias.name not in _SCHEMA_CLASSES or alias.name in classes:
                     continue
-                if not isinstance(item.target, ast.Name):
+                found = _imported_class(ctx.path, node.module, alias.name)
+                if found is None:
                     continue
-                field_name = item.target.id
-                if field_name.startswith("_"):
-                    continue
-                if field_name not in serialized:
+                where, imported = found
+                for item, field_name in self._unserialized(imported, serialized):
                     yield self.violation(
                         ctx,
-                        item,
-                        f"{cls.name}.{field_name} never appears in "
-                        f"{_SERIALIZER}(); serialize it or justify the "
-                        "omission with a suppression",
+                        node,
+                        f"{alias.name}.{field_name} ({where}:{item.lineno}) "
+                        f"never appears in {_SERIALIZER}(); serialize it or "
+                        "justify the omission with a suppression",
                     )
+
+    @staticmethod
+    def _unserialized(
+        cls: ast.ClassDef, serialized: Set[str]
+    ) -> Iterator[Tuple[ast.AnnAssign, str]]:
+        """The public annotated fields of ``cls`` no serializer key names."""
+        for item in cls.body:
+            if not isinstance(item, ast.AnnAssign):
+                continue
+            if not isinstance(item.target, ast.Name):
+                continue
+            field_name = item.target.id
+            if not field_name.startswith("_") and field_name not in serialized:
+                yield item, field_name
 
     @staticmethod
     def _serialized_keys(cls: ast.ClassDef) -> Set[str]:

@@ -15,8 +15,9 @@ from repro.analysis.worst_case import WorstCaseEntry
 from repro.errors import ConfigurationError
 from repro.search.objectives import as_objective
 from repro.search.strategies import Evaluation, HuntConfig
-from repro.sim.batch import AdversarySpec, Executor, run_batch
+from repro.sim.batch import Executor, run_batch
 from repro.sim.rng import derive_seed
+from repro.sim.specs import AdversarySpec
 
 #: The hand-written strategies every synthesis run is measured against —
 #: the EXP-ADV gauntlet lineup.

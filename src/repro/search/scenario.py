@@ -5,7 +5,7 @@ trial seed it fired under, and a pile of run configuration — enough to
 reproduce the find, but scattered across a jsonl footer and a pytest
 snippet.  A *scenario file* packs all of it into a single JSON document:
 
-* the full :class:`~repro.sim.batch.TrialSpec` (algorithm, n, seed,
+* the full :class:`~repro.sim.specs.TrialSpec` (algorithm, n, seed,
   halt-on-name, crash budget, kernel/monitor/trace knobs),
 * the fault schedule as :meth:`Schedule.to_dict` — editable by hand,
 * an optional pointer to the trace file captured on the replay
@@ -23,19 +23,29 @@ supported perturb-and-replay workflow.  ``repro explore --replay`` rides
 exactly this path, then certifies the edited run with the same
 reference-vs-columnar byte-identity check the hunt used
 (:func:`repro.search.shrink.replay_identical`).
+
+Reading a scenario runs nothing, so it loads no trial engine: the specs
+come from :mod:`repro.sim.specs`, the schedule decodes without building
+its adversary, and the mode checks come from :mod:`repro.sim.kernel`,
+which imports no engine.  ``repro explore`` over a stored trace
+therefore costs reading the two files; only a replay imports
+:mod:`repro.sim.batch`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.search.schedule import Schedule, expect
-from repro.sim.batch import AdversarySpec, TrialResult, TrialSpec
 from repro.sim.kernel import check_kernel_name, check_monitor_mode
+from repro.sim.specs import AdversarySpec, TrialSpec
 from repro.sim.trace import check_trace_mode
+
+if TYPE_CHECKING:
+    from repro.sim.batch import TrialResult
 
 #: Serialized scenario format marker (the ``format`` key of every file).
 SCENARIO_FORMAT = "repro-scenario/1"

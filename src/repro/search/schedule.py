@@ -18,9 +18,11 @@ omission family only when the genotype carries omit events — so
 crash-only genotypes keep stacking on the vectorized crash engine
 without the search layer re-declaring eligibility.
 :meth:`Schedule.spec` wraps the same value as a picklable
-:class:`~repro.sim.batch.AdversarySpec` (builder name ``"schedule"``),
-which is how schedules ride :class:`~repro.sim.batch.TrialSpec` through
-the batch executors.
+:class:`~repro.sim.specs.AdversarySpec` (builder name ``"schedule"``),
+which is how schedules ride :class:`~repro.sim.specs.TrialSpec` through
+the batch executors.  Only :meth:`Schedule.compile` imports the
+adversary layer, so decoding a schedule from a stored scenario loads no
+adversary module.
 
 Robustness is inherited from the simulator: events naming dead victims
 or rounds past termination are clamped/ignored by the engine's own plan
@@ -33,16 +35,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
-from repro.adversary.certification import certification_failure
-from repro.adversary.scheduled import (
-    ScheduledAdversary,
-    ScheduledCrash,
-    ScheduledOmission,
-)
 from repro.errors import ConfigurationError
 from repro.ids import ProcessId
+from repro.sim.specs import AdversarySpec
+
+if TYPE_CHECKING:
+    from repro.adversary.scheduled import ScheduledAdversary
 
 #: Event kinds a genotype may carry: ``"crash"`` kills the victim in its
 #: round, ``"omit"`` masks the victim's broadcast for that one round
@@ -227,14 +227,23 @@ class Schedule:
         return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------- compilation
-    def compile(self, ids: Sequence[ProcessId]):
+    def compile(self, ids: Sequence[ProcessId]) -> ScheduledAdversary:
         """Bind indices to ``ids`` (positionally) and return the scripted
         :class:`~repro.adversary.scheduled.ScheduledAdversary`.
 
         The result is columnar-certified — asserted here against the one
         shared predicate so a regression in the certification plumbing
         fails loudly at compile time, not as a silent fast-path fallback.
+        The adversary layer is imported here, its only user, so decoding
+        a schedule (a stored scenario) never loads it.
         """
+        from repro.adversary.certification import certification_failure
+        from repro.adversary.scheduled import (
+            ScheduledAdversary,
+            ScheduledCrash,
+            ScheduledOmission,
+        )
+
         if len(ids) != self.n:
             raise ConfigurationError(
                 f"schedule is for n={self.n}, got {len(ids)} ids"
@@ -272,10 +281,8 @@ class Schedule:
             )
         return adversary
 
-    def spec(self, label: str = None):
-        """This schedule as a picklable batch :class:`AdversarySpec`."""
-        from repro.sim.batch import AdversarySpec
-
+    def spec(self, label: Optional[str] = None) -> AdversarySpec:
+        """This schedule as a picklable :class:`AdversarySpec`."""
         return AdversarySpec.of(
             "schedule",
             label=label or f"schedule:{self.digest}",

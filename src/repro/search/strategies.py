@@ -10,7 +10,7 @@ Three strategies share one :class:`Evaluator`:
   selection, one-point crossover over event lists, mutation.
 
 Candidate schedules are scored in *batches*: the evaluator turns each
-generation into :class:`~repro.sim.batch.TrialSpec` rows (with
+generation into :class:`~repro.sim.specs.TrialSpec` rows (with
 ``capture_errors=True`` so a mined deadlock is data, not an abort) and
 dispatches them through :func:`repro.sim.batch.run_batch` on the
 caller's executor — searches parallelize like every experiment sweep
@@ -38,16 +38,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 from repro.errors import ConfigurationError
 from repro.search.objectives import Objective, as_objective
 from repro.search.schedule import CrashEvent, Schedule
-from repro.sim.batch import (
-    AdversarySpec,
-    Executor,
-    TrialResult,
-    TrialSpec,
-    run_batch,
-)
+from repro.sim.batch import Executor, TrialResult, run_batch
 from repro.sim.kernel import check_monitor_mode
 from repro.sim.rng import derive_rng, derive_seed
 from repro.sim.runner import workload
+from repro.sim.specs import AdversarySpec, TrialSpec
 
 #: Genotype fault families a hunt can mine.
 FAULT_FAMILY_CHOICES = ("crash", "omission", "mixed")

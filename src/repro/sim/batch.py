@@ -4,8 +4,11 @@ Every claim in the paper is a w.h.p. statement over many independent
 executions, so every experiment is, at heart, a seed sweep.  This module
 makes those sweeps first-class:
 
-* :class:`TrialSpec` — one fully-described execution (algorithm, size,
-  seed, adversary), picklable so it can cross process boundaries;
+* :func:`run_trial` / :func:`run_cell` — run one
+  :class:`~repro.sim.specs.TrialSpec`, or a stack of same-cell specs,
+  into :class:`TrialResult` rows.  The specs live in the light
+  :mod:`repro.sim.specs`, so a stored scenario is read without loading
+  this engine;
 * :class:`ScenarioMatrix` — expands an algorithm x size x adversary x
   seed grid into trial specs with deterministic per-trial seeds;
 * :class:`Executor` — the one place work meets worker processes: an
@@ -40,8 +43,6 @@ its ``auto`` kernel selection.
 
 from __future__ import annotations
 
-import ast
-import hashlib
 import itertools
 import operator
 import os
@@ -53,7 +54,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -61,15 +61,6 @@ from typing import (
     Union,
 )
 
-from repro.adversary.base import Adversary
-from repro.adversary.omission import (
-    IIDOmissionAdversary,
-    TargetedOmissionAdversary,
-)
-from repro.adversary.random_crash import RandomCrashAdversary
-from repro.adversary.sandwich import SandwichAdversary
-from repro.adversary.splitter import HalfSplitAdversary
-from repro.adversary.targeted import TargetedPriorityAdversary
 from repro.analysis.stats import TrialStats, summarize
 from repro.analysis.tables import Table
 from repro.errors import (
@@ -86,6 +77,13 @@ from repro.sim.kernel import (
     kernel_rejection,
 )
 from repro.sim.runner import run_renaming, workload
+from repro.sim.specs import (
+    AdversaryLike,
+    AdversarySpec,
+    CellKey,
+    TrialSpec,
+    as_adversary_spec,
+)
 from repro.sim.trace import Trace, check_trace_mode
 
 # ---------------------------------------------------------------- seed schedule
@@ -97,284 +95,7 @@ def legacy_trial_seeds(base_seed: int, trials: int) -> List[int]:
     return [base_seed * 100_003 + trial for trial in range(trials)]
 
 
-# ----------------------------------------------------------- adversary registry
-
-#: Adversary builders by name: ``builder(seed, **params) -> Optional[Adversary]``.
-#: Builders are module-level so specs naming them stay picklable.
-AdversaryBuilder = Callable[..., Optional[Adversary]]
-
-
-def _build_none(seed: int) -> Optional[Adversary]:
-    return None
-
-
-def _build_random(
-    seed: int,
-    rate: float = 0.05,
-    delivery: str = "split",
-    max_crashes: Optional[int] = None,
-) -> Adversary:
-    return RandomCrashAdversary(rate, delivery=delivery, max_crashes=max_crashes, seed=seed)
-
-
-def _build_targeted(
-    seed: int, max_crashes: Optional[int] = None, every_k_phases: int = 1
-) -> Adversary:
-    return TargetedPriorityAdversary(
-        max_crashes=max_crashes, every_k_phases=every_k_phases, seed=seed
-    )
-
-
-def _build_sandwich(
-    seed: int, max_crashes: Optional[int] = None, every_k_rounds: int = 2
-) -> Adversary:
-    return SandwichAdversary(max_crashes=max_crashes, every_k_rounds=every_k_rounds, seed=seed)
-
-
-def _build_half_split(
-    seed: int,
-    victims_per_round: int = 1,
-    max_crashes: Optional[int] = None,
-    last_round: Optional[int] = None,
-) -> Adversary:
-    """Round-1 strike by default; ``last_round`` strikes every odd round up to it."""
-    rounds = None
-    if last_round is not None:
-        if last_round < 1:
-            raise ValueError(f"last_round must be >= 1, got {last_round}")
-        rounds = frozenset({1} | set(range(3, last_round, 2)))
-    return HalfSplitAdversary(
-        rounds=rounds,
-        victims_per_round=victims_per_round,
-        max_crashes=max_crashes,
-        seed=seed,
-    )
-
-
-def _build_schedule(seed: int, n: int = 0, events: Tuple = ()) -> Adversary:
-    """A searched fault schedule (:mod:`repro.search.schedule`), bound to
-    the trial's ``sparse_ids(n)`` population — the builder lives here so
-    worker processes resolve it when unpickling a spec."""
-    from repro.search.schedule import Schedule
-
-    return Schedule.from_params(n=n, events=events).compile(sparse_ids(n))
-
-
-def _build_omission(
-    seed: int,
-    p: float = 0.1,
-    max_omissions: Optional[int] = None,
-    first: Optional[int] = None,
-    last: Optional[int] = None,
-) -> Adversary:
-    """I.i.d. per-link message loss (``omission:p=0.1,first=2,last=12``)."""
-    rounds = None
-    if first is not None or last is not None:
-        rounds = (1 if first is None else first, 10**9 if last is None else last)
-    return IIDOmissionAdversary(
-        p, max_omissions=max_omissions, rounds=rounds, seed=seed
-    )
-
-
-def _build_omission_targeted(
-    seed: int, count: int = 1, first: Optional[int] = None, last: Optional[int] = None
-) -> Adversary:
-    """Sustained silencing of the lowest-labelled senders
-    (``omission-targeted:count=2,first=2,last=9``)."""
-    rounds = None
-    if first is not None or last is not None:
-        rounds = (1 if first is None else first, 10**9 if last is None else last)
-    return TargetedOmissionAdversary(count=count, rounds=rounds, seed=seed)
-
-
-#: Builder parameters that count crashes, rounds, senders or balls.  A
-#: float or a bool there is refused: slicing with one fails, and
-#: comparing with one silently runs some other adversary.
-INTEGER_PARAMS = frozenset(
-    "max_crashes every_k_phases every_k_rounds victims_per_round last_round "
-    "max_omissions first last count n".split()
-)
-
-ADVERSARY_BUILDERS: Dict[str, AdversaryBuilder] = {
-    "none": _build_none,
-    "random": _build_random,
-    "targeted": _build_targeted,
-    "sandwich": _build_sandwich,
-    "half-split": _build_half_split,
-    "schedule": _build_schedule,
-    "omission": _build_omission,
-    "omission-targeted": _build_omission_targeted,
-}
-
-
-@dataclass(frozen=True)
-class AdversarySpec:
-    """A named, parameterized adversary — hashable and picklable.
-
-    ``params`` is a sorted tuple of ``(key, value)`` pairs so specs can be
-    dict keys and cross process boundaries; :meth:`build` instantiates a
-    fresh adversary for one trial, seeded with that trial's seed.
-    """
-
-    name: str = "none"
-    params: Tuple[Tuple[str, Any], ...] = ()
-    label: Optional[str] = None
-
-    @classmethod
-    def of(cls, name: str, *, label: Optional[str] = None, **params: Any) -> "AdversarySpec":
-        """Build a spec, validating the adversary name."""
-        if name not in ADVERSARY_BUILDERS:
-            raise ConfigurationError(
-                f"unknown adversary {name!r}; choose from {sorted(ADVERSARY_BUILDERS)}"
-            )
-        return cls(name=name, params=tuple(sorted(params.items())), label=label)
-
-    @classmethod
-    def parse(cls, text: str) -> "AdversarySpec":
-        """Parse the CLI grammar ``name[:key=value[,key=value...]]``.
-
-        Values go through :func:`ast.literal_eval` when possible (so
-        ``rate=0.2`` is a float) and stay strings otherwise.
-        """
-        name, _, raw_params = text.partition(":")
-        params: Dict[str, Any] = {}
-        if raw_params:
-            for item in raw_params.split(","):
-                key, sep, raw_value = item.partition("=")
-                if not sep or not key:
-                    raise ConfigurationError(
-                        f"bad adversary parameter {item!r} in {text!r}; "
-                        "expected name:key=value[,key=value...]"
-                    )
-                try:
-                    value = ast.literal_eval(raw_value)
-                except (SyntaxError, ValueError):
-                    value = raw_value
-                params[key.strip()] = value
-        return cls.of(name.strip(), **params)
-
-    @property
-    def key(self) -> str:
-        """The display / cell-grouping label."""
-        if self.label is not None:
-            return self.label
-        if not self.params:
-            return self.name
-        rendered = ",".join(f"{key}={value}" for key, value in self.params)
-        return f"{self.name}:{rendered}"
-
-    def build(self, seed: int) -> Optional[Adversary]:
-        """A fresh adversary instance for one trial."""
-        builder = ADVERSARY_BUILDERS.get(self.name)
-        if builder is None:
-            raise ConfigurationError(
-                f"unknown adversary {self.name!r}; choose from {sorted(ADVERSARY_BUILDERS)}"
-            )
-        params = dict(self.params)
-        try:
-            for key in INTEGER_PARAMS.intersection(params):
-                value = params[key]
-                if value is not None and type(value) is not int:
-                    raise TypeError(f"{key} must be an integer, got {value!r}")
-            return builder(seed, **params)
-        except (TypeError, ValueError) as error:
-            raise ConfigurationError(
-                f"bad parameters for adversary {self.name!r}: {error} "
-                f"(accepted: {_builder_params(builder)})"
-            ) from None
-
-
-def _builder_params(builder: AdversaryBuilder) -> str:
-    """The builder's accepted parameter names, for error messages."""
-    import inspect
-
-    names = [
-        name
-        for name in inspect.signature(builder).parameters
-        if name != "seed"
-    ]
-    return ", ".join(names) if names else "none"
-
-
-#: Anything coercible to an AdversarySpec in matrix/CLI construction.
-AdversaryLike = Union[str, AdversarySpec]
-
-
-def as_adversary_spec(value: AdversaryLike) -> AdversarySpec:
-    """Coerce a string (CLI grammar) or spec to an :class:`AdversarySpec`."""
-    if isinstance(value, AdversarySpec):
-        return value
-    return AdversarySpec.parse(value)
-
-
 # -------------------------------------------------------------------- the trial
-
-
-class CellKey(NamedTuple):
-    """Coordinates of one matrix cell (seed dimension aggregated away)."""
-
-    algorithm: str
-    n: int
-    adversary: str
-
-
-@dataclass(frozen=True)
-class TrialSpec:
-    """One fully-described execution; picklable, hashable, deterministic."""
-
-    algorithm: str
-    n: int
-    seed: int
-    adversary: AdversarySpec = AdversarySpec()
-    halt_on_name: bool = False
-    crash_budget: Optional[int] = None
-    check: bool = True
-    #: Kernel selection: "auto" (stacked vectorized cells for eligible
-    #: cells at the stream floor, columnar when it models the run,
-    #: reference otherwise), or a pinned "reference" / "columnar" /
-    #: "vectorized" (pinned fast paths raise KernelUnsupported on
-    #: rejected cells).
-    kernel: str = "auto"
-    #: Counterexample-mining mode: capture simulation/spec failures as
-    #: data (:attr:`TrialResult.error`) instead of letting one poisoned
-    #: trial abort a whole batch.  A deadlocked run (the round limit) is
-    #: exactly what an adversary search hopes to find.
-    capture_errors: bool = False
-    #: Runtime invariant monitoring ("off"/"cheap"/"full"); findings land
-    #: in :attr:`TrialResult.violations` and the jsonl rows.
-    monitor: str = "off"
-    #: Event capture ("off"/"cheap"/"full"); a cheap trace rides the fast
-    #: kernels, a full one pins the reference engine.  The recorded trace
-    #: lands in :attr:`TrialResult.trace`.
-    trace: str = "off"
-
-    @property
-    def cell(self) -> CellKey:
-        """The matrix cell this trial belongs to."""
-        return CellKey(self.algorithm, self.n, self.adversary.key)
-
-    def digest(self) -> str:
-        """Short content address of the *execution* this spec describes.
-
-        Covers exactly the fields that determine the run's outcome
-        (algorithm, n, seed, adversary, halt_on_name, crash_budget,
-        kernel-visible knobs) — observation modes (``trace``,
-        ``monitor``) and error handling (``check``, ``capture_errors``)
-        are excluded, since the byte-identity guarantees pin that they
-        never change results.  Trace and scenario files are
-        content-addressed by this digest.
-        """
-        canonical = repr(
-            (
-                self.algorithm,
-                self.n,
-                self.seed,
-                self.adversary.key,
-                self.halt_on_name,
-                self.crash_budget,
-            )
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -456,6 +177,7 @@ def _failed_trial(
     spec: TrialSpec,
     error: Exception,
     trace: Optional[Trace],
+    kernel: str,
     fault_budget: str = "",
 ) -> TrialResult:
     """The row of a trial that failed under ``capture_errors``.
@@ -465,7 +187,8 @@ def _failed_trial(
     :attr:`~repro.sim.runner.Workload.round_limit` — the worst legal
     round count, so rounds-style objectives rank the failure above any
     terminating run.  ``trace`` holds the events recorded up to the
-    failure.
+    failure, and ``kernel`` names the engine that ran it, as a clean
+    row's does.
     """
     if isinstance(error, RoundLimitExceeded):
         rounds = error.limit
@@ -480,7 +203,7 @@ def _failed_trial(
         messages_delivered=0,
         last_round_named=None,
         names=(),
-        kernel=spec.kernel,
+        kernel=kernel,
         error=f"{type(error).__name__}: {error}",
         monitor=spec.monitor,
         violations=tuple(v.render() for v in getattr(error, "violations", ())),
@@ -509,10 +232,15 @@ def run_trial(spec: TrialSpec) -> TrialResult:
     except (SimulationError, SpecViolation) as error:
         if not spec.capture_errors:
             raise
-        # The events recorded up to the failure (runner hangs the sink on
-        # the error): a deadlock's trace is the interesting one.
+        # The runner hangs the engine that ran and the events recorded up
+        # to the failure on the error: a deadlock's trace is the
+        # interesting one.
         return _failed_trial(
-            spec, error, getattr(error, "partial_trace", None), fault_budget
+            spec,
+            error,
+            getattr(error, "partial_trace", None),
+            getattr(error, "kernel", spec.kernel),
+            fault_budget,
         )
     return TrialResult(
         spec=spec,
@@ -741,7 +469,7 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
         if error is not None:
             if not trial_spec.capture_errors:
                 raise error
-            results.append(_failed_trial(trial_spec, error, trace))
+            results.append(_failed_trial(trial_spec, error, trace, "vectorized"))
             continue
         row = decisions[t]
         if failures[t] == 0 and min(row) >= 0:

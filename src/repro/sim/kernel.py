@@ -31,22 +31,26 @@ single runs, :func:`repro.sim.batch.plan_tasks` for cells, and
 :func:`repro.monitor.splitting.run_tail` for splitting stages — so
 ``auto`` means the same in every verb, and pinning an engine raises
 :class:`~repro.errors.KernelUnsupported` with exactly the reason
-``auto`` falls back on.  This module imports no engine and no NumPy:
-the vectorized engine's NumPy probe runs only when that engine is asked.
+``auto`` falls back on.  This module imports no engine, no adversary
+and no NumPy, so reading a stored scenario can check its kernel and
+monitor names here: the certification predicate loads when a rejection
+is asked for, and the vectorized engine's NumPy probe only when that
+engine is.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from repro.adversary.base import Adversary
-from repro.adversary.certification import certification_failure
 from repro.errors import ConfigurationError, KernelUnsupported
-from repro.ids import ProcessId
-from repro.sim.simulator import SimulationResult
-from repro.sim.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.adversary.base import Adversary
+    from repro.ids import ProcessId
+    from repro.sim.simulator import SimulationResult
+    from repro.sim.trace import Trace
 
 #: Kernel names accepted by :func:`select_kernel`, the runner, the batch
 #: engine, and the CLI.
@@ -184,6 +188,8 @@ def kernel_rejection(
             f"algorithm {algorithm!r} is not Balls-into-Leaves-based; its "
             "broadcasts are not position announcements over a shared view"
         )
+    from repro.adversary.certification import certification_failure
+
     columnar = kernel == "columnar"
     failure = certification_failure(
         adversary, supported=("crash", "omission") if columnar else ("crash",)

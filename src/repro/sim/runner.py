@@ -275,11 +275,12 @@ def run_renaming(
     try:
         run = engine.run(request)
     except Exception as error:
+        # A deadlocked or violating run is exactly what hunts mine: hang
+        # the engine that ran it and the partial trace on the error, so a
+        # capture_errors row names its kernel and keeps the event stream
+        # up to the failure (which the timeline explorer draws).
+        error.kernel = engine.name
         if trace_sink is not None:
-            # A deadlocked or violating run is exactly what hunts mine;
-            # hang the partial trace on the error so capture_errors rows
-            # (and the timeline explorer) can still show the event
-            # stream up to the failure.
             error.partial_trace = trace_sink
         raise
     result = run.result
@@ -291,6 +292,7 @@ def run_renaming(
         if check and load.renaming:
             check_renaming(result, RenamingSpec(n=n))
     except Exception as error:
+        error.kernel = engine.name
         if trace_sink is not None:
             error.partial_trace = trace_sink
         raise

@@ -98,3 +98,39 @@ def test_lint_paths_on_a_directory(tmp_path):
     (tmp_path / "clean.py").write_text("x = 1\n")
     violations = lint_paths([str(tmp_path)])
     assert [(Path(v.path).name, v.rule) for v in violations] == [("dirty.py", "D102")]
+
+
+def test_schema_drift_follows_an_imported_spec_class(tmp_path):
+    # TrialSpec in one module, its serializer in another: K203 checks the
+    # imported class's fields where they are serialized.
+    package = tmp_path / "proj"
+    package.mkdir()
+    (package / "specs.py").write_text(
+        "from dataclasses import dataclass\n"
+        "\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class TrialSpec:\n"
+        "    algorithm: str\n"
+        "    flux_capacitance: float\n"
+    )
+    (package / "batch.py").write_text(
+        "from dataclasses import dataclass\n"
+        "\n"
+        "from proj.specs import TrialSpec\n"
+        "\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class TrialResult:\n"
+        "    spec: TrialSpec  # repro: lint-ok[K203] flattened below\n"
+        "    rounds: int\n"
+        "\n"
+        "    def to_row(self):\n"
+        "        return {'algorithm': self.spec.algorithm, 'rounds': self.rounds}\n"
+    )
+    violations = lint_paths([str(tmp_path)])
+    assert [(Path(v.path).name, v.line, v.rule) for v in violations] == [
+        ("batch.py", 3, "K203")
+    ]
+    assert "TrialSpec.flux_capacitance" in violations[0].message
+    assert "specs.py:7" in violations[0].message

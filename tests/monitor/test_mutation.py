@@ -24,8 +24,9 @@ from repro.monitor.invariants import (
     RunMonitor,
     observe_crash_engine,
 )
-from repro.sim.batch import AdversarySpec, TrialSpec, run_cell, run_trial
+from repro.sim.batch import run_cell, run_trial
 from repro.sim.runner import run_renaming
+from repro.sim.specs import AdversarySpec, TrialSpec
 from repro.tree.topology import cached_topology
 
 N = 16

@@ -318,6 +318,71 @@ class TestCheckpointInterchange:
         assert sorted(columnar.decision) == list(range(self.N))
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs the vectorized engine")
+class TestResumedSeeding:
+    """A resumed stack seeds only the streams that can still draw: the
+    ``tail`` workload's chunk shape, resumed at its first level."""
+
+    N, TRIALS, ROUND = 256, 32, 5
+
+    def test_only_unnamed_running_balls_are_seeded(self, monkeypatch):
+        import random
+
+        import numpy as np
+
+        from repro.core import vectorized
+        from repro.sim.rng import derive_seed
+
+        ids = list(range(self.N))
+        source = vectorized.VectorizedCrashEngine(ids, list(range(self.TRIALS)))
+        source.run(stop_after=self.ROUND)
+        assert (source.running > 0).all()
+        states = [source.export_trial_state(t) for t in range(self.TRIALS)]
+        seeds = [1000 + t for t in range(self.TRIALS)]
+
+        banks = []
+
+        class SpyBank(vectorized.MTStreamBank):
+            """Records the seeds it was built from and every draw."""
+
+            def __init__(self, stream_seeds, **options):
+                super().__init__(stream_seeds, **options)
+                self.seeds = stream_seeds.tolist()
+                self.drawn = {}
+                banks.append(self)
+
+            def draws(self, idx):
+                out = super().draws(idx)
+                for column, value in zip(idx.tolist(), out.tolist()):
+                    self.drawn.setdefault(column, []).append(value)
+                return out
+
+        monkeypatch.setattr(vectorized, "MTStreamBank", SpyBank)
+        engine = vectorized.VectorizedCrashEngine(ids, seeds)
+        engine.inject_trial_states(states, self.ROUND)
+        engine.run()
+        assert not engine.running.any()
+
+        (bank,) = banks
+        named = np.concatenate([s["round_named"] for s in states]) >= 0
+        halted = np.concatenate([s["halted"] for s in states])
+        drawable = np.flatnonzero(~named & ~halted).tolist()
+        assert 0 < len(bank.seeds) < self.TRIALS * self.N
+        assert bank.seeds == [
+            derive_seed(seeds[ball // self.N], "ball", ball % self.N)
+            for ball in drawable
+        ]
+        # Each ball that walked drew its own Random(derive_seed(...)) run.
+        assert bank.drawn
+        for column, values in bank.drawn.items():
+            stream = random.Random(bank.seeds[column])
+            assert values == [stream.random() for _ in values]
+        # A named ball sits on its leaf: a draw for one is an engine bug.
+        ball = int(np.flatnonzero(named)[0])
+        with pytest.raises(RuntimeError, match="seeded streams"):
+            engine._draw(np.array([ball]))
+
+
 class TestEstimates:
     def test_stage_zero_is_direct_monte_carlo(self):
         config = TailConfig(seed=1, n=16, trials=64, levels=(5,))

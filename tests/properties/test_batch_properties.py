@@ -16,13 +16,9 @@ from repro.adversary.random_crash import RandomCrashAdversary
 from repro.analysis.tables import Table
 from repro.experiments.common import round_stats
 from repro.ids import sparse_ids
-from repro.sim.batch import (
-    AdversarySpec,
-    Executor,
-    ScenarioMatrix,
-    run_batch,
-)
+from repro.sim.batch import Executor, ScenarioMatrix, run_batch
 from repro.sim.runner import run_renaming
+from repro.sim.specs import AdversarySpec
 
 #: >= 3 algorithms x >= 2 adversaries, per the determinism contract.
 MATRIX_ALGORITHMS = ("balls-into-leaves", "early-terminating", "rank-descent")

@@ -11,7 +11,8 @@ from repro.search.objectives import (
     as_objective,
     objective_summaries,
 )
-from repro.sim.batch import TrialResult, TrialSpec
+from repro.sim.batch import TrialResult
+from repro.sim.specs import TrialSpec
 
 
 def result_with(

@@ -18,7 +18,8 @@ from repro.search.scenario import (
     write_scenario,
 )
 from repro.search.schedule import CrashEvent, Schedule
-from repro.sim.batch import AdversarySpec, TrialSpec, run_trial
+from repro.sim.batch import run_trial
+from repro.sim.specs import AdversarySpec, TrialSpec
 from repro.sim.trace import trace_filename, write_trace
 
 

@@ -11,9 +11,10 @@ from repro.adversary.scheduled import ScheduledAdversary
 from repro.errors import ConfigurationError
 from repro.ids import sparse_ids
 from repro.search.schedule import CrashEvent, Schedule
-from repro.sim.batch import AdversarySpec, TrialSpec, run_trial
+from repro.sim.batch import run_trial
 from repro.sim.kernel import KernelRequest, select_kernel
 from repro.sim.runner import run_renaming
+from repro.sim.specs import AdversarySpec, TrialSpec
 
 
 class TestGenotype:

@@ -10,17 +10,20 @@ from repro.monitor.splitting import TailConfig, run_tail
 from repro.search.baseline import evaluate_bundled
 from repro.search.strategies import HuntConfig, run_hunt
 from repro.sim.batch import (
-    ADVERSARY_BUILDERS,
-    INTEGER_PARAMS,
-    AdversarySpec,
-    CellKey,
     Executor,
     ScenarioMatrix,
-    TrialSpec,
     as_executor,
     legacy_trial_seeds,
     run_batch,
     run_trial,
+)
+from repro.sim.specs import (
+    ADVERSARY_BUILDERS,
+    INTEGER_PARAMS,
+    NUMBER_PARAMS,
+    AdversarySpec,
+    CellKey,
+    TrialSpec,
 )
 
 
@@ -73,6 +76,21 @@ class TestAdversarySpec:
                         spec = AdversarySpec.of(name, **{param.name: value})
                         with pytest.raises(
                             ConfigurationError, match="must be an integer"
+                        ):
+                            spec.build(0)
+
+    def test_every_rate_parameter_must_be_a_number(self):
+        import inspect
+
+        for name, builder in ADVERSARY_BUILDERS.items():
+            for param in list(inspect.signature(builder).parameters.values())[1:]:
+                rates = param.annotation == "float"
+                assert rates == (param.name in NUMBER_PARAMS), (name, param.name)
+                if rates:
+                    for value in (True, "nan", None):
+                        spec = AdversarySpec.of(name, **{param.name: value})
+                        with pytest.raises(
+                            ConfigurationError, match="must be a number"
                         ):
                             spec.build(0)
 

@@ -20,13 +20,7 @@ from repro.adversary.random_crash import RandomCrashAdversary
 from repro.core import mt19937
 from repro.errors import ConfigurationError, KernelUnsupported
 from repro.ids import sparse_ids
-from repro.sim.batch import (
-    AdversarySpec,
-    ScenarioMatrix,
-    TrialSpec,
-    plan_tasks,
-    run_batch,
-)
+from repro.sim.batch import ScenarioMatrix, plan_tasks, run_batch
 from repro.sim.kernel import (
     MIN_STREAMS,
     KernelRequest,
@@ -35,6 +29,7 @@ from repro.sim.kernel import (
     select_kernel,
 )
 from repro.sim.runner import ALGORITHMS, run_renaming
+from repro.sim.specs import AdversarySpec, TrialSpec
 
 ADVERSARY_FACTORIES = {
     "none": lambda seed: None,

@@ -120,6 +120,14 @@ class TestDeriveBallSeeds:
         ]
         assert got.tolist() == expected
 
+    def test_a_subset_of_balls_derives_just_those_seeds(self):
+        labels = sparse_ids(9)
+        trial_seeds = [0, 7, 2**40 + 5]
+        every = derive_ball_seeds(trial_seeds, labels)
+        balls = np.array([26, 0, 9, 13, 9])
+        got = derive_ball_seeds(trial_seeds, labels, balls)
+        assert got.tolist() == every[balls].tolist()
+
     def test_streams_seeded_from_derived_seeds_match_engines(self):
         """End to end: bank draws equal the per-ball derive_rng draws."""
         from repro.sim.rng import derive_rng

@@ -14,21 +14,17 @@ which crash cells stack.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import RoundLimitExceeded
 from repro.ids import sparse_ids
 from repro.search.schedule import CrashEvent, Schedule
-from repro.sim.batch import (
-    AdversarySpec,
-    TrialSpec,
-    plan_tasks,
-    run_batch,
-    run_cell,
-    run_trial,
-)
+from repro.sim.batch import plan_tasks, run_batch, run_cell, run_trial
 from repro.sim.kernel import MIN_STREAMS
 from repro.sim.runner import run_renaming
+from repro.sim.specs import AdversarySpec, TrialSpec
 from repro.sim.vectorized import run_stacked_cell, vectorized_available
 
 needs_numpy = pytest.mark.skipif(
@@ -89,6 +85,31 @@ class TestStackedCrashDifferential:
         assert_stack_matches_per_trial(specs)
         rows = run_cell(specs)
         assert rows[0].rounds == 9
+
+    def test_captured_failure_names_the_engine_that_ran(self):
+        """A stacked cell's failed row says ``vectorized`` like its
+        stack-mates, and per trial it names the columnar engine, not the
+        requested ``auto``.  Seed 1 is the halt-on-name stall that the
+        progress monitor stops at round 15; seed 2 terminates."""
+        specs = [
+            TrialSpec(
+                algorithm="balls-into-leaves", n=396, seed=seed,
+                adversary=AdversarySpec.parse(
+                    "half-split:victims_per_round=2,last_round=9"
+                ),
+                halt_on_name=True, monitor="cheap", kernel="vectorized",
+                capture_errors=True,
+            )
+            for seed in (1, 2)
+        ]
+        stacked = run_cell(specs)
+        per_trial = [
+            run_trial(dataclasses.replace(spec, kernel="auto")) for spec in specs
+        ]
+        assert [row.error is None for row in stacked] == [False, True]
+        assert [row.error is None for row in per_trial] == [False, True]
+        assert [row.kernel for row in stacked] == ["vectorized"] * 2
+        assert [row.kernel for row in per_trial] == ["columnar"] * 2
 
     def test_overrun_is_isolated_per_trial(self):
         """One trial hitting the limit must not distort its stack-mates."""

@@ -19,8 +19,9 @@ from repro.core.mt19937 import HAVE_NUMPY
 from repro.errors import ConfigurationError, ReproError, RoundLimitExceeded
 from repro.ids import sparse_ids
 from repro.search.schedule import CrashEvent, Schedule
-from repro.sim.batch import AdversarySpec, TrialSpec, run_trial
+from repro.sim.batch import run_trial
 from repro.sim.runner import run_renaming
+from repro.sim.specs import AdversarySpec, TrialSpec
 from repro.sim.trace import (
     TRACE_MODES,
     check_trace_mode,

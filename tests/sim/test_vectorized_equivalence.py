@@ -28,13 +28,13 @@ from repro.sim import batch
 from repro.sim.batch import (
     Executor,
     ScenarioMatrix,
-    TrialSpec,
     plan_tasks,
     run_batch,
     run_cell,
     run_trial,
 )
 from repro.sim.runner import run_renaming
+from repro.sim.specs import TrialSpec
 from repro.sim.vectorized import vectorized_available
 
 needs_numpy = pytest.mark.skipif(

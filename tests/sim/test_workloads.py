@@ -17,13 +17,7 @@ import pytest
 from repro.adversary import RandomCrashAdversary, TargetedOmissionAdversary
 from repro.errors import ConfigurationError, KernelUnsupported, SpecViolation
 from repro.ids import sparse_ids
-from repro.sim.batch import (
-    AdversarySpec,
-    ScenarioMatrix,
-    TrialSpec,
-    run_batch,
-    run_trial,
-)
+from repro.sim.batch import ScenarioMatrix, run_batch, run_trial
 from repro.sim.runner import (
     ALGORITHMS,
     WORKLOADS,
@@ -31,6 +25,7 @@ from repro.sim.runner import (
     run_renaming,
     workload,
 )
+from repro.sim.specs import AdversarySpec, TrialSpec
 
 
 class TestWorkloadRegistry:

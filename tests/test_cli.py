@@ -384,6 +384,23 @@ class TestFaultAdversaryCli:
             ), err
             assert (f"got {value} (accepted: " in err), err
             assert key in err.split("accepted:", 1)[1]
+        # Rates must be numbers: a boolean ran as 0 or 1, and a string
+        # (``nan`` is not a literal, so it stays one) died comparing.
+        for spec, shown in (("random:rate=True", "True"),
+                            ("omission:p=True", "True"),
+                            ("random:rate=nan", "'nan'"),
+                            ("random:rate='x'", "'x'")):
+            name, _, param = spec.partition(":")
+            key = param.split("=")[0]
+            assert main(["batch", "--sizes", "16", "--trials", "2",
+                         "--capture-errors", "--no-check",
+                         "--adversary", spec]) == 2, spec
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: bad parameters for adversary '{name}': {key} must be "
+                f"a number, got {shown} (accepted: "
+            ), err
+            assert key in err.split("accepted:", 1)[1]
 
     def test_captured_failures_report_the_workloads_round_budget(
         self, tmp_path, capsys
@@ -406,6 +423,20 @@ class TestFaultAdversaryCli:
                 assert f"round limit of {row['rounds']} " in row["error"]
             else:
                 assert row["rounds"] == budgets[row["algorithm"]]
+
+    def test_captured_failures_name_the_engine_that_ran(self, tmp_path, capsys):
+        # The baselines run on the reference engine, failed trials too:
+        # a captured failure used to report the requested "auto".
+        out = tmp_path / "rows.jsonl"
+        assert main(["batch", "--algorithms", "flood,parallel-retry",
+                     "--sizes", "8", "--adversary", "omission:p=0.3",
+                     "--trials", "8", "--seed", "1", "--capture-errors",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert any(row["error"] for row in rows)
+        assert any(not row["error"] for row in rows)
+        assert {row["kernel"] for row in rows} == {"reference"}
 
     def test_omission_smoke_measures_instead_of_raising(self, capsys):
         assert main(["batch", "--algorithms", "balls-into-leaves",

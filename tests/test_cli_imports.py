@@ -128,6 +128,21 @@ def test_verb_that_runs_no_trial_loads_no_simulation_module(modules_after, verb)
     assert not packages & SIMULATION
 
 
+#: What reading a stored trace has no use for: the trial engine, the
+#: adversaries (a package: loading any of them loads all eight) and the
+#: protocol core.
+TRIAL_ENGINE = {"repro.sim.batch", "repro.sim.runner", "repro.sim.simulator",
+                "repro.sim.checker", "repro.adversary", "repro.core", "numpy"}
+
+
+def test_explore_of_a_stored_trace_loads_no_trial_engine(modules_after):
+    assert not modules_after("explore-stored") & TRIAL_ENGINE
+
+
+def test_explore_replay_loads_the_trial_engine(modules_after):
+    assert "repro.sim.batch" in modules_after("explore-replay")
+
+
 @pytest.mark.parametrize(
     "verb",
     ["explore-stored", "stats", "batch-below-floor", "hunt", "tail-below-floor"],

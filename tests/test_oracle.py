@@ -42,9 +42,10 @@ from repro.errors import KernelUnsupported, ReproError
 from repro.ids import sparse_ids, string_ids
 from repro.search.schedule import EVENT_KINDS, CrashEvent, Schedule
 from repro.sim import kernel as sim_kernel
-from repro.sim.batch import AdversarySpec, TrialSpec, run_batch, run_cell, run_trial
+from repro.sim.batch import run_batch, run_cell, run_trial
 from repro.sim.checker import RenamingSpec, check_renaming
 from repro.sim.runner import ALGORITHMS, WORKLOADS, run_renaming
+from repro.sim.specs import AdversarySpec, TrialSpec
 from repro.sim.trace import shared_events
 from repro.sim.vectorized import vectorized_available
 
