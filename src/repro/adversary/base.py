@@ -138,6 +138,18 @@ class Adversary(ABC):
         """The per-family budget this adversary declares for a run."""
         return FaultBudget()
 
+    def last_fault_round(self) -> Optional[int]:
+        """The last round in which :meth:`plan_faults` may return a
+        non-empty plan or change this adversary's state; ``None`` (the
+        default) means unknown.
+
+        Every later call returns an empty plan and changes nothing, so no
+        engine can tell it from not asking.  The columnar engine reads it
+        to prove that a phase ending in its own starting state repeats
+        until the round limit; ``None`` never lets it stop a run early.
+        """
+        return None
+
     # ------------------------------------------------------------ conveniences
     @staticmethod
     def silent(victims: Sequence[ProcessId]) -> CrashPlan:

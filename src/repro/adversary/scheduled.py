@@ -12,7 +12,7 @@ genotypes with omit events compile to it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.adversary.base import (
     Adversary,
@@ -71,6 +71,9 @@ class ScheduledAdversary(Adversary):
         self._omissions_by_round: Dict[int, List[ScheduledOmission]] = {}
         for omission in omissions:
             self._omissions_by_round.setdefault(omission.round_no, []).append(omission)
+        self._last_round = max(
+            [*self._by_round, *self._omissions_by_round], default=0
+        )
 
     def plan(self, ctx: AdversaryContext) -> CrashPlan:
         plan: CrashPlan = {}
@@ -97,3 +100,7 @@ class ScheduledAdversary(Adversary):
 
     def fault_families(self) -> Tuple[str, ...]:
         return ("crash", "omission") if self._omissions_by_round else ("crash",)
+
+    def last_fault_round(self) -> Optional[int]:
+        """The last scheduled event's round (0 for an empty schedule)."""
+        return self._last_round

@@ -74,3 +74,7 @@ class HalfSplitAdversary(Adversary):
             plan[victim] = frozenset(others[offset % 2 :: 2])
         self._crashes += len(plan)
         return plan
+
+    def last_fault_round(self) -> Optional[int]:
+        # Plans and the crash count change only in strike rounds.
+        return max(self._rounds, default=0)

@@ -32,6 +32,29 @@ broadcast, so the run stays one class, and a round with no partial
 delivery updates each class in place without building delivery
 signatures or merge keys.
 
+A faulted run can wedge, and the engine proves when it has.  A phase (a
+path round, then a position round) is a deterministic function of the
+state it starts in, the coins its path round draws and the adversary's
+plans.  :attr:`ColumnarCrashEngine.fixed_point` is set when, from round
+4 on (after hybrid's phase-1 rank walk), a path round drew no coin with
+a real choice (every left-child probability it used was 0 or 1),
+neither round of the phase applied a fault, the adversary has declared
+through :meth:`~repro.adversary.base.Adversary.last_fault_round` that it
+acts no more, and the position round ended in exactly the phase's
+starting state: the live class views' positions and lifecycle bytes in
+live order, which class each running ball holds, the running list, and
+the decision, halted and crashed lists.  The next phase then starts
+from the same state, computes the same forced probabilities and meets
+no fault, so it is the same phase, and so is every later one: the run
+can only reach the round limit with the same balls running.  The engine
+only reports it; :class:`~repro.sim.columnar.ColumnarKernel` decides
+whether to stop.
+
+The adversary reads each round's context through
+:class:`_AdversaryContexts`, which both fast engines share: its
+``running``, ``alive`` and ``crashed_so_far`` are rebuilt only when they
+change, and its outbox builds a payload only when a plan reads it.
+
 Bit-for-bit equivalence with the reference engine — same round counts,
 same names, same per-round metrics — is asserted by the differential
 oracle in ``tests/test_oracle.py``; any behavioural change here must
@@ -45,7 +68,19 @@ reference kernel.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.adversary.base import (
     AdversaryContext,
@@ -97,9 +132,6 @@ class _ProcessIntrospectionUnavailable(Mapping):
     of silently diverging from the reference engine.
     """
 
-    def __init__(self, pids: Sequence[Hashable]) -> None:
-        self._pids = tuple(pids)
-
     def _unavailable(self) -> SimulationError:
         return SimulationError(
             "the columnar kernel does not materialize process objects; "
@@ -118,6 +150,113 @@ class _ProcessIntrospectionUnavailable(Mapping):
 
     def __len__(self) -> int:
         raise self._unavailable()
+
+
+#: The one stand-in every fast-path context shares (it holds no state).
+_NO_PROCESSES = _ProcessIntrospectionUnavailable()
+
+
+class _LazyOutbox(Mapping):
+    """One round's outbox, payloads materialized on first access.
+
+    Keyed and ordered like the reference engine's outbox (the running
+    pids in input order).  Certified adversaries are pure functions of
+    the public context, so building a payload (and the key set) only
+    when a plan reads one is observationally identical — and most plans
+    read none.
+    """
+
+    __slots__ = ("_pids", "_members", "_fetch", "_memo")
+
+    def __init__(self, pids: Sequence[BallId], fetch: Callable[[BallId], Any]) -> None:
+        self._pids = pids
+        self._members: Optional[frozenset] = None
+        self._fetch = fetch
+        self._memo: Dict[BallId, Any] = {}
+
+    def __getitem__(self, key: BallId) -> Any:
+        memo = self._memo
+        if key in memo:
+            return memo[key]
+        if self._members is None:
+            self._members = frozenset(self._pids)
+        if key not in self._members:
+            raise KeyError(key)
+        value = self._fetch(key)
+        memo[key] = value
+        return value
+
+    def __iter__(self) -> Iterator[BallId]:
+        return iter(self._pids)
+
+    def __len__(self) -> int:
+        return len(self._pids)
+
+
+class _AdversaryContexts:
+    """Builds one trial's :class:`AdversaryContext` each round, for both
+    fast engines.
+
+    The running set only shrinks and the crashed set only grows, so
+    their sizes say when they change: ``running``, ``alive`` and
+    ``crashed_so_far`` are rebuilt only then and shared by the rounds in
+    between, and the outbox is a :class:`_LazyOutbox` over the engine's
+    ``fetch``.  Masks are indexed by label rank; pids are listed in input
+    order, like the reference engine's process dict.
+    """
+
+    __slots__ = (
+        "_labels", "_input_order", "_running_left", "_running",
+        "_crash_count", "_alive", "_crashed",
+    )
+
+    def __init__(self, labels: Sequence[BallId], input_order: Sequence[int]) -> None:
+        self._labels = labels
+        self._input_order = input_order
+        self._running_left = -1
+        self._running: Tuple[BallId, ...] = ()
+        self._crash_count = -1
+        self._alive: Tuple[BallId, ...] = ()
+        self._crashed: frozenset = frozenset()
+
+    def build(
+        self,
+        round_no: int,
+        *,
+        crashed: Sequence[Any],
+        halted: Sequence[Any],
+        running_left: int,
+        crash_count: int,
+        fetch: Callable[[BallId], Any],
+        budget_remaining: int,
+        omission_budget_remaining: Optional[int] = None,
+    ) -> AdversaryContext:
+        labels = self._labels
+        if crash_count != self._crash_count:
+            self._crash_count = crash_count
+            self._alive = tuple(
+                labels[j] for j in self._input_order if not crashed[j]
+            )
+            self._crashed = frozenset(
+                labels[j] for j in range(len(labels)) if crashed[j]
+            )
+        if running_left != self._running_left:
+            self._running_left = running_left
+            self._running = tuple(
+                labels[j]
+                for j in self._input_order
+                if not crashed[j] and not halted[j]
+            )
+        return AdversaryContext(
+            round_no=round_no,
+            running=self._running,
+            alive=self._alive,
+            outbox=_LazyOutbox(self._running, fetch),
+            crashed_so_far=self._crashed,
+            budget_remaining=budget_remaining,
+            processes=_NO_PROCESSES,
+            omission_budget_remaining=omission_budget_remaining,
+        )
 
 
 class _ClassView:
@@ -260,8 +399,18 @@ class ColumnarCrashEngine:
             else FaultBudget()
         )
         self._omissions_used = 0
+        self._contexts = _AdversaryContexts(self.labels, self._input_order)
         #: First round each sender index was silenced by omission.
         self.silenced_round: Dict[int, int] = {}
+        # The current phase's livelock evidence (see _note_phase): did its
+        # path round draw a real coin, did either round apply a fault, and
+        # the state the last counted phase ended in.
+        self._coin_tossed = False
+        self._faulted = False
+        self._phase_end: Optional[Tuple[Any, ...]] = None
+        #: The phase just ended is a proven livelock: every later phase
+        #: repeats it, so the run can only reach the round limit.
+        self.fixed_point = False
         # Metrics of the most recent round (read by the kernel).
         self.last_sent = 0
         self.last_delivered = 0
@@ -283,22 +432,18 @@ class ColumnarCrashEngine:
         if round_no == 1:
             kind = "init"
             paths: Optional[List[Optional[List[int]]]] = None
-            announced: Optional[List[Optional[int]]] = None
         elif round_no % 2 == 0:
             kind = "path"
+            self._coin_tossed = self._faulted = False
             paths = self._choose_paths(round_no, running)
-            announced = None
         else:
             kind = "pos"
             paths = None
-            # Without an adversary only delivery reads the announcements,
-            # and a settled round (below) needs none.
-            announced = (
-                None if self._adversary is None else self._announcements(running)
-            )
 
-        fault = self._plan_faults(round_no, running, kind, paths, announced)
+        fault = self._plan_faults(round_no, kind, paths)
         plan = fault.crashes
+        if plan or fault.omissions:
+            self._faulted = True
         for victim in plan:
             j = self._index_of[victim]
             crashed[j] = True
@@ -359,7 +504,9 @@ class ColumnarCrashEngine:
         apply: Any = (
             self._apply_path_round if kind == "path" else self._apply_position_round
         )
-        payload: Any = paths if kind == "path" else announced
+        # A position round's payload, the announcements, is built only
+        # where delivery reads it (a settled round reads none).
+        payload: Any = paths
         if not partial:
             # Fast path: no broadcast was cut short, so every receiver's
             # delivery group is its own pre-class.  Each live class (one,
@@ -389,13 +536,15 @@ class ColumnarCrashEngine:
             else:
                 # The receivers are last round's survivors, so their
                 # classes are exactly the live list kept below.
-                if kind == "pos" and payload is None:
+                if kind == "pos":
                     payload = self._announcements(running)
                 for cv in self._live:
                     apply(cv, payload, victim_idx)
                 if len(self._live) > 1:
                     self._merge_live(receivers)
         else:
+            if kind == "pos":
+                payload = self._announcements(running)
             self._deliver_partial(
                 kind, receivers, partial, base_count, running,
                 victim_idx, apply, payload,
@@ -425,6 +574,49 @@ class ColumnarCrashEngine:
         # classes unless a running ball crashes.
         self._running = receivers
         self.last_running = self.running_count
+        if kind == "pos":
+            self._note_phase(round_no)
+
+    def _note_phase(self, round_no: int) -> None:
+        """Set :attr:`fixed_point` when the phase just ended proves a
+        livelock (the rule, and why it is exact: the module docstring).
+
+        Its start state is the one recorded at the previous position
+        round, so the first phase compared is the one with path round 4,
+        and hybrid's rank walk (phase 1) is never taken for one of its
+        random phases.  States are recorded only while the adversary is
+        quiet; a run without an adversary has no fault to livelock on
+        and records none.
+        """
+        adversary = self._adversary
+        last = None if adversary is None else adversary.last_fault_round()
+        if last is None or last > round_no:
+            self._phase_end = None
+            self.fixed_point = False
+            return
+        state = self._phase_state()
+        self.fixed_point = (
+            not (self._coin_tossed or self._faulted) and state == self._phase_end
+        )
+        self._phase_end = state
+
+    def _phase_state(self) -> Tuple[Any, ...]:
+        """Everything a later phase reads: the live class views in live
+        order, which class each running ball holds, the running list, and
+        the decision, halted and crashed lists."""
+        live = self._live
+        index: Dict[Optional[_ClassView], int] = {
+            cv: k for k, cv in enumerate(live)
+        }
+        class_of = self._class_of
+        return (
+            [cv.merge_key() for cv in live],
+            [index[class_of[j]] for j in self._running],
+            tuple(self._running),
+            tuple(self.decision),
+            tuple(self.halted),
+            tuple(self.crashed),
+        )
 
     def _halt(self, round_no: int, receivers: List[int]) -> List[int]:
         """The termination rule of a position round; returns the balls
@@ -630,12 +822,7 @@ class ColumnarCrashEngine:
 
     # -------------------------------------------------------------- adversary
     def _plan_faults(
-        self,
-        round_no: int,
-        running: Sequence[int],
-        kind: str,
-        paths: Optional[List[Optional[List[int]]]],
-        announced: Optional[List[Optional[int]]],
+        self, round_no: int, kind: str, paths: Optional[List[Optional[List[int]]]]
     ) -> FaultPlan:
         if self._adversary is None:
             return _NO_FAULTS
@@ -646,47 +833,50 @@ class ColumnarCrashEngine:
             # Crash-only adversaries are never consulted past the budget
             # (preserving the original engine's RNG consumption exactly);
             # omission adversaries still plan their omissions.
-            return FaultPlan()
-        labels = self.labels
-        nodes = self._arr.nodes
-        outbox: Dict[BallId, Any] = {}
+            return _NO_FAULTS
         if kind == "init":
             hello = hello_message()
-            for j in running:
-                outbox[labels[j]] = hello
+
+            def fetch(pid: BallId) -> Any:
+                return hello
+
         elif kind == "path":
-            for j in running:
-                outbox[labels[j]] = path_message(
-                    tuple(nodes[i] for i in paths[j])
-                )
+            nodes = self._arr.nodes
+            index_of = self._index_of
+
+            def fetch(pid: BallId) -> Any:
+                return path_message(tuple(nodes[i] for i in paths[index_of[pid]]))
+
         else:
-            for j in running:
-                outbox[labels[j]] = position_message(nodes[announced[j]])
-        alive = [
-            labels[j] for j in self._input_order if not self.crashed[j]
-        ]
-        crashed_pids = frozenset(
-            labels[j] for j in range(self.n) if self.crashed[j]
-        )
+            nodes = self._arr.nodes
+            index_of = self._index_of
+            class_of = self._class_of
+
+            def fetch(pid: BallId) -> Any:
+                j = index_of[pid]
+                return position_message(nodes[class_of[j].pos[j]])
+
         budget = self._fault_budget
-        ctx = AdversaryContext(
-            round_no=round_no,
-            running=tuple(labels[j] for j in running),
-            alive=tuple(alive),
-            outbox=outbox,
-            crashed_so_far=crashed_pids,
+        ctx = self._contexts.build(
+            round_no,
+            crashed=self.crashed,
+            halted=self.halted,
+            running_left=self.running_count,
+            crash_count=self._crashed_count,
+            fetch=fetch,
             budget_remaining=max(0, remaining),
-            processes=_ProcessIntrospectionUnavailable(alive),
             omission_budget_remaining=(
                 None
                 if budget.omissions is None
                 else max(0, budget.omissions - self._omissions_used)
             ),
         )
-        plan = self._adversary.plan_faults(ctx) or FaultPlan()
+        plan = self._adversary.plan_faults(ctx)
+        if plan is None or not (plan.crashes or plan.omissions):
+            return _NO_FAULTS
         clamped = clamp_fault_plan(
             plan,
-            alive=alive,
+            alive=ctx.alive,
             budget_remaining=max(0, remaining),
             budget=budget,
             omissions_used=self._omissions_used,
@@ -939,7 +1129,9 @@ class ColumnarCrashEngine:
         per-ball streams stay bit-identical to the reference engine's.
         The left-child probability of each node is memoized per (class,
         round): the view is frozen while everyone composes, so balls
-        sharing a class share one division per node.
+        sharing a class share one division per node.  A probability
+        strictly between 0 and 1 is a coin with a real choice, which
+        :meth:`_note_phase` must know of.
         """
         arr = self._arr
         left = arr.left
@@ -956,6 +1148,7 @@ class ColumnarCrashEngine:
         thr: List[float] = []
         stamp: List[int] = []
         count: List[int] = []
+        tossed = False
         for j in running:
             cv = class_of[j]
             if cv is not last:
@@ -999,6 +1192,8 @@ class ColumnarCrashEngine:
                         )
                     else:
                         threshold = cap_left / total
+                        if 0.0 < threshold < 1.0:
+                            tossed = True
                     thr[node] = threshold
                 threshold = thr[node]
                 if threshold == _FORCE_LEFT:
@@ -1010,6 +1205,7 @@ class ColumnarCrashEngine:
                 else:
                     node = right[node]
                 append(node)
+        self._coin_tossed = tossed
 
     def _rank_among_all(self, cv: "_ClassView", j: int) -> int:
         """Label rank of ``j`` among the balls present in ``cv``."""

@@ -44,11 +44,9 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from collections.abc import Mapping
-
-from repro.adversary.base import AdversaryContext, clamp_plan
+from repro.adversary.base import clamp_plan
 from repro.adversary.none import NoFailures
 from repro.errors import ConfigurationError
 from repro.ids import require_distinct
@@ -57,7 +55,7 @@ from repro.core.columnar import (
     SUPPORTED_POLICIES,
     _ACTIVE,
     _ANNOUNCED,
-    _ProcessIntrospectionUnavailable,
+    _AdversaryContexts,
 )
 from repro.core.messages import hello_message, path_message, position_message
 from repro.core.mt19937 import HAVE_NUMPY, MTStreamBank
@@ -177,43 +175,6 @@ def vectorized_topology(n: int) -> "_VecTopology":
 # --------------------------------------------------------------------------
 
 
-class _LazyOutbox(Mapping):
-    """One round's outbox, payloads materialized on first access.
-
-    Keyed and ordered exactly like the columnar engine's eager dict (the
-    running pids in input order).  Certified adversaries are pure
-    functions of the public context, so building ``path_message`` tuples
-    only for the entries a plan actually touches is observationally
-    identical — and most plans touch none.
-    """
-
-    __slots__ = ("_pids", "_members", "_fetch", "_memo")
-
-    def __init__(
-        self, pids: Sequence[BallId], fetch: Callable[[BallId], Any]
-    ) -> None:
-        self._pids = pids
-        self._members = frozenset(pids)
-        self._fetch = fetch
-        self._memo: Dict[BallId, Any] = {}
-
-    def __getitem__(self, key: BallId) -> Any:
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        if key not in self._members:
-            raise KeyError(key)
-        value = self._fetch(key)
-        memo[key] = value
-        return value
-
-    def __iter__(self) -> Iterator[BallId]:
-        return iter(self._pids)
-
-    def __len__(self) -> int:
-        return len(self._pids)
-
-
 class VectorizedCrashEngine:
     """``T`` stacked trials of one cell, failure-free or under certified
     crash adversaries.
@@ -227,11 +188,12 @@ class VectorizedCrashEngine:
     scalar code.
 
     Exactness mirrors the columnar engine decision for decision — the
-    same per-ball RNG streams, the same :class:`AdversaryContext` and
-    clamping, the same frozen-capacity ``<R`` admission (purges enter the
-    priority order as capacity-credit events), the same
-    ``(pos, status)`` merge keys — asserted trial-for-trial by the
-    stacked-crash differential suite.
+    same per-ball RNG streams, the same
+    :class:`~repro.adversary.base.AdversaryContext` and clamping, the
+    same frozen-capacity ``<R`` admission (purges enter the priority
+    order as capacity-credit events), the same ``(pos, status)`` merge
+    keys — asserted trial-for-trial by the stacked-crash differential
+    suite.
 
     Unlike the scalar engines, a trial that exhausts ``max_rounds`` does
     not raise mid-stack: it is flagged in :attr:`overrun` (with the
@@ -276,6 +238,8 @@ class VectorizedCrashEngine:
                 f"{len(adversaries)} adversar(ies) for {T} stacked trial(s)"
             )
         self._adversaries = list(adversaries)
+        #: Each adversary trial's context helper, made at its first plan.
+        self._contexts: Dict[int, _AdversaryContexts] = {}
         self._index_of: Dict[BallId, int] = {
             pid: j for j, pid in enumerate(self.labels)
         }
@@ -800,10 +764,6 @@ class VectorizedCrashEngine:
             if remaining <= 0:
                 continue
             base = t * n
-            sent_list = sent_balls[base : base + n].tolist()
-            running_pids = tuple(
-                labels[j] for j in self._input_order if sent_list[j]
-            )
             if kind == "init":
                 hello = hello_message()
 
@@ -829,23 +789,23 @@ class VectorizedCrashEngine:
                         nodes[int(self._announced[base + self._index_of[pid]])]
                     )
 
-            crashed_list = self.crashed[base : base + n].tolist()
-            alive = [
-                labels[j] for j in self._input_order if not crashed_list[j]
-            ]
-            ctx = AdversaryContext(
-                round_no=round_no,
-                running=running_pids,
-                alive=tuple(alive),
-                outbox=_LazyOutbox(running_pids, fetch),
-                crashed_so_far=frozenset(
-                    labels[j] for j in range(n) if crashed_list[j]
-                ),
+            contexts = self._contexts.get(t)
+            if contexts is None:
+                contexts = _AdversaryContexts(labels, self._input_order)
+                self._contexts[t] = contexts
+            ctx = contexts.build(
+                round_no,
+                crashed=self.crashed[base : base + n].tolist(),
+                halted=self.halted[base : base + n].tolist(),
+                running_left=int(self.running[t]),
+                crash_count=int(self.crashed_count[t]),
+                fetch=fetch,
                 budget_remaining=remaining,
-                processes=_ProcessIntrospectionUnavailable(alive),
             )
-            plan = adv.plan(ctx) or {}
-            plan = clamp_plan(plan, alive=alive, budget_remaining=remaining)
+            plan = adv.plan(ctx)
+            if not plan:
+                continue
+            plan = clamp_plan(plan, alive=ctx.alive, budget_remaining=remaining)
             if not plan:
                 continue
             crashes_row[t] = len(plan)
@@ -858,7 +818,7 @@ class VectorizedCrashEngine:
                 self.crashed_count[t] += 1
                 if not self.halted[s]:
                     self.running[t] -= 1
-                if sent_list[j]:
+                if sent_balls[s]:
                     self._victim[s] = True
                     events.append((j, kept))
             if events:

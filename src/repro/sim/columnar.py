@@ -34,6 +34,19 @@ straight from the engine's flat arrays — event for event what the
 stacked engine decodes — and the differential suite pins that they
 project onto the same shared event schema as the reference engine's
 full stream.
+
+A proven livelock ends early.  When the engine reports a fixed point
+(:attr:`~repro.core.columnar.ColumnarCrashEngine.fixed_point`: a phase
+from round 4 on that drew no coin with a real choice, applied no fault
+and ended in its own starting state, under an adversary whose
+:meth:`~repro.adversary.base.Adversary.last_fault_round` has passed),
+every later phase repeats it, so the run can only end in
+``RoundLimitExceeded(max_rounds, running)``, and the kernel raises that
+at once.  It stops only when neither a monitor nor a trace watches the
+rounds it skips (their per-round observations, a progress violation or
+the partial trace, would be lost), so every output is the one the full
+run gives.  The reference kernel, the stacked engine and the engine
+loop of ``tail``'s chunks play every round.
 """
 
 from __future__ import annotations
@@ -113,6 +126,11 @@ class ColumnarKernel(SimulationKernel):
             # on the same round everywhere.
             if monitor is not None:
                 _abort_on_deadlock(monitor)
+            elif engine.fixed_point and request.trace is None:
+                # A proven livelock: every later phase repeats this one,
+                # so the run can only end in this error.  Nobody watches
+                # the rounds in between, so skipping them is unobservable.
+                raise RoundLimitExceeded(request.max_rounds, engine.running_count)
         labels = engine.labels
         decisions = {
             pid: engine.decision[j] for j, pid in enumerate(labels)

@@ -13,7 +13,8 @@ asserts for each:
   row), ``last_round_named``, the rendered monitor reports and the
   ``shared_events`` of the trace; or the same error and partial trace;
 * **observation never perturbs**: a completed run gives the same result
-  with monitor and trace off;
+  with monitor and trace off, and every kernel's unobserved outcome,
+  result or error, is the reference's own;
 * **the renaming spec holds**, with silent monitors, when the plan has
   no omission family and no round-limit override;
 * **stacked cells match per-trial runs**: three sibling seeds through
@@ -90,7 +91,8 @@ class Spec:
     generation: Tuple[Events, ...] = ()
     #: The round the checkpoint check exports at.
     checkpoint: int = 3
-    #: Kernels whose completed run is repeated with monitor and trace off.
+    #: Kernels whose run is repeated with monitor and trace off and
+    #: compared with the reference's unobserved run.
     unobserved: Tuple[str, ...] = KERNELS
 
     def ids(self) -> list:
@@ -204,11 +206,16 @@ def check_spec(spec: Spec) -> Dict:
             ran.append(kernel)
             assert outcome == reference, kernel
     assert ran == ["reference"] + ["columnar"] * bil + ["vectorized"] * stacks
-    for kernel in ran:
-        if kernel in spec.unobserved and "error" not in reference:
-            bare = _observe(spec, kernel, observed=False)
-            assert bare["result"] == reference["result"], kernel
+    # Unobserved runs are compared with the reference's own, error or
+    # not: they are the only runs the columnar livelock stop may end.
+    fast = [kernel for kernel in ran[1:] if kernel in spec.unobserved]
+    if fast or ("reference" in spec.unobserved and "error" not in reference):
+        bare = _observe(spec, "reference", observed=False)
+        if "error" not in reference:
+            assert bare["result"] == reference["result"]
             assert bare["last_round_named"] == reference["last_round_named"]
+        for kernel in fast:
+            assert _observe(spec, kernel, observed=False) == bare, kernel
     if spec.max_rounds is None and not spec.omits:
         assert "error" not in reference, reference["error"]
         check_renaming(reference["result"], RenamingSpec(n=spec.n))
@@ -292,6 +299,15 @@ def _ghost(n: int, seed: int, victim: int, receivers: Tuple[int, ...]) -> Spec:
 @example(spec=Spec(n=12, seed=11, max_rounds=3, events=(
     CrashEvent(2, 3, (0, 1, 5)), CrashEvent(5, 7, (2,)),
 )))
+# Mined livelocks the columnar kernel stops at their fixed point: the
+# state freezes from round to round, or repeats from phase to phase
+# while path rounds draw forced coins.
+@example(spec=Spec(
+    seed=2165969402635964278, events=(CrashEvent(1, 2, (4,), "omit"),),
+))
+@example(spec=Spec(
+    seed=11923663329396479847, events=(CrashEvent(1, 3, (10,), "omit"),),
+))
 # Sibling seed 1 stalls on every kernel (a halt-on-name liveness bug):
 # its stacked error row keeps its partial trace, as a per-trial row does.
 @example(spec=Spec(
