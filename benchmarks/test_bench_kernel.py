@@ -395,7 +395,7 @@ def test_bench_kernel_writes_json(capsys):
         scalar_mt_s, _ = _best_of(
             2, lambda: [Random(seed) for seed in scalar_seeds]
         )
-        seed_states(batched)  # warm the pooled state buffer
+        seed_states(batched)  # warm the cached base state
         vector_mt_s, _ = _best_of(3, lambda: seed_states(batched))
         rng_share = [
             {

@@ -59,19 +59,21 @@ class RandomCrashAdversary(Adversary):
     def plan(self, ctx: AdversaryContext) -> CrashPlan:
         plan: CrashPlan = {}
         halves = None
+        random = self.rng.random
+        rate = self._rate
         for pid in ctx.running:
             if self._cap is not None and self._crashes + len(plan) >= self._cap:
                 break
-            if self.rng.random() >= self._rate:
+            if random() >= rate:
                 continue
             if self._delivery == "uniform":
-                others = [p for p in ctx.alive if p != pid]
-                keep = [p for p in others if self.rng.random() < 0.5]
+                plan[pid] = frozenset(
+                    p for p in ctx.alive if p != pid and random() < 0.5
+                )
             else:
                 if halves is None:
                     ordered = sorted(ctx.alive, key=repr)
-                    halves = (ordered[::2], ordered[1::2])
-                keep = [p for p in halves[self.rng.randrange(2)] if p != pid]
-            plan[pid] = frozenset(keep)
+                    halves = (frozenset(ordered[::2]), frozenset(ordered[1::2]))
+                plan[pid] = halves[self.rng.randrange(2)] - {pid}
         self._crashes += len(plan)
         return plan

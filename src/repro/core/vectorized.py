@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from itertools import repeat
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.adversary.base import clamp_plan
@@ -643,9 +644,11 @@ class VectorizedCrashEngine:
             mem = np.zeros((ncamps, n), dtype=bool)
             index_of = self._index_of
             for k, kept in enumerate(camp_sets):
-                cols = [index_of[pid] for pid in kept if pid in index_of]
-                if cols:
-                    mem[k, cols] = True
+                # A kept receiver outside the trial (-1) is heard by no one.
+                cols = np.fromiter(
+                    map(index_of.get, kept, repeat(-1)), np.intp, len(kept)
+                )
+                mem[k, cols[cols >= 0]] = True
             vmask = np.zeros((ncamps, n), dtype=np.int64)
             vlen = np.zeros(ncamps, dtype=np.int64)
             for k, vs in enumerate(camp_victims):
@@ -662,10 +665,15 @@ class VectorizedCrashEngine:
                     codes, return_index=True, return_inverse=True
                 )
                 uniq = patterns[fidx]
-            else:  # pragma: no cover - needs >62 distinct camps in a round
-                uniq, inverse = np.unique(
-                    patterns, axis=0, return_inverse=True
+            else:
+                # Each row's packed bits as one opaque key: a 1-D unique
+                # over byte strings, not a sort of one field per camp.
+                packed = np.packbits(patterns, axis=1)
+                keys = packed.view(np.dtype((np.void, packed.shape[1])))
+                _uc, fidx, inverse = np.unique(
+                    keys.ravel(), return_index=True, return_inverse=True
                 )
+                uniq = patterns[fidx]
             r_pat[where] = inverse.reshape(-1)
             urows = uniq.astype(np.int64)
             trial_sig[t] = ((urows @ vmask) > 0, urows @ vlen)
@@ -730,7 +738,7 @@ class VectorizedCrashEngine:
                 remap[g] = g
             else:
                 remap[g] = hit
-        keep = np.unique(remap)
+        keep = np.flatnonzero(np.bincount(remap, minlength=G))
         ridx = np.full(G, -1, dtype=np.int64)
         ridx[keep] = np.arange(keep.size, dtype=np.int64)
         return keep, ridx[remap[inv]]

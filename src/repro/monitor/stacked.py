@@ -71,7 +71,7 @@ class StackedMonitor:
         self._crash_round[newly] = round_no
         # Live views: class rows with at least one running member.
         running = ~crashed & ~engine.halted & (engine.cls_of >= 0)
-        live = np.unique(engine.cls_of[running])
+        live = np.flatnonzero(np.bincount(engine.cls_of[running]))
         pos = engine._cpos[live]
         stat = engine._cstat[live]
         row_trial = engine._ctrial[live]

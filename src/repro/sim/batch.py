@@ -266,8 +266,10 @@ def run_trial(spec: TrialSpec) -> TrialResult:
 Task = Union[TrialSpec, Tuple[TrialSpec, ...]]
 
 #: Stream budget (trials x n) of one stacked call; bounds the resident
-#: MT state (~2.5 KB per stream) while leaving whole cells intact at
-#: sweep sizes.
+#: MT state while leaving whole cells intact at sweep sizes.  A stream
+#: keeps the (2P + 1) x 4 bytes its seeded prefix of P words reads
+#: (772 B at n=256, 964 B at n=1024, 1.5 KB at n=65536; all 2.5 KB only
+#: once a draw runs past the prefix) plus 8 bytes per double drawn.
 MAX_STREAMS = 1 << 17
 
 

@@ -26,14 +26,21 @@ if not HAVE_NUMPY:
 
 import numpy as np
 
-from repro.core.mt19937 import DOUBLES_PER_GENERATION, MTStreamBank, seed_states
+from repro.core import mt19937
+from repro.core.mt19937 import (
+    DOUBLES_PER_GENERATION,
+    PREFIX_DOUBLES_PER_LEVEL,
+    MTStreamBank,
+    prefix_rows,
+    seed_states,
+)
 from repro.core.vectorized import derive_ball_seeds
 from repro.ids import sparse_ids, string_ids
 from repro.sim.rng import derive_seed
 
-#: Seed shapes with different key-word counts: tiny (1-word key, scalar
-#: fallback), boundary values, typical 64-bit derive_seed outputs, and a
-#: 3-word key (also the scalar fallback).
+#: Seed shapes with different key-word counts: tiny (1-word keys),
+#: boundary values, typical 64-bit derive_seed outputs, and 3-word keys;
+#: each width seeds as its own column group.
 SEED_SHAPES = [
     0,
     1,
@@ -64,6 +71,26 @@ class TestSeedStates:
         as_array = seed_states(np.array(seeds, dtype=np.uint64))
         as_list = seed_states(seeds)
         assert (as_array == as_list).all()
+
+    @pytest.mark.parametrize("prefix", [0, 1, 60, 227])
+    def test_a_prefix_returns_just_its_rows(self, prefix):
+        states = seed_states(SEED_SHAPES)
+        rows = prefix_rows(prefix)
+        assert len(rows) == 2 * prefix + 1
+        assert (seed_states(SEED_SHAPES, prefix) == states[rows]).all()
+
+    def test_prefix_past_the_untouched_rows_raises(self):
+        with pytest.raises(ValueError):
+            seed_states([5], 228)
+
+    def test_a_624_word_key_seeds_like_cpython(self):
+        seed = 2 ** (32 * 623) + 12345
+        expected = random.Random(seed).getstate()[1][:-1]
+        assert seed_states([seed])[:, 0].tolist() == list(expected)
+
+    def test_a_key_wider_than_the_state_raises(self):
+        with pytest.raises(ValueError, match="624"):
+            seed_states([5, 2 ** (32 * 624)])
 
 
 class TestStreamBank:
@@ -103,6 +130,55 @@ class TestStreamBank:
         bank = MTStreamBank([2**40 + 1])
         assert bank.draws(np.array([], dtype=np.int64)).size == 0
         assert bank.draws(np.array([0]))[0] == random.Random(2**40 + 1).random()
+
+
+class TestSeededPrefix:
+    """A fresh bank holds only the state rows its prefix's twist reads,
+    and seeds the whole state again for the first draw past them."""
+
+    @pytest.mark.parametrize("block", [1, 4, 10, 16, 40])
+    def test_fresh_bank_state_bytes_per_stream(self, block):
+        seeds = [derive_seed(3, "ball", i) for i in range(50)]
+        bank = MTStreamBank(seeds, block=block)
+        prefix = 2 * min(PREFIX_DOUBLES_PER_LEVEL * block, (624 - 397) // 2)
+        assert bank.prefix == prefix <= 227
+        assert bank._new is None
+        assert bank._mt.nbytes <= (2 * prefix + 1) * 4 * len(seeds)
+
+    @pytest.mark.parametrize("block", [3, 20])
+    @pytest.mark.parametrize(
+        "seeds",
+        [[7], [2**40 + 7], [2**64 + 99], [7, 2**40 + 7, 2**64 + 99, 0]],
+        ids=["1-word", "2-word", "3-word", "mixed"],
+    )
+    def test_prefix_end_then_full_seeding_then_rollover(
+        self, seeds, block, monkeypatch
+    ):
+        calls = []
+        real = mt19937.seed_states
+
+        def counting(stream_seeds, prefix=None):
+            calls.append(prefix)
+            return real(stream_seeds, prefix)
+
+        monkeypatch.setattr(mt19937, "seed_states", counting)
+        bank = MTStreamBank(seeds, block=block)
+        prefix = bank.prefix
+        refs = [random.Random(seed) for seed in seeds]
+        everyone = np.arange(len(seeds))
+
+        def draw(times):
+            for _ in range(times):
+                got = bank.draws(everyone)
+                assert got.tolist() == [ref.random() for ref in refs]
+
+        draw(prefix // 2)  # every double the seeded rows can give
+        assert calls == [prefix]
+        assert bank._new is None  # the prefix twists into fresh arrays
+        draw(1)  # one past them: the whole state is seeded again
+        assert calls == [prefix, None]
+        draw(DOUBLES_PER_GENERATION + 10)  # and a generation rolls over
+        assert calls == [prefix, None]
 
 
 class TestDeriveBallSeeds:

@@ -109,6 +109,37 @@ class TestStackedCellEquivalence:
         # exactly, so the upgrade cannot move a published number.
         assert auto.cell_stats() == columnar.cell_stats()
 
+    def test_more_than_62_delivery_camps_match_columnar_rows(self, monkeypatch):
+        """At crash rate 0.5, n=256 reaches 75 distinct kept sets in one
+        trial-round: past the one-int64-key grouping, receivers are
+        grouped by their packed camp bits, and the rows still match."""
+        import numpy as np
+
+        widths = []
+        packbits = np.packbits
+
+        def spy(patterns, *args, **kwargs):
+            widths.append(patterns.shape[1])
+            return packbits(patterns, *args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", spy)
+
+        def rows(kernel):
+            matrix = ScenarioMatrix.build(
+                ["balls-into-leaves"], [256], ["random:rate=0.5"],
+                trials=8, base_seed=3, kernel=kernel,
+            )
+            out = []
+            for trial in run_batch(matrix).trials:
+                assert trial.kernel == kernel
+                row = trial.to_row()
+                del row["kernel"]
+                out.append(row)
+            return out
+
+        assert rows("vectorized") == rows("columnar")
+        assert max(widths) == 75
+
     def test_mixed_matrix_stacks_only_eligible_cells(self):
         # Cells at the stream floor: 128 trials x n=8 is 1024 streams.
         matrix = ScenarioMatrix.build(

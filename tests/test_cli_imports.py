@@ -156,3 +156,17 @@ def test_stackable_batch_loads_the_array_engine(workdir):
     # 16 trials x 64 balls = 1024 streams: exactly the stacking floor.
     modules = loaded_modules(["batch", "--sizes", "64", "--trials", "16"], workdir)
     assert ENGINE <= modules
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
+@pytest.mark.parametrize("monitor", ["off", "cheap"])
+def test_stacked_crash_batch_loads_no_masked_arrays(workdir, monitor):
+    # A stacked crash cell at the floor; a plain np.unique would load
+    # numpy.ma (10 ms of import) for its masked-array check.
+    modules = loaded_modules(
+        ["batch", "--sizes", "64", "--adversary", "random:rate=0.1",
+         "--trials", "16", "--monitor", monitor],
+        workdir,
+    )
+    assert ENGINE <= modules
+    assert "numpy.ma" not in modules
