@@ -9,13 +9,14 @@ job).  Two workloads:
   cheap traces are lazy views over the engine's persistent arrays (zero
   per-round cost; the per-event decode is pay-per-read and exercised
   outside the timed region, in the unperturbed-results assertions);
-* *columnar* — the certified crash-adversary grid, where the columnar
-  engine appends per-round deltas from its flat arrays inside the loop.
+* *columnar* — the certified crash-adversary grid, where each traced
+  run decodes its trace once, after its round loop.
 
-The acceptance bar on both is <= 20% overhead (the ISSUE's ceiling for
-the cheap mode).  Traced results are asserted identical to untraced
-ones inside the timing loop, so the benchmark doubles as a
-tracing-does-not-perturb test.
+Both kernels decode their cheap traces through one run record
+(:class:`repro.sim.record.TrialRecord`).  The acceptance bar on both is
+<= 20% overhead, the cheap mode's ceiling.  Traced results are asserted
+identical to untraced ones inside the timing loop, so the benchmark
+doubles as a tracing-does-not-perturb test.
 """
 
 from __future__ import annotations
@@ -156,9 +157,10 @@ def test_bench_trace_writes_json(capsys):
         "benchmark": "trace",
         "workload": (
             "run_batch wall clock, trace='off' vs trace='cheap'; "
-            "stacked = failure-free vectorized cells (lazy post-hoc "
-            "trace decode from persistent arrays), columnar = "
-            "crash-adversary grid with in-loop per-round delta appends"
+            "stacked = failure-free vectorized cells (lazy trace decode "
+            "from persistent arrays), columnar = crash-adversary grid "
+            "(one trace decode per run after its round loop); both "
+            "decode through one run record"
         ),
         "version": __version__,
         "python": platform.python_version(),

@@ -10,7 +10,11 @@ function as list passes:
 * per-ball state — decided name, naming/halting/crash rounds, halted and
   crashed flags — lives in parallel lists indexed by *label rank* (balls
   are numbered in sorted-label order, so ``<R`` tie-breaks and Section 6
-  label ranks are plain integer comparisons);
+  label ranks are plain integer comparisons), and every round appends its
+  counters (messages sent and delivered, crashes, balls alive and
+  running, links omitted and the senders that omitted them) to per-round
+  lists, the rows the stacked engine keeps per trial: the kernels decode
+  both through one :class:`repro.sim.record.TrialRecord`;
 * receivers sharing one inbox history share one *equivalence class*
   (:class:`_ClassView`, the flat-array twin of
   :class:`repro.core.views.SharedViewStore`): per-ball node indices over
@@ -380,9 +384,6 @@ class ColumnarCrashEngine:
         self.round_halted: List[Optional[int]] = [None] * n
         #: Round each ball crashed (None = survived) — trace capture.
         self.round_crashed: List[Optional[int]] = [None] * n
-        #: Ball indices whose broadcast was partially dropped by omission
-        #: in the most recent round (trace capture; rebuilt every step).
-        self.last_omitters: List[int] = []
         self._rngs: List[Optional[_MTRandom]] = [None] * n
         self._class_of: List[Optional[_ClassView]] = [None] * n
         #: The running balls in input order and their distinct classes
@@ -411,13 +412,17 @@ class ColumnarCrashEngine:
         #: The phase just ended is a proven livelock: every later phase
         #: repeats it, so the run can only reach the round limit.
         self.fixed_point = False
-        # Metrics of the most recent round (read by the kernel).
-        self.last_sent = 0
-        self.last_delivered = 0
-        self.last_crashes = 0
-        self.last_alive = n
-        self.last_running = n
-        self.last_omissions = 0
+        # Metrics trail: one entry per executed round, the rows the
+        # stacked engine keeps per trial (decoded by repro.sim.record), plus
+        # the links each round dropped by omission and the senders that
+        # dropped them, in clamped-plan order.
+        self.round_sent: List[int] = []
+        self.round_delivered: List[int] = []
+        self.round_crashes: List[int] = []
+        self.round_alive: List[int] = []
+        self.round_running: List[int] = []
+        self.round_omissions: List[int] = []
+        self.round_omitters: List[List[int]] = []
 
     # ------------------------------------------------------------------ driving
     def step(self, round_no: int) -> None:
@@ -426,7 +431,7 @@ class ColumnarCrashEngine:
         halted = self.halted
         crashed = self.crashed
         running = self._running
-        self.last_sent = len(running)
+        sent = len(running)
         self._tick += 1
 
         if round_no == 1:
@@ -451,8 +456,6 @@ class ColumnarCrashEngine:
             self._crashed_count += 1
             if not halted[j]:
                 self.running_count -= 1
-        self.last_crashes = len(plan)
-        self.last_alive = self.n - self._crashed_count
 
         # Victims that composed this round (halted victims sent nothing).
         running_set = set(running) if plan or fault.omissions else set()
@@ -482,13 +485,13 @@ class ColumnarCrashEngine:
                 kept = frozenset(p for p in alive_pids if p not in dropped)
                 partial.append((j, kept))
         victim_idx: Set[int] = {vi for vi, _kept in partial}
-        base_count = self.last_sent - len(partial)
+        base_count = sent - len(partial)
 
         receivers = running if not plan else [
             j for j in self._input_order if not crashed[j] and not halted[j]
         ]
-        self.last_omissions = 0
-        self.last_omitters = []
+        omissions = 0
+        omitters: List[int] = []
         if fault.omissions:
             receiver_pids = {labels[j] for j in receivers}
             for sender in fault.omissions:
@@ -497,9 +500,9 @@ class ColumnarCrashEngine:
                     continue
                 drops = len(fault.omissions[sender] & receiver_pids)
                 if drops:
-                    self.last_omissions += drops
+                    omissions += drops
                     self.silenced_round.setdefault(j, round_no)
-                    self.last_omitters.append(j)
+                    omitters.append(j)
         class_of = self._class_of
         apply: Any = (
             self._apply_path_round if kind == "path" else self._apply_position_round
@@ -516,7 +519,7 @@ class ColumnarCrashEngine:
             # balls point at: a crashed ball's last class died in its
             # (partial) crash round, and a halted ball stays put in a
             # live class as an announced terminator.
-            self.last_delivered = len(receivers) * base_count
+            delivered = len(receivers) * base_count
             if kind == "init":
                 post = self._initialize_class(running, victim_idx)
                 for j in receivers:
@@ -545,7 +548,7 @@ class ColumnarCrashEngine:
         else:
             if kind == "pos":
                 payload = self._announcements(running)
-            self._deliver_partial(
+            delivered = self._deliver_partial(
                 kind, receivers, partial, base_count, running,
                 victim_idx, apply, payload,
             )
@@ -573,7 +576,13 @@ class ColumnarCrashEngine:
         # classes in self._live: exactly next round's receivers and live
         # classes unless a running ball crashes.
         self._running = receivers
-        self.last_running = self.running_count
+        self.round_sent.append(sent)
+        self.round_delivered.append(delivered)
+        self.round_crashes.append(len(plan))
+        self.round_alive.append(self.n - self._crashed_count)
+        self.round_running.append(self.running_count)
+        self.round_omissions.append(omissions)
+        self.round_omitters.append(omitters)
         if kind == "pos":
             self._note_phase(round_no)
 
@@ -689,8 +698,9 @@ class ColumnarCrashEngine:
         victim_idx: Set[int],
         apply: Any,
         payload: Any,
-    ) -> None:
-        """Deliver a round some broadcasts reached only partially.
+    ) -> int:
+        """Deliver a round some broadcasts reached only partially; returns
+        the round's delivery count.
 
         Receivers are grouped by (pre-class, delivery signature); each
         group advances one clone of its pre-class, and clones whose
@@ -734,7 +744,6 @@ class ColumnarCrashEngine:
                 groups[key] = (pre, sig, [j])
             else:
                 group[2].append(j)
-        self.last_delivered = delivered
 
         merge_index: Dict[Tuple[Tuple[int, ...], bytes], _ClassView] = {}
         for pre, sig, members in groups.values():
@@ -747,6 +756,7 @@ class ColumnarCrashEngine:
             for j in members:
                 self._class_of[j] = canonical
         self._live = list(merge_index.values())
+        return delivered
 
     # -------------------------------------------------------- state interchange
     def export_state(self) -> Dict[str, Any]:
@@ -1243,17 +1253,6 @@ class ColumnarCrashEngine:
         return cv.rank_here[j]
 
     # ---------------------------------------------------------------- reporting
-    def last_round_named(self) -> Optional[int]:
-        """Latest round at which a *correct* ball fixed its name."""
-        last: Optional[int] = None
-        for j in range(self.n):
-            if self.crashed[j]:
-                continue
-            named = self.round_named[j]
-            if named is not None and (last is None or named > last):
-                last = named
-        return last
-
     def monitor_views(self) -> List[Tuple[List[int], bytes]]:
         """The distinct live local views in monitor form.
 

@@ -622,8 +622,8 @@ class VectorizedCrashEngine:
         r_pre = self.cls_of[recv]
         r_pat = np.zeros(recv.size, dtype=np.int64)
         # Distinct delivery camps per trial: a receiver's signature is a
-        # function of its camp-membership pattern (np.unique over the
-        # pattern matrix), computed once per distinct pattern.
+        # function of its camp-membership pattern, computed once per
+        # distinct pattern.
         trial_sig: Dict[int, Any] = {}
         npat = 1
         for t, events in partial.items():
@@ -631,17 +631,17 @@ class VectorizedCrashEngine:
             if where.size == 0:
                 continue
             camp_sets: List[frozenset] = []
-            camp_victims: List[List[int]] = []
             camp_idx: Dict[frozenset, int] = {}
+            victims: List[int] = []
+            camp_of: List[int] = []
             for j, kept in events:
                 k = camp_idx.get(kept)
                 if k is None:
                     camp_idx[kept] = k = len(camp_sets)
                     camp_sets.append(kept)
-                    camp_victims.append([])
-                camp_victims[k].append(j)
-            ncamps = len(camp_sets)
-            mem = np.zeros((ncamps, n), dtype=bool)
+                victims.append(j)
+                camp_of.append(k)
+            mem = np.zeros((len(camp_sets), n), dtype=bool)
             index_of = self._index_of
             for k, kept in enumerate(camp_sets):
                 # A kept receiver outside the trial (-1) is heard by no one.
@@ -649,35 +649,22 @@ class VectorizedCrashEngine:
                     map(index_of.get, kept, repeat(-1)), np.intp, len(kept)
                 )
                 mem[k, cols[cols >= 0]] = True
-            vmask = np.zeros((ncamps, n), dtype=np.int64)
-            vlen = np.zeros(ncamps, dtype=np.int64)
-            for k, vs in enumerate(camp_victims):
-                vmask[k, vs] = 1
-                vlen[k] = len(vs)
             patterns = mem[:, r_j[where]].T
-            if ncamps <= 62:
-                # Row identity as one int64 key: a plain 1-D unique,
-                # far cheaper than the axis-0 structured-view path.
-                codes = patterns.astype(np.int64) @ (
-                    np.int64(1) << np.arange(ncamps, dtype=np.int64)
-                )
-                _uc, fidx, inverse = np.unique(
-                    codes, return_index=True, return_inverse=True
-                )
-                uniq = patterns[fidx]
-            else:
-                # Each row's packed bits as one opaque key: a 1-D unique
-                # over byte strings, not a sort of one field per camp.
-                packed = np.packbits(patterns, axis=1)
-                keys = packed.view(np.dtype((np.void, packed.shape[1])))
-                _uc, fidx, inverse = np.unique(
-                    keys.ravel(), return_index=True, return_inverse=True
-                )
-                uniq = patterns[fidx]
+            # Each row's packed bits as one opaque key: a 1-D unique over
+            # byte strings, not a sort of one field per camp.
+            packed = np.packbits(patterns, axis=1)
+            keys = packed.view(np.dtype((np.void, packed.shape[1])))
+            _uc, fidx, inverse = np.unique(
+                keys.ravel(), return_index=True, return_inverse=True
+            )
             r_pat[where] = inverse.reshape(-1)
-            urows = uniq.astype(np.int64)
-            trial_sig[t] = ((urows @ vmask) > 0, urows @ vlen)
-            npat = max(npat, uniq.shape[0])
+            # Every victim sits in exactly one camp, so a pattern hears a
+            # victim iff it holds the victim's camp.
+            heard_victims = patterns[fidx][:, camp_of]
+            heard = np.zeros((fidx.size, n), dtype=bool)
+            heard[:, victims] = heard_victims
+            trial_sig[t] = (heard, heard_victims.sum(axis=1))
+            npat = max(npat, fidx.size)
 
         gkey = (
             r_trial * np.int64(self._crows + 1) + (r_pre + 1)
@@ -1307,11 +1294,3 @@ class VectorizedCrashEngine:
                 dcur = dcur[keep]
                 remaining = remaining[keep]
                 base = base[keep]
-
-    # ---------------------------------------------------------------- results
-    def last_round_named(self, t: int) -> Optional[int]:
-        """Latest naming round of a *correct* ball of trial ``t``."""
-        s = slice(t * self.n, (t + 1) * self.n)
-        named = self.round_named[s]
-        ok = ~self.crashed[s] & (named >= 0)
-        return int(named[ok].max()) if ok.any() else None

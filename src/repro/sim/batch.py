@@ -47,7 +47,7 @@ import itertools
 import operator
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Any,
     Callable,
@@ -273,41 +273,23 @@ Task = Union[TrialSpec, Tuple[TrialSpec, ...]]
 MAX_STREAMS = 1 << 17
 
 
-def _cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
-    """Everything but the seed: trials agreeing here can stack."""
-    return (
-        spec.algorithm,
-        spec.n,
-        spec.adversary,
-        spec.halt_on_name,
-        spec.crash_budget,
-        spec.check,
-        spec.kernel,
-        spec.capture_errors,
-        spec.monitor,
-        spec.trace,
+def _fields_but(*skipped: str) -> Callable[[TrialSpec], Tuple[Any, ...]]:
+    """A getter of every :class:`TrialSpec` field but ``skipped``, read
+    off the dataclass, so a field added to the spec is part of the key."""
+    return operator.attrgetter(
+        *(f.name for f in fields(TrialSpec) if f.name not in skipped)
     )
 
 
-def _mixed_cell_config(spec: TrialSpec) -> Tuple[Any, ...]:
-    """The cell configuration up to the adversary.
+#: Everything but the seed: trials agreeing here can stack.
+_cell_config = _fields_but("seed")
 
-    Hunt generations evaluate many one-of-a-kind crash schedules against
-    one cell shape; grouping on this key (``mixed`` task planning) lets
-    those stack with per-trial adversaries where :func:`_cell_config`
-    grouping would leave every candidate on the per-trial path.
-    """
-    return (
-        spec.algorithm,
-        spec.n,
-        spec.halt_on_name,
-        spec.crash_budget,
-        spec.check,
-        spec.kernel,
-        spec.capture_errors,
-        spec.monitor,
-        spec.trace,
-    )
+#: The cell configuration up to the adversary.  Hunt generations
+#: evaluate many one-of-a-kind crash schedules against one cell shape;
+#: grouping on this key (``mixed`` task planning) lets those stack with
+#: per-trial adversaries where :data:`_cell_config` grouping would leave
+#: every candidate on the per-trial path.
+_mixed_cell_config = _fields_but("seed", "adversary")
 
 
 def _stackable(spec: TrialSpec) -> bool:
@@ -338,7 +320,7 @@ def plan_tasks(
     respects the :data:`MAX_STREAMS` memory budget.  Specs the
     vectorized engine cannot stack stay individual trials.
 
-    ``mixed`` groups on :func:`_mixed_cell_config` instead — trials of
+    ``mixed`` groups on :data:`_mixed_cell_config` instead — trials of
     one cell shape stack even when each carries its own adversary spec
     (the hunt batching hint), provided every adversary in the run shares
     a name.  A name does not settle certification (``schedule`` covers
@@ -457,6 +439,7 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
     delivered = cell.messages_delivered.tolist()
     decisions = cell.decisions.tolist()
     crashed = cell.crashed.tolist()
+    last_named = cell.last_round_named
     spec_ok = cell.spec_ok() if spec.check else None
     results = []
     for t, trial_spec in enumerate(specs):
@@ -491,7 +474,7 @@ def run_cell(specs: Sequence[TrialSpec]) -> List[TrialResult]:
                 failures=failures[t],
                 messages_sent=sent[t],
                 messages_delivered=delivered[t],
-                last_round_named=cell.last_round_named(t),
+                last_round_named=last_named[t],
                 names=names,
                 kernel="vectorized",
                 monitor=trial_spec.monitor,

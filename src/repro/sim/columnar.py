@@ -2,10 +2,12 @@
 
 Wraps the engines of :mod:`repro.core.columnar` in the
 :class:`~repro.sim.kernel.SimulationKernel` interface: sequences the
-lock-step rounds, produces the same per-round
-:class:`~repro.sim.metrics.RoundMetrics` the reference engine records,
-and assembles an identical :class:`~repro.sim.simulator.SimulationResult`
-— bit-for-bit, as asserted by the differential suite.
+lock-step rounds, then decodes the engine's per-ball columns and
+per-round rows through :class:`~repro.sim.record.TrialRecord`, the one
+decoder both fast kernels share, into the same per-round
+:class:`~repro.sim.metrics.RoundMetrics` and
+:class:`~repro.sim.simulator.SimulationResult` the reference engine
+builds — bit-for-bit, as asserted by the differential suite.
 
 Every run executes on :class:`~repro.core.columnar.ColumnarCrashEngine`:
 a failure-free run is the crash engine with no adversary (one receiver
@@ -28,12 +30,11 @@ this kernel accepts — and why it rejects the rest (uncertified adversary
 types, ``full`` traces, phase statistics, ``monitor="full"``, the
 paper-verbatim ``faithful`` view store, non-BiL algorithms) — is decided
 by :func:`~repro.sim.kernel.kernel_rejection`.  Cheap traces
-(``trace="cheap"``) stay on the fast path: each round's
-crash/omit/name/halt deltas and the round aggregates are appended
-straight from the engine's flat arrays — event for event what the
-stacked engine decodes — and the differential suite pins that they
-project onto the same shared event schema as the reference engine's
-full stream.
+(``trace="cheap"``) stay on the fast path: the record decodes them
+after the loop, in a ``finally`` so that a failed run's partial trace
+holds every round the engine completed, event for event what a stacked
+trial decodes, and the differential suite pins that they project onto
+the same shared event schema as the reference engine's full stream.
 
 A proven livelock ends early.  When the engine reports a fixed point
 (:attr:`~repro.core.columnar.ColumnarCrashEngine.fixed_point`: a phase
@@ -52,10 +53,9 @@ loop of ``tail``'s chunks play every round.
 from __future__ import annotations
 
 from repro.core.instrumentation import TIMERS
-from repro.errors import ConfigurationError, RoundLimitExceeded
+from repro.errors import RoundLimitExceeded
 from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
-from repro.sim.metrics import RoundMetrics, SimulationMetrics
-from repro.sim.simulator import SimulationResult
+from repro.sim.record import TrialRecord
 
 
 class ColumnarKernel(SimulationKernel):
@@ -64,14 +64,6 @@ class ColumnarKernel(SimulationKernel):
     name = "columnar"
 
     def run(self, request: KernelRequest) -> KernelRun:
-        n = request.n
-        # Same validation the reference Simulation constructor applies, so
-        # pinning the kernel never relaxes it.
-        if not 0 <= request.crash_budget < n:
-            raise ConfigurationError(
-                f"crash budget must satisfy 0 <= t < n; "
-                f"got t={request.crash_budget}, n={n}"
-            )
         from repro.core.columnar import ColumnarCrashEngine
 
         timer_started = TIMERS.start()
@@ -85,106 +77,62 @@ class ColumnarKernel(SimulationKernel):
         )
         TIMERS.stop("seeding", timer_started)
         monitor = _build_monitor(request)
-        metrics = SimulationMetrics()
         round_no = 0
-        while engine.running_count:
-            if round_no >= request.max_rounds:
-                raise RoundLimitExceeded(request.max_rounds, engine.running_count)
-            round_no += 1
-            timer_started = TIMERS.start()
-            engine.step(round_no)
-            TIMERS.stop("movement", timer_started)
-            if monitor is not None:
-                from repro.monitor.invariants import observe_crash_engine
-
+        try:
+            while engine.running_count:
+                if round_no >= request.max_rounds:
+                    raise RoundLimitExceeded(request.max_rounds, engine.running_count)
+                round_no += 1
                 timer_started = TIMERS.start()
-                observe_crash_engine(monitor, engine, round_no)
-                TIMERS.stop("monitor", timer_started)
-            metrics.record(
-                RoundMetrics(
-                    round_no=round_no,
-                    messages_sent=engine.last_sent,
-                    messages_delivered=engine.last_delivered,
-                    crashes=engine.last_crashes,
-                    alive_after=engine.last_alive,
-                    running_after=engine.last_running,
-                    omissions=engine.last_omissions,
-                )
-            )
+                engine.step(round_no)
+                TIMERS.stop("movement", timer_started)
+                if monitor is not None:
+                    from repro.monitor.invariants import observe_crash_engine
+
+                    timer_started = TIMERS.start()
+                    observe_crash_engine(monitor, engine, round_no)
+                    TIMERS.stop("monitor", timer_started)
+                    # The engine has recorded the stopping round, as the
+                    # reference and stacked engines do, so a stalled run's
+                    # partial trace ends on the same round everywhere.
+                    _abort_on_deadlock(monitor)
+                elif engine.fixed_point and request.trace is None:
+                    # A proven livelock: every later phase repeats this
+                    # one, so the run can only end in this error.  Nobody
+                    # watches the rounds in between, so skipping them is
+                    # unobservable.
+                    raise RoundLimitExceeded(request.max_rounds, engine.running_count)
+        finally:
+            # Decoded whether or not the run completed: a failed run's
+            # partial trace holds every round the engine finished.
+            record = _record(engine)
             if request.trace is not None:
-                _record_cheap_round(
-                    request.trace,
-                    engine,
-                    round_no,
-                    sent=engine.last_sent,
-                    crashes=engine.last_crashes,
-                    running=engine.last_running,
-                    omitters=engine.last_omitters,
-                )
-            # The stopping round is recorded first, as on the reference
-            # and stacked engines, so a stalled run's partial trace ends
-            # on the same round everywhere.
-            if monitor is not None:
-                _abort_on_deadlock(monitor)
-            elif engine.fixed_point and request.trace is None:
-                # A proven livelock: every later phase repeats this one,
-                # so the run can only end in this error.  Nobody watches
-                # the rounds in between, so skipping them is unobservable.
-                raise RoundLimitExceeded(request.max_rounds, engine.running_count)
-        labels = engine.labels
-        decisions = {
-            pid: engine.decision[j] for j, pid in enumerate(labels)
-        }
-        crashed = frozenset(
-            pid for j, pid in enumerate(labels) if engine.crashed[j]
-        )
-        halted = frozenset(
-            pid for j, pid in enumerate(labels) if engine.halted[j]
-        )
-        result = SimulationResult(
-            rounds=round_no,
-            decisions=decisions,
-            crashed=crashed,
-            halted=halted,
-            metrics=metrics,
-            trace=request.trace,
-            participants=frozenset(labels),
-        )
+                record.write_trace(request.trace)
         return KernelRun(
-            result=result,
-            last_round_named=engine.last_round_named(),
+            result=record.result(request.trace),
+            last_round_named=record.last_round_named(),
             phase_stats=[],
             kernel=self.name,
             violations=[] if monitor is None else monitor.violations,
         )
 
 
-def _record_cheap_round(
-    trace, engine, round_no: int, *, sent: int, crashes: int, running: int,
-    omitters=(),
-) -> None:
-    """Append one round's cheap events from the engine's flat arrays.
-
-    Event order within a round is fixed (crash, omit, name, halt, round)
-    and pid order within a kind is label-rank order — the
-    ``shared_events`` projection sorts, so this only pins the serialized
-    layout, not equivalence with the reference stream.
-    """
-    labels = engine.labels
-    for j, crashed_at in enumerate(engine.round_crashed):
-        if crashed_at == round_no:
-            trace.record(round_no, "crash", pid=labels[j])
-    for j in omitters:
-        trace.record(round_no, "omit", pid=labels[j])
-    for j, named_at in enumerate(engine.round_named):
-        if named_at == round_no:
-            trace.record(round_no, "name", pid=labels[j], name=engine.decision[j])
-    for j, halted_at in enumerate(engine.round_halted):
-        if halted_at == round_no:
-            trace.record(
-                round_no, "halt", pid=labels[j], decision=engine.decision[j]
-            )
-    trace.record(round_no, "round", sent=sent, crashes=crashes, running=running)
+def _record(engine) -> TrialRecord:
+    """The engine's run so far as the record both fast kernels decode."""
+    return TrialRecord(
+        engine.labels,
+        engine.decision,
+        engine.round_crashed,
+        engine.round_named,
+        engine.round_halted,
+        engine.round_sent,
+        engine.round_delivered,
+        engine.round_crashes,
+        engine.round_alive,
+        engine.round_running,
+        engine.round_omissions,
+        engine.round_omitters,
+    )
 
 
 def _build_monitor(request: KernelRequest):

@@ -105,9 +105,9 @@ class KernelRequest:
     collect_phase_stats: bool = False
     trace: Optional[Trace] = None
     #: Trace capture mode ("off"/"cheap"/"full").  ``cheap`` lets the
-    #: fast kernels append per-round deltas into ``trace`` from their
-    #: flat arrays; ``full`` means ``trace`` wants the reference
-    #: engine's message-level instrumentation and pins the spec engine.
+    #: fast kernels decode their run record into ``trace``; ``full``
+    #: means ``trace`` wants the reference engine's message-level
+    #: instrumentation and pins the spec engine.
     trace_mode: str = "off"
     #: Runtime invariant monitoring mode ("off"/"cheap"/"full"); "cheap"
     #: runs the flat-array predicates of :mod:`repro.monitor.invariants`

@@ -213,9 +213,9 @@ def run_renaming(
         kernel).
     trace:
         Event capture: ``"off"`` (default, records nothing),
-        ``"cheap"`` (per-round deltas appended from the fast kernels'
-        flat arrays — crash/omit/name/halt events plus the round
-        aggregates; available on every kernel), or ``"full"`` (the
+        ``"cheap"`` (crash/omit/name/halt events plus the round
+        aggregates, which the fast kernels decode from their run record;
+        available on every kernel), or ``"full"`` (the
         reference engine's message-level instrumentation; pins the
         reference kernel).  The recorded trace is returned as
         ``RenamingRun.trace``.
@@ -255,6 +255,12 @@ def run_renaming(
     trace_mode = check_trace_mode(trace)
     trace_sink = Trace() if trace_mode != "off" else None
     budget = n - 1 if crash_budget is None else crash_budget
+    # Checked here, before any kernel is chosen, so every kernel rejects
+    # a bad budget with the same message.
+    if not 0 <= budget < n:
+        raise ConfigurationError(
+            f"crash budget must satisfy 0 <= t < n; got t={budget}, n={n}"
+        )
     request = KernelRequest(
         algorithm=algorithm,
         ids=tuple(ids),

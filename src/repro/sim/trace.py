@@ -4,10 +4,10 @@ Tracing is opt-in and comes in two flavours.  ``full`` is the original
 reference-engine instrumentation: every message-level event the lock-step
 simulator sees, recorded as the run executes — the richest stream, but it
 pins the slow spec engine.  ``cheap`` is the fast-path mode: the columnar
-and vectorized kernels append per-round deltas straight from their flat
-arrays (who crashed, who was silenced, who named, who halted, plus the
-per-round aggregate row), so sweeps and hunts can capture timelines at
-bounded overhead.
+and vectorized kernels both decode it after the run from one
+:class:`~repro.sim.record.TrialRecord` (who crashed, who was silenced,
+who named, who halted, per ball and round, plus the per-round aggregate
+row), so sweeps and hunts can capture timelines at bounded overhead.
 
 The two modes deliberately share a projection — :func:`shared_events`
 maps any trace onto the kernel-independent event schema (``round``,
@@ -18,7 +18,7 @@ Cheap traces additionally carry ``name`` events (ball → decided name,
 with the round it was decided), outside the shared schema because the
 reference engine records finer message-level events instead.  The
 columnar and vectorized kernels write the same cheap trace, event for
-event.  Older trace files may also hold per-round ``pos`` snapshots;
+event, because one decoder writes both.  Older trace files may also hold per-round ``pos`` snapshots;
 they still load, and nothing reads them.
 
 Traces persist as jsonl, content-addressed by the trial's spec digest:
@@ -36,8 +36,8 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.errors import ConfigurationError
 
 #: Trace modes accepted by the runner, the batch engine, and the CLI.
-#: ``off`` records nothing, ``cheap`` appends per-round deltas from the
-#: fast kernels' flat arrays, ``full`` pins the reference engine's
+#: ``off`` records nothing, ``cheap`` decodes the fast kernels' per-ball
+#: and per-round record, ``full`` pins the reference engine's
 #: message-level instrumentation.
 TRACE_MODES = ("off", "cheap", "full")
 
@@ -76,8 +76,8 @@ class Trace:
 
     A trace may be *lazy*: constructed with a builder callable that is
     invoked (once, with the trace as its argument) the first time any
-    event is read.  The stacked kernel uses this for its post-hoc cheap
-    traces — the per-event Python objects for a 100-trial cell are only
+    event is read.  The stacked kernel uses this for its cheap traces —
+    the per-event Python objects for a 100-trial cell are only
     built for the trials whose timeline somebody actually reads, the
     same pay-per-read contract as its scalar ``result()`` accessors.
     """

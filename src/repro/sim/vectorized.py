@@ -19,7 +19,10 @@ hence reference) kernel produces trial by trial — same
 :class:`~repro.sim.simulator.SimulationResult`, same metrics rows, same
 monitor reports, same tables — which is what lets ``auto`` batches
 upgrade cells to this path without observable change (asserted by the
-differential suites).  Which runs may stack is decided by
+differential suites).  A trial's result, metrics and cheap trace are
+not built here: :meth:`StackedCellRun.record` hands its per-ball columns
+and per-round rows to :class:`~repro.sim.record.TrialRecord`, the same
+decoder the columnar kernel fills.  Which runs may stack is decided by
 :func:`~repro.sim.kernel.kernel_rejection`.
 
 NumPy is optional: without it :func:`vectorized_available` is False,
@@ -30,7 +33,7 @@ with an install hint.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence
 
 from repro.adversary.certification import certification_failure
 from repro.core.instrumentation import TIMERS
@@ -43,9 +46,8 @@ from repro.errors import (
 )
 from repro.sim.checker import RenamingSpec, check_renaming
 from repro.sim.kernel import KernelRequest, KernelRun, SimulationKernel
-from repro.sim.metrics import RoundMetrics, SimulationMetrics
+from repro.sim.record import TrialRecord
 from repro.sim.runner import default_round_limit
-from repro.sim.simulator import SimulationResult
 from repro.sim.trace import Trace
 
 if HAVE_NUMPY:
@@ -60,25 +62,24 @@ def vectorized_available() -> bool:
 class StackedCellRun:
     """Outcome of one stacked cell: per-trial results, columnar layout.
 
-    Scalar accessors (:meth:`result`, :meth:`metrics`, :meth:`trace`)
-    materialize the exact per-trial objects of the scalar kernels; the
-    batch layer reads the flat arrays directly so a 100-trial cell never
-    builds what it does not need.  :meth:`error` turns a trial the stack
-    ended early — past the round limit, or stopped by the stall monitor —
-    back into the exception the scalar loop raises.
+    The batch layer reads the flat arrays directly, so a 100-trial cell
+    never builds what it does not need; :meth:`record` gives one trial's
+    :class:`~repro.sim.record.TrialRecord`, the decoder the columnar
+    kernel uses too, for its exact result, metrics and cheap trace.
+    :meth:`error` turns a trial the stack ended early — past the round
+    limit, or stopped by the stall monitor — back into the exception the
+    scalar loop raises.
     """
 
-    def __init__(self, engine, seeds: Sequence[int], monitor=None) -> None:
+    def __init__(self, engine, monitor=None) -> None:
         self._engine = engine
         self._monitor = monitor
-        self.seeds = list(seeds)
         self.labels = engine.labels
         self.n = n = engine.n
         self.trials = T = engine.trials
         self.rounds = engine.rounds
         self.limit = engine.max_rounds
         self.decisions = engine.decision.reshape(T, n)
-        self.round_named = engine.round_named.reshape(T, n)
         self.crashed = engine.crashed.reshape(T, n)
         self.halted = engine.halted.reshape(T, n)
         #: (T,) crash counts — the batch layer's ``failures`` column.
@@ -100,11 +101,11 @@ class StackedCellRun:
         # per-trial totals directly.
         self.messages_sent = self._sent.sum(axis=0, dtype=np.int64)
         self.messages_delivered = self._delivered.sum(axis=0, dtype=np.int64)
-        self._participants = frozenset(self.labels)
-
-    def last_round_named(self, t: int) -> Optional[int]:
-        """Latest naming round of a correct process of trial ``t``."""
-        return self._engine.last_round_named(t)
+        named = np.where(self.crashed, -1, engine.round_named.reshape(T, n))
+        #: (T,) latest naming round of a correct ball (None = none named).
+        self.last_round_named: List[Optional[int]] = [
+            None if r < 0 else r for r in named.max(axis=1).tolist()
+        ]
 
     def violations(self, t: int) -> list:
         """Trial ``t``'s monitor findings ([] when monitoring was off)."""
@@ -123,96 +124,46 @@ class StackedCellRun:
             return MonitorViolation(self.violations(t))
         return None
 
-    def metrics(self, t: int) -> SimulationMetrics:
-        """Trial ``t``'s per-round metrics, as the columnar loop records."""
-        metrics = SimulationMetrics()
-        for r in range(int(self.rounds[t])):
-            metrics.record(
-                RoundMetrics(
-                    round_no=r + 1,
-                    messages_sent=int(self._sent[r, t]),
-                    messages_delivered=int(self._delivered[r, t]),
-                    crashes=int(self._crashes[r, t]),
-                    alive_after=int(self._alive[r, t]),
-                    running_after=int(self._running[r, t]),
-                )
-            )
-        return metrics
+    def record(self, t: int) -> TrialRecord:
+        """Trial ``t``'s rows and per-ball columns, as the columnar engine
+        keeps them (None for the -1 sentinels; the stacked engine applies
+        no omission)."""
+        n = self.n
+        rounds = int(self.rounds[t])
+        engine = self._engine
 
-    def result(self, t: int) -> SimulationResult:
-        """Trial ``t``'s :class:`SimulationResult`, columnar-identical."""
-        row = self.decisions[t].tolist()
-        decisions = {
-            pid: (name if name >= 0 else None)
-            for pid, name in zip(self.labels, row)
-        }
-        crashed_row = self.crashed[t]
-        halted_row = self.halted[t]
-        return SimulationResult(
-            rounds=int(self.rounds[t]),
-            decisions=decisions,
-            crashed=frozenset(
-                pid for j, pid in enumerate(self.labels) if crashed_row[j]
-            ),
-            halted=frozenset(
-                pid for j, pid in enumerate(self.labels) if halted_row[j]
-            ),
-            metrics=self.metrics(t),
-            trace=None,
-            participants=self._participants,
+        def per_ball(column):
+            return [
+                None if v < 0 else v for v in column[t * n : (t + 1) * n].tolist()
+            ]
+
+        def per_round(rows):
+            return rows[:rounds, t].tolist()
+
+        return TrialRecord(
+            self.labels,
+            per_ball(engine.decision),
+            per_ball(engine.round_crashed),
+            per_ball(engine.round_named),
+            per_ball(engine.round_halted),
+            per_round(self._sent),
+            per_round(self._delivered),
+            per_round(self._crashes),
+            per_round(self._alive),
+            per_round(self._running),
+            [0] * rounds,
+            [()] * rounds,
         )
 
-    def trace(self, t: int, sink: Optional[Trace] = None) -> Trace:
-        """Trial ``t``'s cheap trace, materialized from the stack's arrays.
-
-        Zero per-round capture cost: crash/naming/halting rounds persist
-        per ball and the aggregates per round (the rows :meth:`metrics`
-        reads), so the event stream is reconstructed post-hoc — and
-        lazily, unless a ``sink`` is supplied: the per-event objects are
-        only built for trials whose timeline is actually read.  Equal,
-        event for event, to the columnar kernel's cheap trace of the
-        same trial.
-        """
-        if sink is None:
-            return Trace(lambda trace: self._decode_trace(t, trace))
-        self._decode_trace(t, sink)
-        return sink
-
-    def _decode_trace(self, t: int, trace: Trace) -> None:
-        n = self.n
-        labels = self.labels
-        crashed = self._engine.round_crashed.reshape(self.trials, n)[t].tolist()
-        named = self.round_named[t].tolist()
-        halted = self._engine.round_halted.reshape(self.trials, n)[t].tolist()
-        decisions = self.decisions[t].tolist()
-        crashed_by: dict = {}
-        named_by: dict = {}
-        halted_by: dict = {}
-        for j in range(n):
-            if crashed[j] >= 0:
-                crashed_by.setdefault(crashed[j], []).append(j)
-            if named[j] >= 0:
-                named_by.setdefault(named[j], []).append(j)
-            if halted[j] >= 0:
-                halted_by.setdefault(halted[j], []).append(j)
-        for r in range(1, int(self.rounds[t]) + 1):
-            for j in crashed_by.get(r, ()):
-                trace.record(r, "crash", pid=labels[j])
-            for j in named_by.get(r, ()):
-                trace.record(r, "name", pid=labels[j], name=decisions[j])
-            for j in halted_by.get(r, ()):
-                trace.record(r, "halt", pid=labels[j], decision=decisions[j])
-            trace.record(
-                r,
-                "round",
-                sent=int(self._sent[r - 1, t]),
-                crashes=int(self._crashes[r - 1, t]),
-                running=int(self._running[r - 1, t]),
-            )
+    def trace(self, t: int) -> Trace:
+        """Trial ``t``'s cheap trace, decoded from the stack's arrays when
+        first read: the per-event objects are only built for trials whose
+        timeline is actually read."""
+        return Trace(lambda trace: self.record(t).write_trace(trace))
 
     def check_trial(self, t: int) -> None:
         """Renaming-spec check of one trial with the scalar wording."""
-        check_renaming(self.result(t), RenamingSpec(n=self.n))
+        check_renaming(self.record(t).result(), RenamingSpec(n=self.n))
 
     def spec_ok(self) -> "np.ndarray":
         """(T,) vectorized spec screen; flagged trials re-check scalar.
@@ -236,18 +187,6 @@ class StackedCellRun:
             ).reshape(self.trials, self.n)
             ok &= (counts <= 1).all(axis=1)
         return ok
-
-    def check(self) -> None:
-        """Spec check for every trial; first violation raises scalar-worded."""
-        ok = self.spec_ok()
-        if bool(ok.all()):
-            return
-        bad = int(np.flatnonzero(~ok)[0])
-        self.check_trial(bad)
-        raise AssertionError(  # pragma: no cover - checker always raises
-            f"vectorized spec screen flagged trial {bad} but "
-            "check_renaming passed"
-        )
 
 
 def run_stacked_cell(
@@ -305,7 +244,7 @@ def run_stacked_cell(
     timer_started = TIMERS.start()
     engine.run(observer=_timed_monitor(observer))
     TIMERS.stop("movement", timer_started)
-    return StackedCellRun(engine, seeds, monitor=observer)
+    return StackedCellRun(engine, monitor=observer)
 
 
 def _timed_monitor(observer):
@@ -328,14 +267,6 @@ class VectorizedKernel(SimulationKernel):
     name = "vectorized"
 
     def run(self, request: KernelRequest) -> KernelRun:
-        n = request.n
-        # Same validation the scalar kernels apply, so pinning the kernel
-        # never relaxes it.
-        if not 0 <= request.crash_budget < n:
-            raise ConfigurationError(
-                f"crash budget must satisfy 0 <= t < n; "
-                f"got t={request.crash_budget}, n={n}"
-            )
         cell = run_stacked_cell(
             request.ids,
             [request.seed],
@@ -348,14 +279,15 @@ class VectorizedKernel(SimulationKernel):
         )
         # Decode before raising: a failed run's partial trace rides on
         # the error, as on the scalar kernels.
+        record = cell.record(0)
         if request.trace is not None:
-            cell.trace(0, sink=request.trace)
+            record.write_trace(request.trace)
         error = cell.error(0)
         if error is not None:
             raise error
         return KernelRun(
-            result=cell.result(0),
-            last_round_named=cell.last_round_named(0),
+            result=record.result(request.trace),
+            last_round_named=record.last_round_named(),
             phase_stats=[],
             kernel=self.name,
             violations=cell.violations(0),

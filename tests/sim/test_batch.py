@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -131,6 +133,40 @@ class TestScenarioMatrix:
             ScenarioMatrix.build(["flood"], [0])
         with pytest.raises(ConfigurationError):
             ScenarioMatrix.build(["flood"], [4], trials=0)
+
+
+class TestCellKeys:
+    """Specs stack only when every field but the seed (or, for hunt
+    generations, the seed and the adversary) agrees."""
+
+    #: A value other than the default for every field but the seed.
+    OTHER = {
+        "algorithm": "early-terminating",
+        "n": 17,
+        "adversary": AdversarySpec.of("random", rate=0.1),
+        "halt_on_name": True,
+        "crash_budget": 3,
+        "check": False,
+        "kernel": "columnar",
+        "capture_errors": True,
+        "monitor": "cheap",
+        "trace": "cheap",
+    }
+
+    def test_every_non_seed_field_separates_cells(self):
+        from repro.sim.batch import _cell_config, _mixed_cell_config
+
+        base = TrialSpec(algorithm="balls-into-leaves", n=16, seed=0)
+        names = {f.name for f in dataclasses.fields(TrialSpec)}
+        assert set(self.OTHER) == names - {"seed"}
+        assert _cell_config(dataclasses.replace(base, seed=5)) == _cell_config(base)
+        for name, value in self.OTHER.items():
+            other = dataclasses.replace(base, **{name: value})
+            assert _cell_config(other) != _cell_config(base), name
+            if name == "adversary":
+                assert _mixed_cell_config(other) == _mixed_cell_config(base)
+            else:
+                assert _mixed_cell_config(other) != _mixed_cell_config(base), name
 
 
 class TestRunTrial:

@@ -74,9 +74,18 @@ class TestSupportedCells:
         assert run.kernel == "columnar"
 
     def test_bad_budget_rejected_identically(self):
-        for kernel in ("reference", "columnar"):
-            with pytest.raises(ConfigurationError):
-                _run("balls-into-leaves", 8, 0, kernel, crash_budget=8)
+        """``run_renaming`` checks ``0 <= t < n`` before it picks a
+        kernel, so every kernel, pinned or not, rejects a bad budget with
+        one message; without NumPy the budget is reported before the
+        pinned vectorized kernel is rejected."""
+        for budget in (8, -1):
+            for kernel in ("reference", "columnar", "vectorized", "auto"):
+                with pytest.raises(ConfigurationError) as caught:
+                    _run("balls-into-leaves", 8, 0, kernel, crash_budget=budget)
+                assert type(caught.value) is ConfigurationError
+                assert str(caught.value) == (
+                    f"crash budget must satisfy 0 <= t < n; got t={budget}, n=8"
+                ), kernel
 
 
 class TestRejectedCells:

@@ -214,6 +214,55 @@ class TestTraceFiles:
         with pytest.raises(ConfigurationError, match="empty trace file"):
             read_trace(path)
 
+    def test_serialized_cheap_layout_is_pinned(self, tmp_path):
+        """The byte layout of a cheap trace file, which ``shared_events``
+        (sorting within a round) does not see: within a round the kinds
+        come crash, omit, name, halt, round; crash, name and halt pids in
+        label-rank order; omits in clamped-plan (repr-sorted) order.  The
+        ids make repr order differ from label order: the plan crashes
+        4000 before 100, and the omitters 3 and 20 come out as "20", "3".
+        """
+        from repro.adversary.scheduled import (
+            ScheduledAdversary,
+            ScheduledCrash,
+            ScheduledOmission,
+        )
+
+        adversary = ScheduledAdversary(
+            [ScheduledCrash(2, 4000, [3]), ScheduledCrash(2, 100, "none")],
+            [ScheduledOmission(2, 3, [600000]), ScheduledOmission(2, 20, [600000])],
+        )
+        run = run_renaming(
+            "balls-into-leaves",
+            [4000, 3, 600000, 20, 100, 50000],
+            seed=1,
+            adversary=adversary,
+            kernel="columnar",
+            trace="cheap",
+        )
+        path = tmp_path / "layout.jsonl"
+        write_trace(run.trace, str(path))
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            '{"digest": "", "format": "repro-trace/1"}',
+            '{"crashes":0,"kind":"round","r":1,"running":6,"sent":6}',
+            '{"kind":"crash","pid":100,"r":2}',
+            '{"kind":"crash","pid":4000,"r":2}',
+            '{"kind":"omit","pid":20,"r":2}',
+            '{"kind":"omit","pid":3,"r":2}',
+            '{"kind":"name","name":3,"pid":3,"r":2}',
+            '{"kind":"name","name":2,"pid":20,"r":2}',
+            '{"kind":"name","name":4,"pid":600000,"r":2}',
+            '{"crashes":2,"kind":"round","r":2,"running":4,"sent":6}',
+            '{"crashes":0,"kind":"round","r":3,"running":4,"sent":4}',
+            '{"kind":"name","name":0,"pid":50000,"r":4}',
+            '{"crashes":0,"kind":"round","r":4,"running":4,"sent":4}',
+            '{"decision":3,"kind":"halt","pid":3,"r":5}',
+            '{"decision":2,"kind":"halt","pid":20,"r":5}',
+            '{"decision":0,"kind":"halt","pid":50000,"r":5}',
+            '{"decision":4,"kind":"halt","pid":600000,"r":5}',
+            '{"crashes":0,"kind":"round","r":5,"running":0,"sent":4}',
+        ]
+
 
 @needs_numpy
 class TestLazyStackedTrace:

@@ -111,8 +111,8 @@ class TestStackedCellEquivalence:
 
     def test_more_than_62_delivery_camps_match_columnar_rows(self, monkeypatch):
         """At crash rate 0.5, n=256 reaches 75 distinct kept sets in one
-        trial-round: past the one-int64-key grouping, receivers are
-        grouped by their packed camp bits, and the rows still match."""
+        trial-round, more camps than one int64 key has bits: receivers
+        grouped by their packed camp bits still give the columnar rows."""
         import numpy as np
 
         widths = []
